@@ -12,6 +12,7 @@ Reports are deterministic for fixed argv and inputs except for the
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -32,35 +33,31 @@ from .engine import (
 from .errors import CollineError, MapParseError, ViolationError
 from .field import Vector, format_vector, parse_scalar, parse_vector
 from .predicates import (
+    CHECKS,
     CheckOutcome,
     ProbeConfig,
     Witness,
-    check_additivity,
-    find_independence_witness,
-    check_betweenness,
-    check_homogeneity,
-    check_line_image,
-    check_line_injectivity,
-    check_parallelism_preservation,
-    check_ratio_preservation,
     check_scalar_monotone,
-    check_scalar_multiplicative,
-    check_zero_fixed,
+    find_independence_witness,
     revalidate_witness,
+    run_check,
 )
 from .zoo import MapHandle, from_source, make_dsl, parse_builtin
 
+# `colline check` names: every row of the check table with a default probe
+# stream (four under a shorter name), plus two checks that are algorithms
+_SHORT_NAMES = {
+    "zero-fixed": "zero",
+    "ratio-preservation": "ratio",
+    "parallelism-preservation": "parallelism",
+    "scalar-multiplicative": "scalar-mult",
+}
 _CHECKS = {
-    "homogeneity": lambda f, cfg: check_homogeneity(f, cfg),
-    "additivity": lambda f, cfg: check_additivity(f, cfg),
-    "zero": lambda f, cfg: check_zero_fixed(f),
-    "line-image": lambda f, cfg: check_line_image(f, cfg),
-    "line-injectivity": lambda f, cfg: check_line_injectivity(f, cfg),
-    "ratio": lambda f, cfg: check_ratio_preservation(f, cfg),
-    "parallelism": lambda f, cfg: check_parallelism_preservation(f, cfg),
-    "betweenness-cor43": lambda f, cfg: check_betweenness(f, cfg, "cor43"),
-    "betweenness-prop44": lambda f, cfg: check_betweenness(f, cfg, "prop44"),
-    "scalar-mult": lambda f, cfg: check_scalar_multiplicative(f, cfg),
+    **{
+        _SHORT_NAMES.get(row.name, row.name): functools.partial(run_check, row)
+        for row in CHECKS.values()
+        if row.stream is not None
+    },
     "scalar-monotone": lambda f, cfg: check_scalar_monotone(f, cfg),
     "phi-consistency": lambda f, cfg: phi_consistency(f, cfg)[0],
 }
@@ -299,6 +296,42 @@ def _emit(payload, args) -> None:
         sys.stdout.write(text)
 
 
+def _recheck_report(report: dict) -> list[str]:
+    """Failures of one stored report; stored data that does not decode raises."""
+    try:
+        handle = from_source(report["map"]["source"])
+    except (KeyError, TypeError, CollineError, ValueError) as exc:
+        return [f"map reconstruction failed: {exc}"]
+    failures: list[str] = []
+    cls = report.get("classification") or {}
+    reduced = None
+    if cls.get("affine_base"):
+        reduced = shift_reduce(handle, parse_vector(cls["affine_base"]))
+    for outcome in report.get("outcomes", []):
+        if outcome.get("witness") is None:
+            continue
+        check = outcome["check"]
+        target = reduced if check.startswith("reduced:") else handle
+        if target is None:
+            failures.append(f"{check}: no reduced map recorded")
+            continue
+        witness = Witness.from_json(check.removeprefix("reduced:"), outcome["witness"])
+        if not revalidate_witness(target, witness):
+            failures.append(f"witness for {check} no longer violates")
+    if cls.get("witness"):
+        target = reduced if cls.get("witness_scope") == "reduced" else handle
+        witness = Witness.from_json(cls["witness"]["check"], cls["witness"])
+        if target is None or not revalidate_witness(target, witness):
+            failures.append("classification witness no longer violates")
+    cert_target = reduced if cls.get("certificate_scope") == "reduced" else handle
+    for cert_json in report.get("certificates", []):
+        cert = Certificate.from_json(cert_json)
+        failures.extend(
+            f"certificate {cert.kind}: {failure}" for failure in cert.validate(cert_target)
+        )
+    return failures
+
+
 def _revalidate(path: str) -> int:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -307,45 +340,17 @@ def _revalidate(path: str) -> int:
         print(f"colline: cannot load report {path}: {exc}", file=sys.stderr)
         return 1
     reports = payload if isinstance(payload, list) else [payload]
+    if not all(isinstance(report, dict) for report in reports):
+        print(f"colline: cannot load report {path}: not a report object or a list of them",
+              file=sys.stderr)
+        return 1
     failures: list[str] = []
     for report in reports:
         try:
-            handle = from_source(report["map"]["source"])
-        except (KeyError, CollineError, ValueError) as exc:
-            failures.append(f"map reconstruction failed: {exc}")
-            continue
-        cls = report.get("classification") or {}
-        reduced = None
-        if cls.get("affine_base"):
-            reduced = shift_reduce(handle, parse_vector(cls["affine_base"]))
-
-        def target_for(check_name: str):
-            if check_name.startswith("reduced:"):
-                return reduced, check_name[len("reduced:"):]
-            return handle, check_name
-
-        for outcome in report.get("outcomes", []):
-            if outcome.get("witness") is None:
-                continue
-            target, raw = target_for(outcome["check"])
-            if target is None:
-                failures.append(f"{outcome['check']}: no reduced map recorded")
-                continue
-            witness = Witness.from_json(raw, outcome["witness"])
-            if not revalidate_witness(target, witness):
-                failures.append(f"witness for {outcome['check']} no longer violates")
-        if cls.get("witness"):
-            target = reduced if cls.get("witness_scope") == "reduced" else handle
-            witness = Witness.from_json(cls["witness"]["check"], cls["witness"])
-            if target is None or not revalidate_witness(target, witness):
-                failures.append("classification witness no longer violates")
-        cert_target = reduced if cls.get("certificate_scope") == "reduced" else handle
-        for cert_json in report.get("certificates", []):
-            cert = Certificate.from_json(cert_json)
-            cert_failures = cert.validate(cert_target)
-            failures.extend(
-                f"certificate {cert.kind}: {failure}" for failure in cert_failures
-            )
+            failures.extend(_recheck_report(report))
+        except (CollineError, ArithmeticError, LookupError, TypeError, ValueError,
+                AttributeError) as exc:
+            failures.append(f"stored data is malformed ({type(exc).__name__}: {exc})")
     if failures:
         for failure in failures:
             print(f"colline: revalidation failed: {failure}", file=sys.stderr)

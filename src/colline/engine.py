@@ -18,6 +18,7 @@ from typing import Optional
 from .errors import (
     DimensionMismatch,
     MapDomainError,
+    MapEvalError,
     PreconditionError,
     ProbeEvaluationError,
     ViolationError,
@@ -35,13 +36,15 @@ from .field import (
 )
 from .geometry import Line, line_through, lines_parallel, crossing_line
 from .predicates import (
+    CHECKS,
+    Check,
     CheckOutcome,
     ProbeConfig,
     Witness,
-    _register,
+    _drawn,
     _Sampler,
-    _shrink,
     _SKIP,
+    _unit_then_sampled_pairs,
     check_additivity,
     check_betweenness,
     check_homogeneity,
@@ -53,6 +56,7 @@ from .predicates import (
     check_scalar_multiplicative,
     check_zero_fixed,
     find_independence_witness,
+    run_check,
 )
 from .serialize import from_jsonable, to_jsonable
 from .zoo import MapHandle, compose, make_affine
@@ -74,19 +78,13 @@ def extract_phi(f: MapHandle, a: Vector, r) -> Fraction:
     fra = f(r * a)
     s = collinearity_scalar(fra, fa)
     if s is None:
-        witness = Witness(
-            check="phi-extract",
-            equation="f(r*a) lies on the line spanned by f(a)",
-            inputs=(("a", a), ("r", r)),
-            values=(("f(a)", fa), ("f(r*a)", fra)),
-        )
+        witness = CHECKS["phi-extract"].witness({"a": a, "r": r}, {"f(a)": fa, "f(r*a)": fra})
         raise ViolationError(
             f"images of the line through 0 and {a} are not collinear", witness
         )
     return s
 
 
-@_register("phi-extract")
 def _violation_phi_extract(f: MapHandle):
     def violation(inp):
         a, r = inp["a"], inp["r"]
@@ -163,7 +161,6 @@ class PhiTable:
         )
 
 
-@_register("phi-consistency")
 def _violation_phi_consistency(f: MapHandle):
     def violation(inp):
         a, other, r = inp["a"], inp["a'"], inp["r"]
@@ -191,7 +188,7 @@ def phi_consistency(
     witness is compared against the reference anchor.  Pass returns the
     r → φ(r) table sourced at the reference anchor.
     """
-    check = "phi-consistency"
+    row = CHECKS["phi-consistency"]
     if ind is None:
         ind = find_independence_witness(f, cfg)
     if ind is None:
@@ -210,20 +207,13 @@ def phi_consistency(
     while len(anchors) < n:
         anchors.append(sampler.vector(f.m))
 
-    violation = _violation_phi_consistency(f)
+    violation = row.violation(f)
     probes = 0
     skipped = 0
 
     def fail(inputs) -> tuple[CheckOutcome, None]:
-        shrunk = _shrink(inputs, violation)
-        values = violation(shrunk)
-        witness = Witness(
-            check,
-            "phi0(a, r) is independent of the anchor a",
-            tuple(shrunk.items()),
-            tuple(values.items()),
-        )
-        return CheckOutcome(check, False, probes, witness, skipped), None
+        witness = row.shrunk_witness(violation, inputs)
+        return CheckOutcome(row.name, False, probes, witness, skipped), None
 
     table: list[tuple[Fraction, Fraction]] = []
     anchor_rows: list[tuple[Fraction, Vector]] = []
@@ -237,7 +227,7 @@ def phi_consistency(
             table.append((r, phi))
             anchor_rows.append((r, a0))
     except ViolationError as exc:
-        return CheckOutcome(check, False, probes, exc.witness, skipped), None
+        return CheckOutcome(row.name, False, probes, exc.witness, skipped), None
     if ref.get(Fraction(0), Fraction(0)) != 0:
         probes += 1
         return fail({"a": a0, "a'": a0, "r": Fraction(0)})
@@ -258,14 +248,14 @@ def phi_consistency(
                 phi_a = extract_phi(f, a, r)
                 phi_other = extract_phi(f, other, r)
             except ViolationError as exc:
-                return CheckOutcome(check, False, probes, exc.witness, skipped), None
+                return CheckOutcome(row.name, False, probes, exc.witness, skipped), None
             except MapDomainError:
                 skipped += 1
                 continue
             if phi_a != phi_other or phi_other != ref[r]:
                 bad_pair = (a, other) if phi_a != phi_other else (other, a0)
                 return fail({"a": bad_pair[0], "a'": bad_pair[1], "r": r})
-    outcome = CheckOutcome(check, True, probes, None, skipped)
+    outcome = CheckOutcome(row.name, True, probes, None, skipped)
     return outcome, PhiTable(tuple(table), tuple(anchor_rows))
 
 
@@ -498,11 +488,8 @@ class _CertBuilder:
         return self._labels.get(p, format_vector(p))
 
     def violation(self, message: str) -> ViolationError:
-        witness = Witness(
-            check="certificate",
-            equation=message,
-            inputs=tuple(self.construction_inputs.items()),
-            values=(("failing fact", message),),
+        witness = CHECKS["certificate"].witness(
+            self.construction_inputs, {"failing fact": message}, message
         )
         return ViolationError(message, witness)
 
@@ -842,7 +829,6 @@ def _collapsing_plane_certificate(builder: _CertBuilder, a: Vector, b: Vector) -
     return builder.seal()
 
 
-@_register("certificate")
 def _violation_certificate(f: MapHandle):
     def violation(inp):
         kind = inp["kind"]
@@ -864,7 +850,6 @@ def _violation_certificate(f: MapHandle):
 # -- collapsed-summand scenario ------------------------------------------------------
 
 
-@_register("lemma32")
 def _violation_lemma32(f: MapHandle):
     def violation(inp):
         a, b = inp["a"], inp["b"]
@@ -883,7 +868,6 @@ def _violation_lemma32(f: MapHandle):
 
 def lemma32_check(f: MapHandle, a: Vector, b: Vector) -> CheckOutcome:
     """With f(a) = 0 and f(b) ≠ 0, the sum must satisfy f(a+b) = f(b)."""
-    check = "lemma32"
     if a.is_zero():
         raise PreconditionError("lemma32_check needs a != 0")
     if b.is_zero():
@@ -893,16 +877,7 @@ def lemma32_check(f: MapHandle, a: Vector, b: Vector) -> CheckOutcome:
         raise PreconditionError("lemma32_check needs f(a) = 0")
     if fb.is_zero():
         raise PreconditionError("lemma32_check needs f(b) != 0")
-    fab = f(a + b)
-    if fab == fb:
-        return CheckOutcome(check, True, 1)
-    witness = Witness(
-        check,
-        "f(a+b) = f(b) = f(a) + f(b)",
-        (("a", a), ("b", b)),
-        (("f(a+b)", fab), ("f(b)", fb)),
-    )
-    return CheckOutcome(check, False, 1, witness)
+    return run_check(CHECKS["lemma32"], f, stream=lambda f, cfg: [{"a": a, "b": b}])
 
 
 # -- scalar dichotomy -----------------------------------------------------------------
@@ -915,7 +890,6 @@ class DichotomyResult:
     checks: tuple[CheckOutcome, ...]
 
 
-@_register("scalar-dichotomy")
 def _violation_scalar_dichotomy(f: MapHandle):
     def violation(inp):
         r = inp["r"]
@@ -958,13 +932,8 @@ def scalar_dichotomy(h: MapHandle, cfg: ProbeConfig) -> DichotomyResult:
             break
     if witness is None:
         r = next(r for r, v in values.items() if v != 0 and v != r)
-        inputs = _shrink({"r": r}, _violation_scalar_dichotomy(h))
-        witness = Witness(
-            "scalar-dichotomy",
-            "h(r) = 0 for all r, or h(r) = r for all r",
-            tuple(inputs.items()),
-            tuple(_violation_scalar_dichotomy(h)(inputs).items()),
-        )
+        row = CHECKS["scalar-dichotomy"]
+        witness = row.shrunk_witness(row.violation(h), {"r": r})
     return DichotomyResult("fail", witness, checks)
 
 
@@ -979,7 +948,6 @@ class PhiPipelineResult:
     dichotomy: Optional[str]  # "zero" | "identity" | "mixed" | None
 
 
-@_register("phi-add-mult")
 def _violation_phi_add_mult(f: MapHandle):
     def violation(inp):
         a, r, s = inp["a"], inp["r"], inp["s"]
@@ -1009,7 +977,6 @@ def phi_dichotomy_pipeline(f: MapHandle, cfg: ProbeConfig) -> PhiPipelineResult:
 
     Callers are expected to have checked additivity already.
     """
-    check = "phi-add-mult"
     sampler = _Sampler(cfg)
     anchor = None
     scanned = 0
@@ -1028,54 +995,31 @@ def phi_dichotomy_pipeline(f: MapHandle, cfg: ProbeConfig) -> PhiPipelineResult:
                 break
         except MapDomainError:
             continue
+    row = CHECKS["phi-add-mult"]
     if anchor is None:
         return PhiPipelineResult(
-            "zero-image",
-            CheckOutcome(check, True, scanned, None, 0),
-            None,
-            None,
+            "zero-image", CheckOutcome(row.name, True, scanned, None, 0), None, None
         )
 
-    violation = _violation_phi_add_mult(f)
+    probes = [
+        {"a": anchor, "r": r, "s": s} for r, s in _unit_then_sampled_pairs(sampler, cfg.count)
+    ]
+    outcome = run_check(row, f, stream=lambda f, cfg: probes)
+    if not outcome.passed:
+        return PhiPipelineResult("checked", outcome, None, None)
     fa = f(anchor)
     table: dict[Fraction, Fraction] = {}
-    probes = 0
-    skipped = 0
-    first = [True]
-
-    def next_pair(s: _Sampler):
-        if first[0]:
-            first[0] = False
-            return Fraction(1), Fraction(1)
-        return s.scalar(), s.scalar()
-
-    for _ in range(cfg.count):
-        r, s = next_pair(sampler)
-        inputs = {"a": anchor, "r": r, "s": s}
+    for inp in probes:
+        r, s = inp["r"], inp["s"]
         try:
-            result = violation(inputs)
-        except MapDomainError:
-            skipped += 1
+            new = {
+                key: collinearity_scalar(f(key * anchor), fa)
+                for key in (r, s, r + s, r * s)
+                if key not in table
+            }
+        except MapDomainError:  # run_check skipped this probe
             continue
-        if result is _SKIP:
-            skipped += 1
-            continue
-        probes += 1
-        if result is not None:
-            inputs = _shrink(inputs, violation)
-            values = violation(inputs)
-            witness = Witness(
-                check,
-                "phi is additive and multiplicative along the anchor ray",
-                tuple(inputs.items()),
-                tuple(values.items()),
-            )
-            return PhiPipelineResult(
-                "checked", CheckOutcome(check, False, probes, witness, skipped), None, None
-            )
-        for key in (r, s, r + s, r * s):
-            if key not in table:
-                table[key] = collinearity_scalar(f(key * anchor), fa)
+        table.update(new)
     entries = tuple(sorted(table.items()))
     phi = PhiTable(entries, tuple((r, anchor) for r, _ in entries))
     if phi.is_zero():
@@ -1084,9 +1028,7 @@ def phi_dichotomy_pipeline(f: MapHandle, cfg: ProbeConfig) -> PhiPipelineResult:
         dichotomy = "identity"
     else:
         dichotomy = "mixed"
-    return PhiPipelineResult(
-        "checked", CheckOutcome(check, True, probes, None, skipped), phi, dichotomy
-    )
+    return PhiPipelineResult("checked", outcome, phi, dichotomy)
 
 
 # -- affine reduction -----------------------------------------------------------------
@@ -1116,7 +1058,6 @@ def affine_reduce(g: MapHandle, witnesses: tuple[Vector, Vector, Vector]) -> Map
     return shift_reduce(g, a_star)
 
 
-@_register("affine-reconstruction")
 def _violation_affine_reconstruction(g: MapHandle):
     def violation(inp):
         x, a_star = inp["x"], inp["a*"]
@@ -1133,29 +1074,10 @@ def check_affine_reconstruction(
     g: MapHandle, a_star: Vector, cfg: ProbeConfig
 ) -> CheckOutcome:
     """g(x) must equal the shift-reduced map at x plus g(0), exactly."""
-    check = "affine-reconstruction"
-    violation = _violation_affine_reconstruction(g)
-    sampler = _Sampler(cfg)
-    probes = 0
-    skipped = 0
-    for _ in range(cfg.count):
-        inputs = {"x": sampler.vector(g.m), "a*": a_star}
-        try:
-            result = violation(inputs)
-        except MapDomainError:
-            skipped += 1
-            continue
-        probes += 1
-        if result is not None:
-            inputs = _shrink(inputs, violation)
-            witness = Witness(
-                check,
-                "g(x) = f(x) + g(0) for the shift-reduced f",
-                tuple(inputs.items()),
-                tuple(violation(inputs).items()),
-            )
-            return CheckOutcome(check, False, probes, witness, skipped)
-    return CheckOutcome(check, True, probes, None, skipped)
+    return run_check(
+        CHECKS["affine-reconstruction"], g, cfg,
+        _drawn(lambda g, cfg, s: {"x": s.vector(g.m), "a*": a_star}),
+    )
 
 
 def find_affine_witnesses(
@@ -1186,6 +1108,24 @@ def find_affine_witnesses(
             except MapDomainError:
                 continue
     return None
+
+
+# -- the engine's rows of the check table ---------------------------------------------
+
+CHECKS.update((row.name, row) for row in (
+    Check("phi-extract", "f(r*a) lies on the line spanned by f(a)", _violation_phi_extract),
+    Check("phi-consistency", "phi0(a, r) is independent of the anchor a",
+          _violation_phi_consistency),
+    # a certificate witness states the failing fact as its equation
+    Check("certificate", "the line constellation re-validates", _violation_certificate),
+    Check("lemma32", "f(a+b) = f(b) = f(a) + f(b)", _violation_lemma32),
+    Check("scalar-dichotomy", "h(r) = 0 for all r, or h(r) = r for all r",
+          _violation_scalar_dichotomy),
+    Check("phi-add-mult", "phi is additive and multiplicative along the anchor ray",
+          _violation_phi_add_mult),
+    Check("affine-reconstruction", "g(x) = f(x) + g(0) for the shift-reduced f",
+          _violation_affine_reconstruction),
+))
 
 
 # -- classification ---------------------------------------------------------------------
@@ -1248,27 +1188,43 @@ def _certificate_pairs(ind: tuple[Vector, Vector], cfg: ProbeConfig, dim: int):
     return pairs
 
 
+# failure precedence: with the origin fixed, the defining identities come
+# first so their witnesses lead the report; with the origin moved, only the
+# geometric checks, which bind every affine map, are terminal
+_FIXED_ORIGIN_ORDER = (
+    "additivity", "homogeneity", "betweenness-prop44", "line-image", "line-injectivity",
+    "parallelism-preservation", "ratio-preservation", "betweenness-cor43",
+)
+_MOVED_ORIGIN_ORDER = (
+    "line-image", "line-injectivity", "parallelism-preservation", "ratio-preservation",
+    "betweenness-cor43",
+)
+
+
 def _classify_empirical(h: MapHandle, cfg: ProbeConfig, depth: int = 0) -> Classification:
-    outcomes: list[CheckOutcome] = []
-    zero = check_zero_fixed(h)
-    li = check_line_image(h, cfg)
-    inj = check_line_injectivity(h, cfg)
-    par = check_parallelism_preservation(h, cfg)
-    ratio = check_ratio_preservation(h, cfg)
-    bet43 = check_betweenness(h, cfg, "cor43")
-    bet44 = check_betweenness(h, cfg, "prop44")
-    add = check_additivity(h, cfg)
-    hom = check_homogeneity(h, cfg)
-    outcomes = [zero, li, inj, par, ratio, bet43, bet44, add, hom]
+    outcomes = [
+        check_zero_fixed(h),
+        check_line_image(h, cfg),
+        check_line_injectivity(h, cfg),
+        check_parallelism_preservation(h, cfg),
+        check_ratio_preservation(h, cfg),
+        check_betweenness(h, cfg, "cor43"),
+        check_betweenness(h, cfg, "prop44"),
+        check_additivity(h, cfg),
+        check_homogeneity(h, cfg),
+    ]
+    by_name = {o.check: o for o in outcomes}
+
+    def first_failure(order) -> Optional[CheckOutcome]:
+        return next((by_name[name] for name in order if not by_name[name].passed), None)
 
     def done(**kw) -> Classification:
         return Classification(outcomes=tuple(outcomes), **kw)
 
-    if zero.passed:
-        # the defining identities come first so their witnesses lead the report
-        failing = [o for o in (add, hom, bet44, li, inj, par, ratio, bet43) if not o.passed]
-        if failing:
-            reasons = [f"origin is fixed but {failing[0].check} fails"]
+    if by_name["zero-fixed"].passed:
+        failed = first_failure(_FIXED_ORIGIN_ORDER)
+        if failed is not None:
+            reasons = [f"origin is fixed but {failed.check} fails"]
             if find_independence_witness(h, cfg) is None:
                 reasons.append(
                     "independence hypothesis also unsatisfied: no probe pair has"
@@ -1276,7 +1232,7 @@ def _classify_empirical(h: MapHandle, cfg: ProbeConfig, depth: int = 0) -> Class
                 )
             return done(
                 verdict=VERDICT_NON_LINEAR,
-                witness=failing[0].witness,
+                witness=failed.witness,
                 reasons=tuple(reasons),
             )
         ind = find_independence_witness(h, cfg)
@@ -1315,15 +1271,14 @@ def _classify_empirical(h: MapHandle, cfg: ProbeConfig, depth: int = 0) -> Class
             phi=phi_table,
         )
 
-    # origin not fixed: additivity/homogeneity failures are expected, but the
-    # geometric checks bind every affine map, so their failure is terminal
-    failing = [o for o in (li, inj, par, ratio, bet43) if not o.passed]
-    if failing:
+    # origin not fixed: additivity/homogeneity failures are expected
+    failed = first_failure(_MOVED_ORIGIN_ORDER)
+    if failed is not None:
         return done(
             verdict=VERDICT_NON_LINEAR,
-            witness=failing[0].witness,
+            witness=failed.witness,
             reasons=(
-                f"{failing[0].check} fails, which every affine (hence every"
+                f"{failed.check} fails, which every affine (hence every"
                 " linear) map satisfies",
             ),
         )
@@ -1397,7 +1352,7 @@ def classify_map(h: MapHandle, cfg: ProbeConfig, use_symbolic: bool = True) -> C
     try:
         return _classify_empirical(h, cfg)
     except ProbeEvaluationError as exc:
-        return Classification(
-            VERDICT_INCONCLUSIVE,
-            reasons=(f"probe evaluation failed during {exc.check}: {exc.cause}",),
-        )
+        reason = f"probe evaluation failed during {exc.check}: {exc.cause}"
+    except MapEvalError as exc:  # raised outside the probe checks, e.g. by a search
+        reason = f"map evaluation failed: {exc}"
+    return Classification(VERDICT_INCONCLUSIVE, reasons=(reason,))

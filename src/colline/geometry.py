@@ -7,7 +7,6 @@ rational field, so every answer here is a certainty, not an approximation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -52,10 +51,6 @@ class Line:
     def contains(self, p: Vector) -> bool:
         """Exact membership: p − origin must be a multiple of direction."""
         return collinearity_scalar(p - self.origin, self.direction) is not None
-
-    def param_of(self, p: Vector) -> Optional[Fraction]:
-        """The t with point_at(t) = p, or None if p is off the line."""
-        return collinearity_scalar(p - self.origin, self.direction)
 
     def canonical(self) -> tuple[Vector, Vector]:
         """Canonical (origin, direction) pair shared by all representations."""
@@ -103,20 +98,6 @@ def divides_in_ratio(a: Vector, b: Vector, r, s) -> Vector:
         raise PreconditionError("divides_in_ratio with r + s = 0")
     t = r / (r + s)
     return Vector(x + t * (y - x) for x, y in zip(a.coords, b.coords))
-
-
-@dataclass(frozen=True)
-class RatioPoint:
-    """A point on line a‾b remembered together with the ratio that produced it."""
-
-    r: Fraction
-    s: Fraction
-    point: Vector
-
-
-def ratio_point(a: Vector, b: Vector, r, s) -> RatioPoint:
-    r, s = Fraction(r), Fraction(s)
-    return RatioPoint(r, s, divides_in_ratio(a, b, r, s))
 
 
 def ratio_of(a: Vector, b: Vector, c: Vector) -> Optional[tuple[Fraction, Fraction]]:

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .errors import (
     CollineError,
@@ -152,18 +152,6 @@ class _Sampler:
 
 _SKIP = object()
 
-# check name -> factory building the violation closure for a map; the same
-# closure drives checking, witness shrinking, and report revalidation.
-_VIOLATIONS: dict[str, Callable[[MapHandle], Callable[[dict], object]]] = {}
-
-
-def _register(name: str):
-    def deco(factory):
-        _VIOLATIONS[name] = factory
-        return factory
-
-    return deco
-
 
 def _trunc_half(n: int) -> int:
     return (abs(n) // 2) * (1 if n > 0 else -1)
@@ -251,12 +239,46 @@ def _shrink(inputs: dict, violation) -> dict:
     return inputs
 
 
-def _falsify(check: str, equation: str, cfg: ProbeConfig, sample, violation) -> CheckOutcome:
+# -- check rows and the probe loop that runs them ------------------------------
+
+
+@dataclass(frozen=True)
+class Check:
+    """One row of the check table (``CHECKS``).
+
+    ``violation(f)`` builds the closure that judges one probe: None when the
+    equation holds, ``_SKIP`` when the probe does not apply, otherwise a dict
+    of both sides.  The same closure drives checking, witness shrinking and
+    report revalidation.  ``stream(f, cfg)`` yields the default probes (None
+    for a drawn sample that is unusable); rows without one are driven with a
+    caller's stream or by an algorithm of their own.
+    """
+
+    name: str
+    equation: str
+    violation: Callable[[MapHandle], Callable[[dict], object]]
+    stream: Optional[Callable[[MapHandle, ProbeConfig], Iterable[Optional[dict]]]] = None
+
+    def witness(self, inputs: dict, values: dict, equation: Optional[str] = None) -> Witness:
+        return Witness(
+            self.name, equation or self.equation, tuple(inputs.items()), tuple(values.items())
+        )
+
+    def shrunk_witness(self, violation, inputs: dict) -> Witness:
+        inputs = _shrink(inputs, violation)
+        return self.witness(inputs, violation(inputs))
+
+
+def run_check(
+    row: Check, f: MapHandle, cfg: Optional[ProbeConfig] = None, stream: Optional[Callable] = None
+) -> CheckOutcome:
+    """Feed the probes of ``stream(f, cfg)`` (default: the row's stream) to
+    the row's violation; the first violated probe is shrunk into the Fail
+    witness, and an evaluation error becomes ProbeEvaluationError."""
+    violation = row.violation(f)
     probes = 0
     skipped = 0
-    sampler = _Sampler(cfg)
-    for _ in range(cfg.count):
-        inputs = sample(sampler)
+    for inputs in (stream or row.stream)(f, cfg):
         if inputs is None:
             skipped += 1
             continue
@@ -266,22 +288,33 @@ def _falsify(check: str, equation: str, cfg: ProbeConfig, sample, violation) -> 
             skipped += 1
             continue
         except MapEvalError as exc:
-            raise ProbeEvaluationError(check, inputs, exc) from exc
+            raise ProbeEvaluationError(row.name, inputs, exc) from exc
         if result is _SKIP:
             skipped += 1
             continue
         probes += 1
         if result is not None:
-            inputs = _shrink(inputs, violation)
-            values = violation(inputs)
-            witness = Witness(
-                check=check,
-                equation=equation,
-                inputs=tuple(inputs.items()),
-                values=tuple(values.items()),
-            )
-            return CheckOutcome(check, False, probes, witness, skipped)
-    return CheckOutcome(check, True, probes, None, skipped)
+            witness = row.shrunk_witness(violation, inputs)
+            return CheckOutcome(row.name, False, probes, witness, skipped)
+    return CheckOutcome(row.name, True, probes, None, skipped)
+
+
+def _drawn(draw) -> Callable:
+    """The stream of cfg.count probes made by draw(f, cfg, sampler) from one
+    seeded sampler."""
+
+    def stream(f: MapHandle, cfg: ProbeConfig):
+        sampler = _Sampler(cfg)
+        return (draw(f, cfg, sampler) for _ in range(cfg.count))
+
+    return stream
+
+
+def _unit_then_sampled_pairs(sampler: _Sampler, count: int):
+    """(1, 1), then count - 1 sampled scalar pairs."""
+    yield Fraction(1), Fraction(1)
+    for _ in range(count - 1):
+        yield sampler.scalar(), sampler.scalar()
 
 
 def revalidate_witness(f: MapHandle, witness: Witness) -> bool:
@@ -290,11 +323,11 @@ def revalidate_witness(f: MapHandle, witness: Witness) -> bool:
     Malformed or mismatched witness data (e.g. a tampered report) simply
     fails to revalidate instead of raising.
     """
-    factory = _VIOLATIONS.get(witness.check)
-    if factory is None:
+    row = CHECKS.get(witness.check)
+    if row is None:
         return False
     try:
-        result = factory(f)(dict(witness.inputs))
+        result = row.violation(f)(dict(witness.inputs))
     except (CollineError, KeyError, ValueError, TypeError):
         return False
     return isinstance(result, dict)
@@ -303,7 +336,6 @@ def revalidate_witness(f: MapHandle, witness: Witness) -> bool:
 # -- homogeneity / additivity / zero ------------------------------------------
 
 
-@_register("homogeneity")
 def _violation_homogeneity(f: MapHandle):
     def violation(inp):
         a, c = inp["a"], inp["c"]
@@ -317,13 +349,9 @@ def _violation_homogeneity(f: MapHandle):
 
 
 def check_homogeneity(f: MapHandle, cfg: ProbeConfig) -> CheckOutcome:
-    def sample(s: _Sampler):
-        return {"a": s.vector(f.m), "c": s.scalar()}
-
-    return _falsify("homogeneity", "f(c*a) = c*f(a)", cfg, sample, _violation_homogeneity(f))
+    return run_check(CHECKS["homogeneity"], f, cfg)
 
 
-@_register("additivity")
 def _violation_additivity(f: MapHandle):
     def violation(inp):
         a, b = inp["a"], inp["b"]
@@ -337,13 +365,9 @@ def _violation_additivity(f: MapHandle):
 
 
 def check_additivity(f: MapHandle, cfg: ProbeConfig) -> CheckOutcome:
-    def sample(s: _Sampler):
-        return {"a": s.vector(f.m), "b": s.vector(f.m)}
-
-    return _falsify("additivity", "f(a+b) = f(a)+f(b)", cfg, sample, _violation_additivity(f))
+    return run_check(CHECKS["additivity"], f, cfg)
 
 
-@_register("zero-fixed")
 def _violation_zero_fixed(f: MapHandle):
     def violation(inp):
         x = inp["x"]
@@ -356,19 +380,7 @@ def _violation_zero_fixed(f: MapHandle):
 
 
 def check_zero_fixed(f: MapHandle) -> CheckOutcome:
-    check = "zero-fixed"
-    violation = _violation_zero_fixed(f)
-    inputs = {"x": Vector.zero(f.m)}
-    try:
-        result = violation(inputs)
-    except MapDomainError:
-        return CheckOutcome(check, True, 0, None, 1)
-    except MapEvalError as exc:
-        raise ProbeEvaluationError(check, inputs, exc) from exc
-    if result is None:
-        return CheckOutcome(check, True, 1)
-    witness = Witness(check, "f(0) = 0", tuple(inputs.items()), tuple(result.items()))
-    return CheckOutcome(check, False, 1, witness)
+    return run_check(CHECKS["zero-fixed"], f)
 
 
 # -- line image and injectivity -----------------------------------------------
@@ -379,7 +391,10 @@ def _line_points_images(f: MapHandle, line: Line, params):
     return pts, [f(p) for p in pts]
 
 
-@_register("line-image")
+def _draw_line(f: MapHandle, cfg: ProbeConfig, s: _Sampler) -> dict:
+    return {"line": s.line(f.m), "params": s.params(cfg.params_per_line)}
+
+
 def _violation_line_image(f: MapHandle):
     def violation(inp):
         line, params = inp["line"], inp["params"]
@@ -404,20 +419,9 @@ def check_line_image(f: MapHandle, cfg: ProbeConfig) -> CheckOutcome:
     equal; whether the image fills a whole line is not decidable by finite
     sampling and is deliberately not claimed.
     """
-
-    def sample(s: _Sampler):
-        return {"line": s.line(f.m), "params": s.params(cfg.params_per_line)}
-
-    return _falsify(
-        "line-image",
-        "sampled images of a line are mutually collinear",
-        cfg,
-        sample,
-        _violation_line_image(f),
-    )
+    return run_check(CHECKS["line-image"], f, cfg)
 
 
-@_register("line-injectivity")
 def _violation_line_injectivity(f: MapHandle):
     def violation(inp):
         line, params = inp["line"], inp["params"]
@@ -437,22 +441,20 @@ def _violation_line_injectivity(f: MapHandle):
 
 
 def check_line_injectivity(f: MapHandle, cfg: ProbeConfig) -> CheckOutcome:
-    def sample(s: _Sampler):
-        return {"line": s.line(f.m), "params": s.params(cfg.params_per_line)}
-
-    return _falsify(
-        "line-injectivity",
-        "distinct parameters on a line with line-shaped image map to distinct points",
-        cfg,
-        sample,
-        _violation_line_injectivity(f),
-    )
+    return run_check(CHECKS["line-injectivity"], f, cfg)
 
 
 # -- ratio preservation ---------------------------------------------------------
 
 
-@_register("ratio-preservation")
+def _draw_ratio(f: MapHandle, cfg: ProbeConfig, s: _Sampler) -> Optional[dict]:
+    a, b = s.vector(f.m), s.vector(f.m)
+    r, t = s.scalar(), s.scalar()
+    if a == b or r + t == 0:
+        return None
+    return {"a": a, "b": b, "r": r, "s": t}
+
+
 def _violation_ratio(f: MapHandle):
     def violation(inp):
         a, b, r, s = inp["a"], inp["b"], inp["r"], inp["s"]
@@ -472,20 +474,7 @@ def _violation_ratio(f: MapHandle):
 
 
 def check_ratio_preservation(f: MapHandle, cfg: ProbeConfig) -> CheckOutcome:
-    def sample(s: _Sampler):
-        a, b = s.vector(f.m), s.vector(f.m)
-        r, t = s.scalar(), s.scalar()
-        if a == b or r + t == 0:
-            return None
-        return {"a": a, "b": b, "r": r, "s": t}
-
-    return _falsify(
-        "ratio-preservation",
-        "f(c) divides f(a),f(b) in the same ratio as c divides a,b",
-        cfg,
-        sample,
-        _violation_ratio(f),
-    )
+    return run_check(CHECKS["ratio-preservation"], f, cfg)
 
 
 # -- independence witness -------------------------------------------------------
@@ -518,7 +507,14 @@ def find_independence_witness(f: MapHandle, cfg: ProbeConfig) -> Optional[tuple[
 # -- betweenness -----------------------------------------------------------------
 
 
-@_register("betweenness-cor43")
+def _draw_cor43(f: MapHandle, cfg: ProbeConfig, s: _Sampler) -> Optional[dict]:
+    a, b = s.vector(f.m), s.vector(f.m)
+    if a == b:
+        return None
+    t = s.unit_interval()
+    return {"a": a, "b": b, "c": a + t * (b - a)}
+
+
 def _violation_betweenness_cor43(f: MapHandle):
     def violation(inp):
         a, b, c = inp["a"], inp["b"], inp["c"]
@@ -534,7 +530,11 @@ def _violation_betweenness_cor43(f: MapHandle):
     return violation
 
 
-@_register("betweenness-prop44")
+def _draw_prop44(f: MapHandle, cfg: ProbeConfig, s: _Sampler) -> dict:
+    a = s.nonzero_vector(f.m)
+    return {"a": a, "c": s.unit_interval() * a}
+
+
 def _violation_betweenness_prop44(f: MapHandle):
     def violation(inp):
         a, c = inp["a"], inp["c"]
@@ -552,37 +552,9 @@ def _violation_betweenness_prop44(f: MapHandle):
 
 
 def check_betweenness(f: MapHandle, cfg: ProbeConfig, variant: str = "cor43") -> CheckOutcome:
-    if variant == "cor43":
-
-        def sample(s: _Sampler):
-            a, b = s.vector(f.m), s.vector(f.m)
-            if a == b:
-                return None
-            t = s.unit_interval()
-            return {"a": a, "b": b, "c": a + t * (b - a)}
-
-        return _falsify(
-            "betweenness-cor43",
-            "g(c) stays strictly between g(a) and g(b), unless all three collapse",
-            cfg,
-            sample,
-            _violation_betweenness_cor43(f),
-        )
-    if variant == "prop44":
-
-        def sample(s: _Sampler):
-            a = s.nonzero_vector(f.m)
-            t = s.unit_interval()
-            return {"a": a, "c": t * a}
-
-        return _falsify(
-            "betweenness-prop44",
-            "f(c) stays strictly between f(a) and 0, unless both vanish",
-            cfg,
-            sample,
-            _violation_betweenness_prop44(f),
-        )
-    raise ValueError(f"unknown betweenness variant {variant!r} (use cor43 or prop44)")
+    if variant not in ("cor43", "prop44"):
+        raise ValueError(f"unknown betweenness variant {variant!r} (use cor43 or prop44)")
+    return run_check(CHECKS[f"betweenness-{variant}"], f, cfg)
 
 
 # -- scalar checks ----------------------------------------------------------------
@@ -597,8 +569,9 @@ def _scalar_eval(f: MapHandle, t: Fraction) -> Fraction:
     return f(Vector((t,))).coords[0]
 
 
-@_register("scalar-multiplicative")
 def _violation_scalar_multiplicative(f: MapHandle):
+    _require_scalar_map(f)
+
     def violation(inp):
         r, s = inp["r"], inp["s"]
         lhs = _scalar_eval(f, r * s)
@@ -611,26 +584,12 @@ def _violation_scalar_multiplicative(f: MapHandle):
 
 
 def check_scalar_multiplicative(f: MapHandle, cfg: ProbeConfig) -> CheckOutcome:
-    _require_scalar_map(f)
-    first = [True]
-
-    def sample(s: _Sampler):
-        if first[0]:
-            first[0] = False
-            return {"r": Fraction(1), "s": Fraction(1)}
-        return {"r": s.scalar(), "s": s.scalar()}
-
-    return _falsify(
-        "scalar-multiplicative",
-        "h(r*s) = h(r)*h(s)",
-        cfg,
-        sample,
-        _violation_scalar_multiplicative(f),
-    )
+    return run_check(CHECKS["scalar-multiplicative"], f, cfg)
 
 
-@_register("scalar-monotone")
 def _violation_scalar_monotone(f: MapHandle):
+    _require_scalar_map(f)
+
     def violation(inp):
         x, y, z = inp["x"], inp["y"], inp["z"]
         if not x < y < z:
@@ -647,8 +606,8 @@ def _violation_scalar_monotone(f: MapHandle):
 def check_scalar_monotone(f: MapHandle, cfg: ProbeConfig) -> CheckOutcome:
     """Fail iff the sampled value set shows both a strict rise and a strict
     fall; the witness is a triple x < y < z with conflicting slopes."""
-    _require_scalar_map(f)
-    check = "scalar-monotone"
+    row = CHECKS["scalar-monotone"]
+    violation = row.violation(f)  # rejects a map that is not 1 -> 1
     sampler = _Sampler(cfg)
     points = {Fraction(-1), Fraction(0), Fraction(1)}
     for _ in range(cfg.count):
@@ -671,7 +630,7 @@ def check_scalar_monotone(f: MapHandle, cfg: ProbeConfig) -> CheckOutcome:
         if d < 0 and fall is None:
             fall = i
     if rise is None or fall is None:
-        return CheckOutcome(check, True, len(usable), None, skipped)
+        return CheckOutcome(row.name, True, len(usable), None, skipped)
     if rise < fall:
         lo, hi = rise, fall
         mid = max(range(lo + 1, hi + 1), key=lambda i: (values[usable[i]], -i))
@@ -679,15 +638,8 @@ def check_scalar_monotone(f: MapHandle, cfg: ProbeConfig) -> CheckOutcome:
         lo, hi = fall, rise
         mid = min(range(lo + 1, hi + 1), key=lambda i: (values[usable[i]], i))
     inputs = {"x": usable[lo], "y": usable[mid], "z": usable[hi + 1]}
-    violation = _violation_scalar_monotone(f)
-    inputs = _shrink(inputs, violation)
-    witness = Witness(
-        check,
-        "h is monotone (order preserved or reversed throughout)",
-        tuple(inputs.items()),
-        tuple(violation(inputs).items()),
-    )
-    return CheckOutcome(check, False, len(usable), witness, skipped)
+    witness = row.shrunk_witness(violation, inputs)
+    return CheckOutcome(row.name, False, len(usable), witness, skipped)
 
 
 # -- plane image classification ----------------------------------------------------
@@ -702,7 +654,6 @@ class PlaneImage:
     outcome: CheckOutcome
 
 
-@_register("plane-image")
 def _violation_plane_image(f: MapHandle):
     def violation(inp):
         plane: Plane = inp["plane"]
@@ -735,12 +686,16 @@ def classify_plane_image(f: MapHandle, plane: Plane, cfg: ProbeConfig) -> PlaneI
     A sampled rank above 2, or a collision on a rank-2 image, yields a
     Fail outcome witnessing the violation.
     """
-    check = "plane-image"
+    row = CHECKS["plane-image"]
     sampler = _Sampler(cfg)
     grid = [
         (Fraction(i), Fraction(j)) for i in (0, 1, -1) for j in (0, 1, -1)
     ]
-    target = min(cfg.count, 60)
+    # ranges 1 and 2 offer only 3 and 7 distinct scalars, too few for 60
+    # (u, v) pairs; from range 3 on, p/q with |p|, q <= 3 alone give 15
+    k = min(cfg.coordinate_range, 3)
+    scalars = len({Fraction(p, q) for p in range(-k, k + 1) for q in range(1, k + 1)})
+    target = min(cfg.count, 60, scalars ** 2)
     seen = set(grid)
     while len(grid) < target:
         uv = (sampler.scalar(), sampler.scalar())
@@ -758,9 +713,9 @@ def classify_plane_image(f: MapHandle, plane: Plane, cfg: ProbeConfig) -> PlaneI
         except MapDomainError:
             skipped += 1
     if not usable:
-        return PlaneImage(None, None, CheckOutcome(check, True, 0, None, skipped))
+        return PlaneImage(None, None, CheckOutcome(row.name, True, 0, None, skipped))
     rank = affine_rank(images)
-    violation = _violation_plane_image(f)
+    violation = row.violation(f)
     if rank > 2:
         base = [usable[0]]
         for p in usable[1:]:
@@ -769,13 +724,8 @@ def classify_plane_image(f: MapHandle, plane: Plane, cfg: ProbeConfig) -> PlaneI
             if len(base) == 4:
                 break
         inputs = {"plane": plane, **{f"p{i}": p for i, p in enumerate(base)}}
-        witness = Witness(
-            check,
-            "images of a plane have affine rank at most 2",
-            tuple(inputs.items()),
-            tuple(violation(inputs).items()),
-        )
-        return PlaneImage(None, None, CheckOutcome(check, False, len(usable), witness, skipped))
+        witness = row.witness(inputs, violation(inputs))
+        return PlaneImage(None, None, CheckOutcome(row.name, False, len(usable), witness, skipped))
     shape = ("point", "line", "plane")[rank]
     injective = None
     if rank == 2:
@@ -796,18 +746,17 @@ def classify_plane_image(f: MapHandle, plane: Plane, cfg: ProbeConfig) -> PlaneI
                     "w1": anchors[1],
                     "w2": anchors[2],
                 }
-                witness = Witness(
-                    check,
+                witness = row.witness(
+                    inputs,
+                    violation(inputs),
                     "a map spreading a plane onto a plane is one-to-one on it",
-                    tuple(inputs.items()),
-                    tuple(violation(inputs).items()),
                 )
                 return PlaneImage(
-                    "plane", False, CheckOutcome(check, False, len(usable), witness, skipped)
+                    "plane", False, CheckOutcome(row.name, False, len(usable), witness, skipped)
                 )
             img_index[img] = p
         injective = True
-    return PlaneImage(shape, injective, CheckOutcome(check, True, len(usable), None, skipped))
+    return PlaneImage(shape, injective, CheckOutcome(row.name, True, len(usable), None, skipped))
 
 
 # -- parallelism preservation --------------------------------------------------------
@@ -819,7 +768,6 @@ def _span_line(points) -> Line:
     return line_through(base, other)
 
 
-@_register("parallelism-preservation")
 def _violation_parallelism(f: MapHandle):
     def violation(inp):
         line0: Line = inp["line"]
@@ -841,18 +789,43 @@ def _violation_parallelism(f: MapHandle):
 def check_parallelism_preservation(f: MapHandle, cfg: ProbeConfig) -> CheckOutcome:
     """Sampled parallel line pairs whose images are both lines must map to
     parallel lines; pairs with degenerate images are skipped (and counted)."""
+    return run_check(CHECKS["parallelism-preservation"], f, cfg)
 
-    def sample(s: _Sampler):
-        return {
-            "line": s.line(f.m),
-            "offset": s.vector(f.m),
-            "params": s.params(cfg.params_per_line),
-        }
 
-    return _falsify(
-        "parallelism-preservation",
-        "images of parallel lines are parallel",
-        cfg,
-        sample,
-        _violation_parallelism(f),
-    )
+# -- the check table ------------------------------------------------------------------
+
+# check name -> row.  A new probe-stream check is one row here plus its
+# violation; engine.py adds the rows of the checks its constructions run.
+CHECKS: dict[str, Check] = {row.name: row for row in (
+    Check("homogeneity", "f(c*a) = c*f(a)", _violation_homogeneity,
+          _drawn(lambda f, cfg, s: {"a": s.vector(f.m), "c": s.scalar()})),
+    Check("additivity", "f(a+b) = f(a)+f(b)", _violation_additivity,
+          _drawn(lambda f, cfg, s: {"a": s.vector(f.m), "b": s.vector(f.m)})),
+    Check("zero-fixed", "f(0) = 0", _violation_zero_fixed,
+          lambda f, cfg: [{"x": Vector.zero(f.m)}]),
+    Check("line-image", "sampled images of a line are mutually collinear",
+          _violation_line_image, _drawn(_draw_line)),
+    Check("line-injectivity",
+          "distinct parameters on a line with line-shaped image map to distinct points",
+          _violation_line_injectivity, _drawn(_draw_line)),
+    Check("ratio-preservation",
+          "f(c) divides f(a),f(b) in the same ratio as c divides a,b",
+          _violation_ratio, _drawn(_draw_ratio)),
+    Check("betweenness-cor43",
+          "g(c) stays strictly between g(a) and g(b), unless all three collapse",
+          _violation_betweenness_cor43, _drawn(_draw_cor43)),
+    Check("betweenness-prop44",
+          "f(c) stays strictly between f(a) and 0, unless both vanish",
+          _violation_betweenness_prop44, _drawn(_draw_prop44)),
+    Check("scalar-multiplicative", "h(r*s) = h(r)*h(s)", _violation_scalar_multiplicative,
+          lambda f, cfg: ({"r": r, "s": s}
+                          for r, s in _unit_then_sampled_pairs(_Sampler(cfg), cfg.count))),
+    Check("parallelism-preservation", "images of parallel lines are parallel",
+          _violation_parallelism,
+          _drawn(lambda f, cfg, s: {"line": s.line(f.m), "offset": s.vector(f.m),
+                                    "params": s.params(cfg.params_per_line)})),
+    Check("scalar-monotone", "h is monotone (order preserved or reversed throughout)",
+          _violation_scalar_monotone),
+    Check("plane-image", "images of a plane have affine rank at most 2",
+          _violation_plane_image),
+)}

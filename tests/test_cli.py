@@ -10,6 +10,7 @@ IDENTITY = "map id : 2 -> 2 { y0 = x0; y1 = x1 }\n"
 TRANSLATE = "map translate : 2 -> 2 { y0 = x0 + 1; y1 = x1 + 1 }\n"
 MULTI = IDENTITY + "map double : 1 -> 1 { y0 = 2*x0 }\n"
 BAD = "map bad : 1 -> 1 { y0 = x3 }\n"
+HOLE = "map hole : 2 -> 2 { y0 = x0 * (x0 - 1) / (x0 - 1); y1 = x1 }\n"
 
 
 @pytest.fixture
@@ -199,6 +200,34 @@ class TestDeterminismAndRevalidation:
     def test_revalidate_missing_file_exits_1(self, capsys):
         assert run(["--revalidate", "/nonexistent.json"]) == 1
 
+    def _certified_report(self, mapfile, tmp_path):
+        dest = tmp_path / "c.json"
+        argv = ["certify", "additivity", mapfile("id.map", IDENTITY), "--out", str(dest)]
+        assert run(argv) == 0
+        return dest, json.loads(dest.read_text())
+
+    def test_revalidate_zero_certificate_direction_fails_cleanly(self, mapfile, tmp_path, capsys):
+        dest, report = self._certified_report(mapfile, tmp_path)
+        report["certificates"][0]["lines"][0]["direction"] = "(0, 0)"
+        dest.write_text(json.dumps(report))
+        assert run(["--revalidate", str(dest)]) == 2
+        assert "colline: revalidation failed: " in capsys.readouterr().err
+
+    def test_revalidate_division_by_zero_in_vector_fails_cleanly(
+        self, mapfile, tmp_path, capsys
+    ):
+        dest, report = self._certified_report(mapfile, tmp_path)
+        report["certificates"][0]["lines"][0]["origin"] = "(1/0, 0)"
+        dest.write_text(json.dumps(report))
+        assert run(["--revalidate", str(dest)]) == 2
+        assert "colline: revalidation failed: " in capsys.readouterr().err
+
+    def test_revalidate_non_report_payload_exits_1(self, tmp_path, capsys):
+        dest = tmp_path / "r.json"
+        dest.write_text("[1]")
+        assert run(["--revalidate", str(dest)]) == 1
+        assert "not a report object" in capsys.readouterr().err
+
     def test_env_seed_overrides_default_only(self, mapfile, tmp_path, capsys, monkeypatch):
         path = mapfile("t.map", TRANSLATE)
 
@@ -212,6 +241,17 @@ class TestDeterminismAndRevalidation:
         assert seed_of(["classify", path, "--probes", "30", "--seed", "7"]) == 7
         monkeypatch.delenv("COLLINE_SEED")
         assert seed_of(["classify", path, "--probes", "30"]) == 0
+
+
+class TestClassifyEvaluationError:
+    def test_division_by_zero_outside_the_checks_is_inconclusive(self, mapfile, capsys):
+        code, report = run_json(
+            ["classify", mapfile("hole.map", HOLE), "--no-symbolic", "--probes", "2", "--seed", "1"],
+            capsys,
+        )
+        assert code == 0
+        assert report["classification"]["verdict"] == "inconclusive"
+        assert "at input (1, 0)" in report["classification"]["reasons"][0]
 
 
 class TestTextFormat:

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from colline.dsl import parse_map
-from colline.errors import PreconditionError, ViolationError
+from colline.errors import PreconditionError, ProbeEvaluationError, ViolationError
 from colline.field import Vector, identity_matrix
 from colline.predicates import ProbeConfig, revalidate_witness, _Sampler
 from colline.engine import (
@@ -312,6 +312,12 @@ class TestAffineReduce:
             assert g(x) == f(x) + g0
         assert check_affine_reconstruction(g, base, CFG).passed
 
+    def test_reconstruction_eval_error_names_the_probe(self):
+        g = dsl("map pole : 1 -> 1 { y0 = x0 + 1 + 0/(x0 - 100) }")
+        with pytest.raises(ProbeEvaluationError) as err:
+            check_affine_reconstruction(g, vec(100), CFG)
+        assert err.value.check == "affine-reconstruction"
+
     def test_precondition(self):
         g = make_affine([[1, 0], [1, 0]], vec(1, 1))  # rank 1
         with pytest.raises(PreconditionError):
@@ -392,6 +398,19 @@ class TestClassify:
         c = classify_map(make_linear([[1, 2], [3, 4]]), CFG, use_symbolic=False)
         clone = PhiTable.from_json(c.phi.to_json())
         assert clone == c.phi
+
+
+class TestClassifyEvaluationErrors:
+    HOLE = "map hole : 2 -> 2 { y0 = x0 * (x0 - 1) / (x0 - 1); y1 = x1 }"
+
+    def test_singular_point_outside_the_checks_is_inconclusive(self):
+        # at seed 1 every probe check passes; the independence search then
+        # evaluates the basis vector (1, 0), where the map divides by zero
+        c = classify_map(dsl(self.HOLE), ProbeConfig(seed=1, count=2), use_symbolic=False)
+        assert c.verdict == "inconclusive"
+        assert c.reasons == (
+            "map evaluation failed: map hole: division by zero in output y0 at input (1, 0)",
+        )
 
 
 class TestCrossModuleInvariants:

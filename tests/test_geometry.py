@@ -19,7 +19,6 @@ from colline.geometry import (
     lines_parallel,
     plane_through,
     ratio_of,
-    ratio_point,
 )
 
 rationals = st.fractions(min_value=-12, max_value=12, max_denominator=8)
@@ -97,10 +96,6 @@ class TestRatios:
 
     def test_ratio_of_off_line(self):
         assert ratio_of(vec(0, 0), vec(2, 0), vec(1, 1)) is None
-
-    def test_ratio_point_carries_its_data(self):
-        rp = ratio_point(vec(0, 0), vec(2, 0), 1, 1)
-        assert (rp.r, rp.s, rp.point) == (1, 1, vec(1, 0))
 
     @given(vec2, vec2, rationals, rationals)
     @settings(max_examples=80)

@@ -1,3 +1,4 @@
+import signal
 from fractions import Fraction
 from itertools import product
 
@@ -43,6 +44,10 @@ def lemma23_default():
 
 def dsl(text):
     return make_dsl(parse_map(text))
+
+
+def _timeout(signum, frame):
+    raise TimeoutError("did not return")
 
 
 def assert_sound_failure(f, outcome: CheckOutcome):
@@ -290,6 +295,20 @@ class TestPlaneImage:
         res = classify_plane_image(f, self.plane2d(), CFG)
         assert res.shape is None
         assert_sound_failure(f, res.outcome)
+
+    @pytest.mark.parametrize("coordinate_range, pairs", [(1, 9), (2, 49)])
+    def test_small_coordinate_range_terminates(self, coordinate_range, pairs):
+        # only 3 (range 1) or 7 (range 2) distinct scalars exist, so fewer
+        # than 60 distinct (u, v) pairs; the grid takes all of them
+        signal.signal(signal.SIGALRM, _timeout)
+        signal.alarm(20)
+        try:
+            cfg = ProbeConfig(seed=0, count=200, coordinate_range=coordinate_range)
+            res = classify_plane_image(make_linear(identity_matrix(2)), self.plane2d(), cfg)
+        finally:
+            signal.alarm(0)
+        assert (res.shape, res.injective) == ("plane", True)
+        assert res.outcome.probes == pairs
 
     def test_collapse_on_plane_image_detected(self):
         # squares the first coordinate: the plane image stays rank 2 but
