@@ -25,6 +25,11 @@ from typing import Iterator, NamedTuple, Optional, Union
 from .errors import DimensionMismatch, MapEvalError, MapParseError
 from .field import MAX_DIM, Matrix, Vector, format_scalar
 
+#: Deepest expression tree accepted, counted in nodes from root to leaf, and
+#: most parentheses, signs and conditionals open at once.  Parsing,
+#: evaluation, rendering and normalization recurse once per level.
+MAX_DEPTH = 200
+
 # -- abstract syntax ----------------------------------------------------------
 
 
@@ -74,6 +79,7 @@ class MapSpec:
 _KEYWORDS = {"map", "if", "then", "else"}
 _PUNCT2 = ("->", "<=")
 _PUNCT1 = ":{};=+-*/()"
+_NESTING = {("punct", "-"), ("punct", "("), ("name", "if")}  # factors that recurse
 
 
 class _Token(NamedTuple):
@@ -140,6 +146,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = list(_tokenize(text))
         self.pos = 0
+        self.open = 0
 
     @property
     def cur(self) -> _Token:
@@ -234,55 +241,60 @@ class _Parser:
         self.advance()
         idx = int(tok.text[1:])
         self.expect_punct("=")
-        return idx, tok, self.parse_expr(m)
+        return idx, tok, self.parse_expr(m)[0]
 
-    def parse_expr(self, m: int) -> Expr:
-        node = self.parse_term(m)
-        while self.cur.kind == "punct" and self.cur.text in "+-":
-            op = self.advance().text
-            node = BinOp(op, node, self.parse_term(m))
-        return node
+    def deeper(self, depth: int, tok: _Token) -> int:
+        if depth >= MAX_DEPTH:
+            self.error(f"expression nested deeper than {MAX_DEPTH} levels", tok=tok)
+        return depth + 1
 
-    def parse_term(self, m: int) -> Expr:
-        node = self.parse_factor(m)
-        while self.cur.kind == "punct" and self.cur.text in "*/":
-            op = self.advance().text
-            node = BinOp(op, node, self.parse_factor(m))
-        return node
+    # parse_expr and parse_factor return (node, height of its expression tree)
+    def parse_expr(self, m: int, ops: str = "+-") -> tuple[Expr, int]:
+        """A left-associative chain: expr with ops "+-", term with ops "*/"."""
+        node, height = self.parse_factor(m) if ops == "*/" else self.parse_expr(m, "*/")
+        while self.cur.kind == "punct" and self.cur.text in ops:
+            tok = self.advance()
+            right, right_height = self.parse_factor(m) if ops == "*/" else self.parse_expr(m, "*/")
+            node = BinOp(tok.text, node, right)
+            height = self.deeper(max(height, right_height), tok)
+        return node, height
 
-    def parse_factor(self, m: int) -> Expr:
+    def parse_factor(self, m: int) -> tuple[Expr, int]:
         tok = self.cur
         if tok.kind == "int":
             self.advance()
-            return Lit(Fraction(int(tok.text)))
-        if tok.kind == "punct" and tok.text == "-":
-            self.advance()
-            return Neg(self.parse_factor(m))
-        if tok.kind == "punct" and tok.text == "(":
-            self.advance()
-            node = self.parse_expr(m)
-            self.expect_punct(")")
-            return node
-        if tok.kind == "name" and tok.text == "if":
-            self.advance()
-            left = self.parse_expr(m)
-            self.expect_punct("<=")
-            right = self.parse_expr(m)
-            self.expect_keyword("then")
-            then_branch = self.parse_expr(m)
-            self.expect_keyword("else")
-            else_branch = self.parse_expr(m)
-            return IfLe(left, right, then_branch, else_branch)
+            return Lit(Fraction(int(tok.text))), 1
         if tok.kind == "name" and _is_indexed(tok.text, "x"):
             idx = int(tok.text[1:])
             if idx >= m:
                 self.error(f"variable index {idx} out of range", tok=tok)
             self.advance()
-            return Var(idx)
-        self.error(
-            f"found {self.describe(tok)}",
-            expected=("rational literal", "variable x<i>", "'-'", "'('", "'if'"),
-        )
+            return Var(idx), 1
+        if (tok.kind, tok.text) not in _NESTING:
+            self.error(
+                f"found {self.describe(tok)}",
+                expected=("rational literal", "variable x<i>", "'-'", "'('", "'if'"),
+            )
+        self.open = self.deeper(self.open, tok)
+        self.advance()
+        if tok.text == "-":
+            node, height = self.parse_factor(m)
+            node, height = Neg(node), self.deeper(height, tok)
+        elif tok.text == "(":
+            node, height = self.parse_expr(m)
+            self.expect_punct(")")
+        else:
+            left, h0 = self.parse_expr(m)
+            self.expect_punct("<=")
+            right, h1 = self.parse_expr(m)
+            self.expect_keyword("then")
+            then_branch, h2 = self.parse_expr(m)
+            self.expect_keyword("else")
+            else_branch, h3 = self.parse_expr(m)
+            node = IfLe(left, right, then_branch, else_branch)
+            height = self.deeper(max(h0, h1, h2, h3), tok)
+        self.open -= 1
+        return node, height
 
 
 def _is_indexed(text: str, prefix: str) -> bool:
@@ -354,7 +366,14 @@ def eval_map(spec: MapSpec, x: Vector) -> Vector:
 _EXPR, _TERM, _FACTOR = 0, 1, 2
 
 
-def _render(expr: Expr, level: int, top: bool = False) -> str:
+def _render(expr: Expr, level: int, closed: bool = True) -> str:
+    """Render with only the parentheses the grammar needs.
+
+    ``closed`` is false when a binary operator follows the rendered text; a
+    conditional's else branch would absorb it, so only then is the
+    conditional parenthesized.  Rendering thus never nests deeper than the
+    text it was parsed from, and stays within ``MAX_DEPTH``.
+    """
     if isinstance(expr, Lit):
         v = expr.value
         if v < 0:
@@ -363,25 +382,26 @@ def _render(expr: Expr, level: int, top: bool = False) -> str:
     if isinstance(expr, Var):
         return f"x{expr.index}"
     if isinstance(expr, Neg):
-        return "-" + _render(expr.operand, _FACTOR)
+        return "-" + _render(expr.operand, _FACTOR, closed)
     if isinstance(expr, BinOp):
-        if expr.op in "+-":
-            text = f"{_render(expr.left, _EXPR)} {expr.op} {_render(expr.right, _TERM)}"
-            return text if level <= _EXPR else f"({text})"
-        text = f"{_render(expr.left, _TERM)} {expr.op} {_render(expr.right, _FACTOR)}"
-        return text if level <= _TERM else f"({text})"
+        additive = expr.op in "+-"
+        wrap = level > (_EXPR if additive else _TERM)
+        left = _render(expr.left, _EXPR if additive else _TERM, False)
+        right = _render(expr.right, _TERM if additive else _FACTOR, closed or wrap)
+        text = f"{left} {expr.op} {right}"
+        return f"({text})" if wrap else text
     if isinstance(expr, IfLe):
         text = (
             f"if {_render(expr.guard_left, _EXPR)} <= {_render(expr.guard_right, _EXPR)}"
             f" then {_render(expr.then_branch, _EXPR)}"
-            f" else {_render(expr.else_branch, _EXPR)}"
+            f" else {_render(expr.else_branch, _EXPR, closed)}"
         )
-        return text if top else f"({text})"
+        return text if closed else f"({text})"
     raise TypeError(f"not an expression: {expr!r}")
 
 
 def render_expr(expr: Expr) -> str:
-    return _render(expr, _EXPR, top=True)
+    return _render(expr, _EXPR)
 
 
 def render_map(spec: MapSpec) -> str:

@@ -44,6 +44,7 @@ from .predicates import (
     _drawn,
     _Sampler,
     _SKIP,
+    _scalar_sweep,
     _unit_then_sampled_pairs,
     check_additivity,
     check_betweenness,
@@ -161,6 +162,22 @@ class PhiTable:
         )
 
 
+def _phi_table(f: MapHandle, anchor: Vector, groups) -> PhiTable:
+    """The table r → φ(r) read off the ray through ``anchor``, in first-seen
+    key order; a group of keys (one probe's) is left out whole where f is
+    undefined at one of them."""
+    fa = f(anchor)
+    table: dict[Fraction, Fraction] = {}
+    for keys in groups:
+        try:
+            table.update(
+                {r: collinearity_scalar(f(r * anchor), fa) for r in keys if r not in table}
+            )
+        except MapDomainError:
+            continue
+    return PhiTable(tuple(table.items()), tuple((r, anchor) for r in table))
+
+
 def _violation_phi_consistency(f: MapHandle):
     def violation(inp):
         a, other, r = inp["a"], inp["a'"], inp["r"]
@@ -183,10 +200,10 @@ def phi_consistency(
 ) -> tuple[CheckOutcome, Optional[PhiTable]]:
     """Check that the extracted scale factor does not depend on the anchor.
 
-    Every sampled anchor is compared against one of the independence
-    witnesses whose image is independent of the anchor's image, and that
-    witness is compared against the reference anchor.  Pass returns the
-    r → φ(r) table sourced at the reference anchor.
+    Every sampled anchor is compared, at every sampled r, against the one
+    independence witness whose image is independent of the anchor's image;
+    the first anchor is a0 itself, so a0 is compared against a1 first.  Pass
+    returns the r → φ(r) table sourced at a0.
     """
     row = CHECKS["phi-consistency"]
     if ind is None:
@@ -203,60 +220,28 @@ def phi_consistency(
     rs = [Fraction(0), Fraction(1), Fraction(-1)]
     while len(rs) < n:
         rs.append(sampler.scalar())
+    rs = list(dict.fromkeys(rs))
     anchors = [a0, a1]
     while len(anchors) < n:
         anchors.append(sampler.vector(f.m))
 
-    violation = row.violation(f)
-    probes = 0
-    skipped = 0
-
-    def fail(inputs) -> tuple[CheckOutcome, None]:
-        witness = row.shrunk_witness(violation, inputs)
-        return CheckOutcome(row.name, False, probes, witness, skipped), None
-
-    table: list[tuple[Fraction, Fraction]] = []
-    anchor_rows: list[tuple[Fraction, Vector]] = []
-    ref: dict[Fraction, Fraction] = {}
-    try:
-        for r in rs:
-            if r in ref:
-                continue
-            phi = extract_phi(f, a0, r)
-            ref[r] = phi
-            table.append((r, phi))
-            anchor_rows.append((r, a0))
-    except ViolationError as exc:
-        return CheckOutcome(row.name, False, probes, exc.witness, skipped), None
-    if ref.get(Fraction(0), Fraction(0)) != 0:
-        probes += 1
-        return fail({"a": a0, "a'": a0, "r": Fraction(0)})
-
-    for a in anchors:
-        try:
-            fa = f(a)
-        except MapDomainError:
-            skipped += 1
-            continue
-        if fa.is_zero():
-            skipped += 1
-            continue
-        other = a0 if linearly_independent(fa, fa0) else a1
-        for r in ref:
-            probes += 1
+    def stream(f: MapHandle, cfg: ProbeConfig):
+        for a in anchors:
             try:
-                phi_a = extract_phi(f, a, r)
-                phi_other = extract_phi(f, other, r)
-            except ViolationError as exc:
-                return CheckOutcome(row.name, False, probes, exc.witness, skipped), None
+                fa = f(a)
             except MapDomainError:
-                skipped += 1
+                fa = None
+            except MapEvalError as exc:
+                raise ProbeEvaluationError(row.name, {"a": a}, exc) from exc
+            if fa is None or fa.is_zero():  # no scale factor at this anchor: one skip
+                yield None
                 continue
-            if phi_a != phi_other or phi_other != ref[r]:
-                bad_pair = (a, other) if phi_a != phi_other else (other, a0)
-                return fail({"a": bad_pair[0], "a'": bad_pair[1], "r": r})
-    outcome = CheckOutcome(row.name, True, probes, None, skipped)
-    return outcome, PhiTable(tuple(table), tuple(anchor_rows))
+            other = a0 if linearly_independent(fa, fa0) else a1
+            for r in rs:
+                yield {"a": a, "a'": other, "r": r}
+
+    outcome = run_check(row, f, cfg, stream)
+    return outcome, _phi_table(f, a0, ((r,) for r in rs)) if outcome.passed else None
 
 
 # -- certificates ------------------------------------------------------------------
@@ -911,16 +896,7 @@ def scalar_dichotomy(h: MapHandle, cfg: ProbeConfig) -> DichotomyResult:
         check_additivity(h, cfg),
         check_scalar_monotone(h, cfg),
     )
-    sampler = _Sampler(cfg)
-    points = {Fraction(0), Fraction(1), Fraction(-1)}
-    for _ in range(cfg.count):
-        points.add(sampler.scalar())
-    values = {}
-    for r in sorted(points):
-        try:
-            values[r] = h(Vector((r,))).coords[0]
-        except MapDomainError:
-            continue
+    values, _ = _scalar_sweep(h, cfg)
     if values and all(v == 0 for v in values.values()):
         return DichotomyResult("zero", None, checks)
     if values and all(v == r for r, v in values.items()):
@@ -1007,21 +983,8 @@ def phi_dichotomy_pipeline(f: MapHandle, cfg: ProbeConfig) -> PhiPipelineResult:
     outcome = run_check(row, f, stream=lambda f, cfg: probes)
     if not outcome.passed:
         return PhiPipelineResult("checked", outcome, None, None)
-    fa = f(anchor)
-    table: dict[Fraction, Fraction] = {}
-    for inp in probes:
-        r, s = inp["r"], inp["s"]
-        try:
-            new = {
-                key: collinearity_scalar(f(key * anchor), fa)
-                for key in (r, s, r + s, r * s)
-                if key not in table
-            }
-        except MapDomainError:  # run_check skipped this probe
-            continue
-        table.update(new)
-    entries = tuple(sorted(table.items()))
-    phi = PhiTable(entries, tuple((r, anchor) for r, _ in entries))
+    groups = ((p["r"], p["s"], p["r"] + p["s"], p["r"] * p["s"]) for p in probes)
+    phi = _phi_table(f, anchor, groups)
     if phi.is_zero():
         dichotomy = "zero"
     elif phi.is_identity():

@@ -25,14 +25,14 @@ MAX_DIM = 8
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-_SCALAR_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_SCALAR_RE = re.compile(r"^[+-]?\d+(?:/0*[1-9]\d*)?$")
 
 
 def parse_scalar(text: str) -> Fraction:
     """Parse the ``p/q`` or ``p`` text form (optional leading sign)."""
     t = text.strip()
     if not _SCALAR_RE.match(t):
-        raise ValueError(f"not a rational scalar: {text!r} (expected p or p/q)")
+        raise ValueError(f"not a rational scalar: {text!r} (expected p or p/q, q > 0)")
     return Fraction(t)
 
 
@@ -279,7 +279,3 @@ def parse_matrix(text: str) -> Matrix:
     if not rows:
         raise ValueError("matrix text contains no rows")
     return matrix(rows)
-
-
-def format_matrix(a: Matrix) -> str:
-    return "\n".join(" ".join(format_scalar(x) for x in row) for row in a)

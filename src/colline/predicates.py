@@ -157,61 +157,29 @@ def _trunc_half(n: int) -> int:
     return (abs(n) // 2) * (1 if n > 0 else -1)
 
 
-def _scalar_slots(inputs: dict):
-    for name, val in inputs.items():
-        if isinstance(val, Fraction):
-            yield name, None
-        elif isinstance(val, Vector):
-            for i in range(val.dim):
-                yield name, ("coord", i)
-        elif isinstance(val, Line):
-            for part in ("origin", "direction"):
-                for i in range(val.dim):
-                    yield name, (part, i)
-        elif isinstance(val, tuple) and all(isinstance(x, Fraction) for x in val):
-            for i in range(len(val)):
-                yield name, ("item", i)
-
-
-def _replace_slot(inputs: dict, name: str, path, new: Fraction) -> Optional[dict]:
-    out = dict(inputs)
-    val = inputs[name]
-    try:
-        if path is None:
-            out[name] = new
-        elif path[0] == "coord":
-            coords = list(val.coords)
-            coords[path[1]] = new
-            out[name] = Vector(coords)
-        elif path[0] in ("origin", "direction"):
-            origin, direction = val.origin, val.direction
-            coords = list((origin if path[0] == "origin" else direction).coords)
-            coords[path[1]] = new
-            if path[0] == "origin":
-                origin = Vector(coords)
-            else:
-                direction = Vector(coords)
-            out[name] = Line(origin, direction)
-        elif path[0] == "item":
-            items = list(val)
-            items[path[1]] = new
-            out[name] = tuple(items)
-    except (DegenerateGeometry, DimensionMismatch):
-        return None
-    return out
-
-
-def _slot_value(inputs: dict, name: str, path) -> Fraction:
-    val = inputs[name]
-    if path is None:
+def _scalars(val) -> tuple:
+    """The scalars a witness value is made of, in shrinking order; () for a
+    value the shrinker leaves alone."""
+    if isinstance(val, Fraction):
+        return (val,)
+    if isinstance(val, Vector):
+        return val.coords
+    if isinstance(val, Line):
+        return val.origin.coords + val.direction.coords
+    if isinstance(val, tuple) and all(isinstance(x, Fraction) for x in val):
         return val
-    if path[0] == "coord":
-        return val.coords[path[1]]
-    if path[0] == "origin":
-        return val.origin.coords[path[1]]
-    if path[0] == "direction":
-        return val.direction.coords[path[1]]
-    return val[path[1]]
+    return ()
+
+
+def _rebuild(val, scalars: list):
+    """The value of ``val``'s kind made of ``scalars`` (inverse of _scalars)."""
+    if isinstance(val, Fraction):
+        return scalars[0]
+    if isinstance(val, Vector):
+        return Vector(scalars)
+    if isinstance(val, Line):
+        return Line(Vector(scalars[: val.dim]), Vector(scalars[val.dim :]))
+    return tuple(scalars)
 
 
 def _shrink(inputs: dict, violation) -> dict:
@@ -219,23 +187,24 @@ def _shrink(inputs: dict, violation) -> dict:
     changed = True
     while changed:
         changed = False
-        for name, path in list(_scalar_slots(inputs)):
-            cur = _slot_value(inputs, name, path)
-            if cur.numerator == 0:
-                continue
-            cand = Fraction(_trunc_half(cur.numerator), cur.denominator)
-            if cand == cur:
-                continue
-            cand_inputs = _replace_slot(inputs, name, path, cand)
-            if cand_inputs is None:
-                continue
-            try:
-                result = violation(cand_inputs)
-            except (MapDomainError, MapEvalError):
-                continue
-            if isinstance(result, dict):
-                inputs = cand_inputs
-                changed = True
+        for name in list(inputs):
+            for i in range(len(_scalars(inputs[name]))):
+                scalars = list(_scalars(inputs[name]))
+                cur = scalars[i]
+                if cur.numerator == 0:
+                    continue
+                scalars[i] = Fraction(_trunc_half(cur.numerator), cur.denominator)
+                try:
+                    cand_inputs = {**inputs, name: _rebuild(inputs[name], scalars)}
+                except (DegenerateGeometry, DimensionMismatch):
+                    continue
+                try:
+                    result = violation(cand_inputs)
+                except (MapDomainError, MapEvalError):
+                    continue
+                if isinstance(result, dict):
+                    inputs = cand_inputs
+                    changed = True
     return inputs
 
 
@@ -603,25 +572,29 @@ def _violation_scalar_monotone(f: MapHandle):
     return violation
 
 
+def _scalar_sweep(f: MapHandle, cfg: ProbeConfig) -> tuple[dict, int]:
+    """h at -1, 0, 1 and cfg.count sampled scalars, in increasing order, plus
+    the number of those points where h is undefined."""
+    sampler = _Sampler(cfg)
+    points = {Fraction(-1), Fraction(0), Fraction(1)}
+    points.update(sampler.scalar() for _ in range(cfg.count))
+    values = {}
+    skipped = 0
+    for x in sorted(points):
+        try:
+            values[x] = _scalar_eval(f, x)
+        except MapDomainError:
+            skipped += 1
+    return values, skipped
+
+
 def check_scalar_monotone(f: MapHandle, cfg: ProbeConfig) -> CheckOutcome:
     """Fail iff the sampled value set shows both a strict rise and a strict
     fall; the witness is a triple x < y < z with conflicting slopes."""
     row = CHECKS["scalar-monotone"]
     violation = row.violation(f)  # rejects a map that is not 1 -> 1
-    sampler = _Sampler(cfg)
-    points = {Fraction(-1), Fraction(0), Fraction(1)}
-    for _ in range(cfg.count):
-        points.add(sampler.scalar())
-    xs = sorted(points)
-    values = {}
-    skipped = 0
-    usable = []
-    for x in xs:
-        try:
-            values[x] = _scalar_eval(f, x)
-            usable.append(x)
-        except MapDomainError:
-            skipped += 1
+    values, skipped = _scalar_sweep(f, cfg)
+    usable = list(values)
     rise = fall = None
     for i in range(len(usable) - 1):
         d = values[usable[i + 1]] - values[usable[i]]
@@ -680,6 +653,19 @@ def _violation_plane_image(f: MapHandle):
     return violation
 
 
+def _rank_raising(points: list, images: list, k: int) -> list:
+    """The first k points, in order, whose images each raise the affine rank
+    of the images picked before them."""
+    picked, picked_images = [], []
+    for p, img in zip(points, images):
+        if affine_rank(picked_images + [img]) == len(picked):
+            picked.append(p)
+            picked_images.append(img)
+            if len(picked) == k:
+                break
+    return picked
+
+
 def classify_plane_image(f: MapHandle, plane: Plane, cfg: ProbeConfig) -> PlaneImage:
     """Sampled affine rank of the plane's image: point / line / plane.
 
@@ -717,35 +703,19 @@ def classify_plane_image(f: MapHandle, plane: Plane, cfg: ProbeConfig) -> PlaneI
     rank = affine_rank(images)
     violation = row.violation(f)
     if rank > 2:
-        base = [usable[0]]
-        for p in usable[1:]:
-            if affine_rank([f(x) for x in base + [p]]) > affine_rank([f(x) for x in base]):
-                base.append(p)
-            if len(base) == 4:
-                break
+        base = _rank_raising(usable, images, 4)
         inputs = {"plane": plane, **{f"p{i}": p for i, p in enumerate(base)}}
         witness = row.witness(inputs, violation(inputs))
         return PlaneImage(None, None, CheckOutcome(row.name, False, len(usable), witness, skipped))
     shape = ("point", "line", "plane")[rank]
     injective = None
     if rank == 2:
-        anchors = [usable[0]]
-        for p in usable[1:]:
-            if affine_rank([f(x) for x in anchors + [p]]) > affine_rank([f(x) for x in anchors]):
-                anchors.append(p)
-            if len(anchors) == 3:
-                break
+        anchors = _rank_raising(usable, images, 3)
         img_index = {}
         for p, img in zip(usable, images):
             if img in img_index and img_index[img] != p:
-                inputs = {
-                    "plane": plane,
-                    "p": img_index[img],
-                    "q": p,
-                    "w0": anchors[0],
-                    "w1": anchors[1],
-                    "w2": anchors[2],
-                }
+                inputs = {"plane": plane, "p": img_index[img], "q": p,
+                          **{f"w{i}": w for i, w in enumerate(anchors)}}
                 witness = row.witness(
                     inputs,
                     violation(inputs),

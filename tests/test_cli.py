@@ -1,8 +1,14 @@
+import contextlib
+import functools
+import io
 import json
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colline.cli import run
 
@@ -97,6 +103,31 @@ class TestFailureModes:
 
     def test_scalar_check_on_vector_map_exits_1(self, mapfile, capsys):
         assert run(["check", "scalar-mult", mapfile("id.map", IDENTITY)]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["certify", "homogeneity", "{id}", "--r", "1/0"],
+        ["certify", "additivity", "{id}", "--a", "(1/0, 0)"],
+        ["classify", "--builtin", "linear:{zero_row}"],
+        ["classify", "--builtin", "affine:{shear},b=(1/0, 1)"],
+        ["classify", "--builtin", "lemma23:m=2,n=2,e0=0,d0=(0,1/0)"],
+    ], ids=["certify-r", "certify-a", "linear-matrix", "affine-offset", "lemma23-direction"])
+    def test_zero_denominator_exits_1(self, argv, mapfile, capsys):
+        paths = {
+            "id": mapfile("id.map", IDENTITY),
+            "zero_row": mapfile("z.matrix", "1 0\n1 1/0\n"),
+            "shear": mapfile("s.matrix", "1 1\n0 1\n"),
+        }
+        assert run([arg.format(**paths) for arg in argv]) == 1
+        assert capsys.readouterr().err.startswith("colline: ")
+
+    @pytest.mark.parametrize("body", [
+        "(" * 3000 + "x0" + ")" * 3000, "-" * 3000 + "x0", " + ".join(["x0"] * 5000),
+    ], ids=["parentheses", "signs", "long-sum"])
+    @pytest.mark.parametrize("flags", [[], ["--no-symbolic"]], ids=["symbolic", "no-symbolic"])
+    def test_deep_expression_exits_1_with_position(self, body, flags, mapfile, capsys):
+        path = mapfile("deep.map", "map d : 1 -> 1 { y0 = " + body + " }\n")
+        assert run(["classify", path, "--probes", "20"] + flags) == 1
+        assert "deeper than 200 levels" in capsys.readouterr().err
 
 
 class TestCheckCommand:
@@ -197,6 +228,14 @@ class TestDeterminismAndRevalidation:
         dest.write_text(json.dumps(report))
         assert run(["--revalidate", str(dest)]) == 2
 
+    def test_phi_consistency_fail_on_translation_rechecks(self, mapfile, tmp_path, capsys):
+        dest = tmp_path / "phi.json"
+        argv = ["check", "phi-consistency", mapfile("t.map", TRANSLATE), "--probes", "60",
+                "--seed", "3", "--out", str(dest)]
+        assert run(argv) == 0
+        assert json.loads(dest.read_text())["outcomes"][0]["verdict"] == "fail"
+        assert run(["--revalidate", str(dest)]) == 0
+
     def test_revalidate_missing_file_exits_1(self, capsys):
         assert run(["--revalidate", "/nonexistent.json"]) == 1
 
@@ -276,3 +315,71 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["classification"]["verdict"] == "exact_linear"
+
+
+@functools.lru_cache(maxsize=None)
+def _valid_reports() -> tuple[str, ...]:
+    """Fresh reports that re-check, one per kind of stored fact."""
+    cases = [
+        (["classify", "--no-symbolic"], TRANSLATE),  # reduced scope, certificates, phi table
+        (["classify"], None),  # lemma23: witness of a non-linear verdict
+        (["certify", "additivity"], IDENTITY),
+        (["check", "phi-consistency"], TRANSLATE),
+    ]
+    texts = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv, source in cases:
+            if source is None:
+                argv = argv + ["--builtin", "lemma23:m=2,n=2,e0=0,d0=(0,1)"]
+            else:
+                with open(f"{tmp}/m.map", "w", encoding="utf-8") as fh:
+                    fh.write(source)
+                argv = argv + [f"{tmp}/m.map"]
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert run(argv + ["--probes", "30"]) == 0
+            texts.append(out.getvalue())
+    return tuple(texts)
+
+
+def _paths(node, prefix=()):
+    """Every path into a JSON value, the root first."""
+    yield prefix
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 2),
+    st.sampled_from(["", "x", "(0, 0)", "(1/0, 0)", "1/0", "(1, 2, 3)", "-1/2",
+                     "map f : 1 -> 1 { y0 = 1/x0 }", "reduced:additivity", "vector", "line"]),
+    st.lists(st.sampled_from(["(0, 1)", "1", 0]), max_size=3),
+    st.dictionaries(st.sampled_from(["type", "value", "kind", "origin"]),
+                    st.sampled_from(["vector", "scalar", "(1)", "0", "dsl"]), max_size=3),
+)
+
+
+class TestRevalidateFuzz:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_mutated_report_exits_0_1_or_2(self, data):
+        report = json.loads(data.draw(st.sampled_from(_valid_reports())))
+        for _ in range(data.draw(st.integers(1, 3))):
+            *parent_path, key = data.draw(st.sampled_from(list(_paths(report))[1:]))
+            parent = functools.reduce(lambda node, k: node[k], parent_path, report)
+            if data.draw(st.booleans()):
+                parent[key] = data.draw(_JUNK)
+            else:
+                del parent[key]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/r.json"
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(report, fh)
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert run(["--revalidate", path]) in (0, 1, 2)

@@ -5,15 +5,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from colline.dsl import (
+    MAX_DEPTH,
     BinOp,
     IfLe,
     Lit,
     MapSpec,
     Neg,
     Var,
+    eval_expr,
     eval_map,
     parse_map,
     parse_map_file,
+    render_expr,
     render_map,
     render_map_file,
     symbolic_affine_form,
@@ -103,6 +106,43 @@ class TestParse:
             parse_map("map f : 0 -> 1 { y0 = 1 }")
         with pytest.raises(MapParseError):
             parse_map("map f : 1 -> 99 { y0 = x0 }")
+
+
+DEEP_PREFIX = "map d : 1 -> 1 { y0 = "  # the expression starts at column 23
+
+
+class TestDepthLimit:
+    @pytest.mark.parametrize("body, col", [
+        ("(" * 3000 + "x0" + ")" * 3000, 223),  # the 201st parenthesis
+        ("-" * 3000 + "x0", 223),  # the 201st sign
+        (" + ".join(["x0"] * 5000), 1021),  # the 200th '+' makes the tree 201 deep
+    ], ids=["parentheses", "signs", "long-sum"])
+    def test_golden_error_at_the_token_past_the_limit(self, body, col):
+        with pytest.raises(MapParseError) as err:
+            parse_map(DEEP_PREFIX + body + " }")
+        assert err.value.message == f"expression nested deeper than {MAX_DEPTH} levels"
+        assert (err.value.line, err.value.col) == (1, col)
+
+    @pytest.mark.parametrize("body", [
+        "(" * (MAX_DEPTH - 1) + "x0" + ")" * (MAX_DEPTH - 1),
+        "-" * (MAX_DEPTH - 1) + "x0",
+        " + ".join(["x0"] * MAX_DEPTH),
+    ], ids=["parentheses", "signs", "long-sum"])
+    def test_deepest_accepted_tree_evaluates_renders_and_normalizes(self, body):
+        spec = parse_map(DEEP_PREFIX + body + " }")
+        eval_map(spec, vec(1))
+        assert parse_map(render_map(spec)) == spec
+        assert symbolic_affine_form(spec) is not None
+
+    @pytest.mark.parametrize("opener, closer", [
+        ("if x0 <= ", " then 1 else 2"),
+        ("if x0 <= 1 then ", " else 2"),
+    ], ids=["guards", "then-branches"])
+    def test_deepest_accepted_conditionals_render_within_the_limit(self, opener, closer):
+        depth = MAX_DEPTH - 2  # the inner conditional and its leaves add two levels
+        inner = "if x0 <= 0 then x0 else 1"
+        spec = parse_map(DEEP_PREFIX + opener * depth + inner + closer * depth + " }")
+        assert parse_map(render_map(spec)) == spec
 
 
 class TestEval:
@@ -230,3 +270,39 @@ class TestSymbolicAffineForm:
                 (a[0][0] * x0 + a[0][1] * x1 + b.coords[0],)
             )
             assert eval_map(spec, x) == want
+
+
+_FUZZ_TOKENS = (
+    "map", "f", ":", "1", "2", "->", "{", "}", ";", "y0", "y1", "=", "x0", "x1", "x9",
+    "+", "-", "*", "/", "(", ")", "if", "<=", "then", "else", "3/4", "0", "#", "\n", "$",
+)
+# an opener repeated to some depth, and what closes each repetition
+_NESTINGS = (("(", ")"), ("-", ""), ("x0 + ", ""), ("x0 * ", ""), ("if x0 <= ", " then 1 else 2"))
+
+
+class TestParserFuzz:
+    @given(
+        st.one_of(
+            _expr_strategy(2).map(render_expr),
+            st.lists(st.sampled_from(_FUZZ_TOKENS), max_size=30).map(" ".join),
+        ),
+        st.sampled_from(_NESTINGS),
+        st.integers(0, 3 * MAX_DEPTH),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_any_text_gives_specs_or_a_parse_error(self, middle, nesting, depth):
+        opener, closer = nesting
+        body = opener * depth + middle + closer * depth
+        try:
+            specs = parse_map_file(f"map f : 2 -> 2 {{ y0 = {body}; y1 = x1 }}")
+        except MapParseError:
+            return
+        for spec in specs:
+            assert isinstance(spec, MapSpec)
+            symbolic_affine_form(spec)
+            assert parse_map_file(render_map(spec)) == [spec]
+            for expr in spec.outputs:
+                try:
+                    eval_expr(expr, (Fraction(1, 2), Fraction(-3)))
+                except MapEvalError:
+                    pass

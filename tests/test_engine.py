@@ -96,6 +96,22 @@ class TestPhiConsistency:
         with pytest.raises(PreconditionError):
             phi_consistency(make_linear([[1, 0], [1, 0]]), CFG)
 
+    def test_nonzero_scale_at_zero_fails_with_a_witness_that_rechecks(self):
+        # f(0) = (1, 0) is collinear with f(a0) = f((1, 0)) but not with f(a1)
+        f = dsl("map q : 2 -> 2 { y0 = x0 * x0 - x0 + 1; y1 = x1 }")
+        outcome, table = phi_consistency(f, ProbeConfig(seed=0, count=60))
+        assert not outcome.passed and table is None
+        assert outcome.witness.check == "phi-consistency"
+        assert revalidate_witness(f, outcome.witness)
+
+    def test_translation_fails_under_its_own_name_with_a_shrunk_witness(self):
+        f = dsl("map translate : 2 -> 2 { y0 = x0 + 1; y1 = x1 + 1 }")
+        outcome, _ = phi_consistency(f, ProbeConfig(seed=3, count=60))
+        assert (outcome.passed, outcome.probes) == (False, 1)
+        assert outcome.witness.check == "phi-consistency"
+        assert dict(outcome.witness.inputs) == {"a": vec(0, 0), "a'": vec(0, 1), "r": 0}
+        assert revalidate_witness(f, outcome.witness)
+
 
 class TestHomogeneityCertificate:
     def test_identity_conclusion(self):
