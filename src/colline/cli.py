@@ -336,7 +336,7 @@ def _revalidate(path: str) -> int:
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         print(f"colline: cannot load report {path}: {exc}", file=sys.stderr)
         return 1
     reports = payload if isinstance(payload, list) else [payload]

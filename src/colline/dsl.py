@@ -1,6 +1,6 @@
 """Parse and evaluate vector maps ℚ^m → ℚ^n from a small text language.
 
-Grammar (whitespace-insensitive, ``#`` comments to end of line):
+Grammar (ASCII digits and names, whitespace-insensitive, ``#`` comments to end of line):
 
     file    := mapdef+
     mapdef  := "map" IDENT ":" INT "->" INT "{" output (";" output)* ";"? "}"
@@ -79,6 +79,8 @@ class MapSpec:
 _KEYWORDS = {"map", "if", "then", "else"}
 _PUNCT2 = ("->", "<=")
 _PUNCT1 = ":{};=+-*/()"
+_DIGITS = frozenset("0123456789")  # ASCII only: str.isdigit also accepts "²" and "٣"
+_NAME_CHARS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_") | _DIGITS
 _NESTING = {("punct", "-"), ("punct", "("), ("name", "if")}  # factors that recurse
 
 
@@ -114,17 +116,17 @@ def _tokenize(text: str) -> Iterator[_Token]:
             i += 2
             col += 2
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             yield _Token("int", text[i:j], line, start_col)
             col += j - i
             i = j
             continue
-        if ch.isalpha() or ch == "_":
+        if ch in _NAME_CHARS:
             j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            while j < n and text[j] in _NAME_CHARS:
                 j += 1
             yield _Token("name", text[i:j], line, start_col)
             col += j - i

@@ -17,7 +17,6 @@ from typing import Optional
 
 from .errors import (
     DimensionMismatch,
-    MapDomainError,
     MapEvalError,
     PreconditionError,
     ProbeEvaluationError,
@@ -162,19 +161,13 @@ class PhiTable:
         )
 
 
-def _phi_table(f: MapHandle, anchor: Vector, groups) -> PhiTable:
-    """The table r → φ(r) read off the ray through ``anchor``, in first-seen
-    key order; a group of keys (one probe's) is left out whole where f is
-    undefined at one of them."""
+def _phi_table(f: MapHandle, anchor: Vector, keys) -> PhiTable:
+    """The table r → φ(r) read off the ray through ``anchor``, in first-seen key order."""
     fa = f(anchor)
     table: dict[Fraction, Fraction] = {}
-    for keys in groups:
-        try:
-            table.update(
-                {r: collinearity_scalar(f(r * anchor), fa) for r in keys if r not in table}
-            )
-        except MapDomainError:
-            continue
+    for r in keys:
+        if r not in table:
+            table[r] = collinearity_scalar(f(r * anchor), fa)
     return PhiTable(tuple(table.items()), tuple((r, anchor) for r in table))
 
 
@@ -229,11 +222,9 @@ def phi_consistency(
         for a in anchors:
             try:
                 fa = f(a)
-            except MapDomainError:
-                fa = None
             except MapEvalError as exc:
                 raise ProbeEvaluationError(row.name, {"a": a}, exc) from exc
-            if fa is None or fa.is_zero():  # no scale factor at this anchor: one skip
+            if fa.is_zero():  # no scale factor at this anchor: one skip
                 yield None
                 continue
             other = a0 if linearly_independent(fa, fa0) else a1
@@ -241,7 +232,7 @@ def phi_consistency(
                 yield {"a": a, "a'": other, "r": r}
 
     outcome = run_check(row, f, cfg, stream)
-    return outcome, _phi_table(f, a0, ((r,) for r in rs)) if outcome.passed else None
+    return outcome, _phi_table(f, a0, rs) if outcome.passed else None
 
 
 # -- certificates ------------------------------------------------------------------
@@ -825,7 +816,7 @@ def _violation_certificate(f: MapHandle):
                 additivity_certificate(f, inp["a"], inp["b"], ind)
         except ViolationError as exc:
             return {"failing fact": str(exc)}
-        except (PreconditionError, MapDomainError):
+        except PreconditionError:
             return _SKIP
         return None
 
@@ -896,7 +887,7 @@ def scalar_dichotomy(h: MapHandle, cfg: ProbeConfig) -> DichotomyResult:
         check_additivity(h, cfg),
         check_scalar_monotone(h, cfg),
     )
-    values, _ = _scalar_sweep(h, cfg)
+    values = _scalar_sweep(h, cfg)
     if values and all(v == 0 for v in values.values()):
         return DichotomyResult("zero", None, checks)
     if values and all(v == r for r, v in values.items()):
@@ -965,12 +956,9 @@ def phi_dichotomy_pipeline(f: MapHandle, cfg: ProbeConfig) -> PhiPipelineResult:
 
     for cand in anchor_candidates():
         scanned += 1
-        try:
-            if not f(cand).is_zero():
-                anchor = cand
-                break
-        except MapDomainError:
-            continue
+        if not f(cand).is_zero():
+            anchor = cand
+            break
     row = CHECKS["phi-add-mult"]
     if anchor is None:
         return PhiPipelineResult(
@@ -983,8 +971,8 @@ def phi_dichotomy_pipeline(f: MapHandle, cfg: ProbeConfig) -> PhiPipelineResult:
     outcome = run_check(row, f, stream=lambda f, cfg: probes)
     if not outcome.passed:
         return PhiPipelineResult("checked", outcome, None, None)
-    groups = ((p["r"], p["s"], p["r"] + p["s"], p["r"] * p["s"]) for p in probes)
-    phi = _phi_table(f, anchor, groups)
+    keys = (k for p in probes for k in (p["r"], p["s"], p["r"] + p["s"], p["r"] * p["s"]))
+    phi = _phi_table(f, anchor, keys)
     if phi.is_zero():
         dichotomy = "zero"
     elif phi.is_identity():
@@ -1060,16 +1048,10 @@ def find_affine_witnesses(
             yield sampler.vector(g.m), sampler.vector(g.m)
 
     for a_star in bases:
-        try:
-            ga = g(a_star)
-        except MapDomainError:
-            continue
+        ga = g(a_star)
         for x, y in pairs():
-            try:
-                if linearly_independent(g(x) - ga, g(y) - ga):
-                    return a_star, x, y
-            except MapDomainError:
-                continue
+            if linearly_independent(g(x) - ga, g(y) - ga):
+                return a_star, x, y
     return None
 
 
@@ -1226,7 +1208,7 @@ def _classify_empirical(h: MapHandle, cfg: ProbeConfig, depth: int = 0) -> Class
                     witness=exc.witness,
                     reasons=(f"additivity certificate construction failed: {exc}",),
                 )
-            except (MapDomainError, PreconditionError):
+            except PreconditionError:
                 continue
         return done(
             verdict=VERDICT_EMP_LINEAR,

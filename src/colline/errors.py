@@ -46,10 +46,6 @@ class MapEvalError(CollineError):
         super().__init__(message)
 
 
-class MapDomainError(CollineError):
-    """A finite-table map was evaluated outside its domain."""
-
-
 class ConstructionError(CollineError):
     """A map handle was constructed with invalid data."""
 

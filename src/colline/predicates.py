@@ -22,7 +22,6 @@ from .errors import (
     CollineError,
     DegenerateGeometry,
     DimensionMismatch,
-    MapDomainError,
     MapEvalError,
     ProbeEvaluationError,
 )
@@ -200,7 +199,7 @@ def _shrink(inputs: dict, violation) -> dict:
                     continue
                 try:
                     result = violation(cand_inputs)
-                except (MapDomainError, MapEvalError):
+                except MapEvalError:
                     continue
                 if isinstance(result, dict):
                     inputs = cand_inputs
@@ -253,9 +252,6 @@ def run_check(
             continue
         try:
             result = violation(inputs)
-        except MapDomainError:
-            skipped += 1
-            continue
         except MapEvalError as exc:
             raise ProbeEvaluationError(row.name, inputs, exc) from exc
         if result is _SKIP:
@@ -465,11 +461,8 @@ def find_independence_witness(f: MapHandle, cfg: ProbeConfig) -> Optional[tuple[
             yield sampler.vector(f.m), sampler.vector(f.m)
 
     for a0, a1 in candidates():
-        try:
-            if linearly_independent(f(a0), f(a1)):
-                return a0, a1
-        except MapDomainError:
-            continue
+        if linearly_independent(f(a0), f(a1)):
+            return a0, a1
     return None
 
 
@@ -572,20 +565,19 @@ def _violation_scalar_monotone(f: MapHandle):
     return violation
 
 
-def _scalar_sweep(f: MapHandle, cfg: ProbeConfig) -> tuple[dict, int]:
-    """h at -1, 0, 1 and cfg.count sampled scalars, in increasing order, plus
-    the number of those points where h is undefined."""
+def _scalar_sweep(f: MapHandle, cfg: ProbeConfig) -> dict:
+    """h at -1, 0, 1 and cfg.count sampled scalars, in increasing order; an
+    evaluation error is a scalar-monotone ProbeEvaluationError at its point."""
     sampler = _Sampler(cfg)
     points = {Fraction(-1), Fraction(0), Fraction(1)}
     points.update(sampler.scalar() for _ in range(cfg.count))
     values = {}
-    skipped = 0
     for x in sorted(points):
         try:
             values[x] = _scalar_eval(f, x)
-        except MapDomainError:
-            skipped += 1
-    return values, skipped
+        except MapEvalError as exc:
+            raise ProbeEvaluationError("scalar-monotone", {"x": x}, exc) from exc
+    return values
 
 
 def check_scalar_monotone(f: MapHandle, cfg: ProbeConfig) -> CheckOutcome:
@@ -593,26 +585,26 @@ def check_scalar_monotone(f: MapHandle, cfg: ProbeConfig) -> CheckOutcome:
     fall; the witness is a triple x < y < z with conflicting slopes."""
     row = CHECKS["scalar-monotone"]
     violation = row.violation(f)  # rejects a map that is not 1 -> 1
-    values, skipped = _scalar_sweep(f, cfg)
-    usable = list(values)
+    values = _scalar_sweep(f, cfg)
+    xs = list(values)
     rise = fall = None
-    for i in range(len(usable) - 1):
-        d = values[usable[i + 1]] - values[usable[i]]
+    for i in range(len(xs) - 1):
+        d = values[xs[i + 1]] - values[xs[i]]
         if d > 0 and rise is None:
             rise = i
         if d < 0 and fall is None:
             fall = i
     if rise is None or fall is None:
-        return CheckOutcome(row.name, True, len(usable), None, skipped)
+        return CheckOutcome(row.name, True, len(xs))
     if rise < fall:
         lo, hi = rise, fall
-        mid = max(range(lo + 1, hi + 1), key=lambda i: (values[usable[i]], -i))
+        mid = max(range(lo + 1, hi + 1), key=lambda i: (values[xs[i]], -i))
     else:
         lo, hi = fall, rise
-        mid = min(range(lo + 1, hi + 1), key=lambda i: (values[usable[i]], i))
-    inputs = {"x": usable[lo], "y": usable[mid], "z": usable[hi + 1]}
+        mid = min(range(lo + 1, hi + 1), key=lambda i: (values[xs[i]], i))
+    inputs = {"x": xs[lo], "y": xs[mid], "z": xs[hi + 1]}
     witness = row.shrunk_witness(violation, inputs)
-    return CheckOutcome(row.name, False, len(usable), witness, skipped)
+    return CheckOutcome(row.name, False, len(xs), witness)
 
 
 # -- plane image classification ----------------------------------------------------
@@ -689,30 +681,20 @@ def classify_plane_image(f: MapHandle, plane: Plane, cfg: ProbeConfig) -> PlaneI
             seen.add(uv)
             grid.append(uv)
     points = [plane.point_at(u, v) for u, v in grid]
-    images = []
-    usable = []
-    skipped = 0
-    for p in points:
-        try:
-            images.append(f(p))
-            usable.append(p)
-        except MapDomainError:
-            skipped += 1
-    if not usable:
-        return PlaneImage(None, None, CheckOutcome(row.name, True, 0, None, skipped))
+    images = [f(p) for p in points]
     rank = affine_rank(images)
     violation = row.violation(f)
     if rank > 2:
-        base = _rank_raising(usable, images, 4)
+        base = _rank_raising(points, images, 4)
         inputs = {"plane": plane, **{f"p{i}": p for i, p in enumerate(base)}}
         witness = row.witness(inputs, violation(inputs))
-        return PlaneImage(None, None, CheckOutcome(row.name, False, len(usable), witness, skipped))
+        return PlaneImage(None, None, CheckOutcome(row.name, False, len(points), witness))
     shape = ("point", "line", "plane")[rank]
     injective = None
     if rank == 2:
-        anchors = _rank_raising(usable, images, 3)
+        anchors = _rank_raising(points, images, 3)
         img_index = {}
-        for p, img in zip(usable, images):
+        for p, img in zip(points, images):
             if img in img_index and img_index[img] != p:
                 inputs = {"plane": plane, "p": img_index[img], "q": p,
                           **{f"w{i}": w for i, w in enumerate(anchors)}}
@@ -721,12 +703,11 @@ def classify_plane_image(f: MapHandle, plane: Plane, cfg: ProbeConfig) -> PlaneI
                     violation(inputs),
                     "a map spreading a plane onto a plane is one-to-one on it",
                 )
-                return PlaneImage(
-                    "plane", False, CheckOutcome(row.name, False, len(usable), witness, skipped)
-                )
+                outcome = CheckOutcome(row.name, False, len(points), witness)
+                return PlaneImage("plane", False, outcome)
             img_index[img] = p
         injective = True
-    return PlaneImage(shape, injective, CheckOutcome(row.name, True, len(usable), None, skipped))
+    return PlaneImage(shape, injective, CheckOutcome(row.name, True, len(points)))
 
 
 # -- parallelism preservation --------------------------------------------------------

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from .dsl import Expr, MapSpec, eval_expr, eval_map, parse_map, render_expr, symbolic_affine_form
-from .errors import ConstructionError, DimensionMismatch, MapDomainError
+from .errors import ConstructionError, DimensionMismatch, MapEvalError
 from .field import (
     Matrix,
     Vector,
@@ -191,7 +191,8 @@ class DslMap(MapHandle):
 
 
 class TableMap(MapHandle):
-    """Finite input→output table; evaluation outside the domain is an error."""
+    """Finite input→output table with values only at its entries; anywhere
+    else evaluation raises MapEvalError, as a DSL division by zero does."""
 
     kind = "table"
 
@@ -212,7 +213,7 @@ class TableMap(MapHandle):
         try:
             return self.entries[x]
         except KeyError:
-            raise MapDomainError(f"map {self.name}: input {x} outside table domain") from None
+            raise MapEvalError(f"map {self.name}: input {x} outside table domain") from None
 
     def source(self):
         return {

@@ -104,6 +104,11 @@ class TestFailureModes:
     def test_scalar_check_on_vector_map_exits_1(self, mapfile, capsys):
         assert run(["check", "scalar-mult", mapfile("id.map", IDENTITY)]) == 1
 
+    def test_scalar_monotone_eval_error_names_the_probe(self, mapfile, capsys):
+        path = mapfile("inv.map", "map inv : 1 -> 1 { y0 = 1/x0 }\n")
+        assert run(["check", "scalar-monotone", path]) == 1
+        assert "scalar-monotone: evaluation failed on probe" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["certify", "homogeneity", "{id}", "--r", "1/0"],
         ["certify", "additivity", "{id}", "--a", "(1/0, 0)"],
@@ -238,6 +243,14 @@ class TestDeterminismAndRevalidation:
 
     def test_revalidate_missing_file_exits_1(self, capsys):
         assert run(["--revalidate", "/nonexistent.json"]) == 1
+
+    @pytest.mark.parametrize("content", [b"[" * 100_000, b"\xff{}"],
+                             ids=["deeply-nested", "not-utf-8"])
+    def test_revalidate_unloadable_json_exits_1(self, content, tmp_path, capsys):
+        dest = tmp_path / "r.json"
+        dest.write_bytes(content)
+        assert run(["--revalidate", str(dest)]) == 1
+        assert capsys.readouterr().err.startswith(f"colline: cannot load report {dest}: ")
 
     def _certified_report(self, mapfile, tmp_path):
         dest = tmp_path / "c.json"

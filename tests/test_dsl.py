@@ -87,6 +87,20 @@ class TestParse:
             parse_map("map f : 1 -> 1 {\n  y0 = $ }")
         assert (err.value.line, err.value.col) == (2, 8)
 
+    @pytest.mark.parametrize("text, col", [
+        ("map f : 1 -> 1 { y0 = x² }", 24),
+        ("map f : ² -> 1 { y0 = x0 }", 9),
+        ("map f : 1 -> 1 { y0 = x٠ }", 24),  # not read as x0
+        ("map f : 1 -> 1 { y0 = ٣ }", 23),  # not read as 3
+        ("map é : 1 -> 1 { y0 = x0 }", 5),
+    ], ids=["superscript-index", "superscript-dimension", "arabic-indic-index",
+            "arabic-indic-literal", "accented-name"])
+    def test_digits_and_names_are_ascii_only(self, text, col):
+        with pytest.raises(MapParseError) as err:
+            parse_map(text)
+        assert err.value.message == f"unexpected character {text[col - 1]!r}"
+        assert (err.value.line, err.value.col) == (1, col)
+
     def test_expected_token_set_reported(self):
         with pytest.raises(MapParseError) as err:
             parse_map("map f : 1 -> 1 { y0 = * }")
@@ -275,6 +289,7 @@ class TestSymbolicAffineForm:
 _FUZZ_TOKENS = (
     "map", "f", ":", "1", "2", "->", "{", "}", ";", "y0", "y1", "=", "x0", "x1", "x9",
     "+", "-", "*", "/", "(", ")", "if", "<=", "then", "else", "3/4", "0", "#", "\n", "$",
+    "x²", "٣",
 )
 # an opener repeated to some depth, and what closes each repetition
 _NESTINGS = (("(", ")"), ("-", ""), ("x0 + ", ""), ("x0 * ", ""), ("if x0 <= ", " then 1 else 2"))

@@ -428,6 +428,15 @@ class TestClassifyEvaluationErrors:
             "map evaluation failed: map hole: division by zero in output y0 at input (1, 0)",
         )
 
+    def test_table_miss_is_a_probe_evaluation_failure(self):
+        # a table has values only at its entries, like a map dividing by zero
+        t = make_table({vec(0, 0): vec(0, 0), vec(1, 0): vec(1, 0), vec(0, 1): vec(0, 1)})
+        c = classify_map(t, CFG)
+        assert c.verdict == "inconclusive"
+        (reason,) = c.reasons
+        assert reason.startswith("probe evaluation failed during line-image: map table: input ")
+        assert reason.endswith(" outside table domain")
+
 
 class TestCrossModuleInvariants:
     def test_exact_linear_matrix_agrees_on_fresh_probes(self):

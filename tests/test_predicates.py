@@ -256,6 +256,12 @@ class TestScalarChecks:
         assert check_scalar_monotone(make_linear([[3]]), CFG).passed
         assert check_scalar_monotone(make_linear([[-1]]), CFG).passed
 
+    def test_monotone_eval_error_names_the_probe(self):
+        with pytest.raises(ProbeEvaluationError) as err:
+            check_scalar_monotone(dsl("map inv : 1 -> 1 { y0 = 1/x0 }"), CFG)
+        assert err.value.check == "scalar-monotone"
+        assert err.value.inputs == {"x": 0}
+
     def test_tent_map_fails_with_triple(self):
         h = dsl("map tent : 1 -> 1 { y0 = if x0 <= 0 then x0 else -x0 }")
         out = check_scalar_monotone(h, CFG)
@@ -355,12 +361,13 @@ class TestOutcomeMechanics:
         assert clone == out
         assert revalidate_witness(f, clone.witness)
 
-    def test_table_domain_misses_are_skipped(self):
+    def test_table_miss_raises_probe_evaluation_error(self):
         t = make_table({vec(1): vec(1), vec(2): vec(2)})
-        out = check_additivity(t, CFG)
-        assert out.passed
-        assert out.probes + out.skipped == CFG.count
-        assert out.probes < CFG.count
+        with pytest.raises(ProbeEvaluationError) as err:
+            check_additivity(t, CFG)
+        assert err.value.check == "additivity"
+        assert set(err.value.inputs) == {"a", "b"}
+        assert "outside table domain" in str(err.value)
 
     def test_eval_error_propagates_with_probe(self):
         f = dsl("map inv : 1 -> 1 { y0 = 1 / x0 }")

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from colline.dsl import parse_map
-from colline.errors import ConstructionError, DimensionMismatch, MapDomainError
+from colline.errors import ConstructionError, DimensionMismatch, MapEvalError
 from colline.field import Vector, identity_matrix, mat_mul, mat_vec
 from colline.predicates import ProbeConfig, _Sampler
 from colline.zoo import (
@@ -113,7 +113,7 @@ class TestTable:
     def test_lookup_and_domain_error(self):
         t = make_table({vec(1): vec(2), vec(2): vec(4)})
         assert t(vec(1)) == vec(2)
-        with pytest.raises(MapDomainError):
+        with pytest.raises(MapEvalError):
             t(vec(3))
 
     def test_needs_entries(self):
@@ -197,8 +197,8 @@ class TestSourceRoundTrip:
             for x in probes:
                 try:
                     expected = handle(x)
-                except MapDomainError:
-                    with pytest.raises(MapDomainError):
+                except MapEvalError:
+                    with pytest.raises(MapEvalError):
                         clone(x)
                     continue
                 assert clone(x) == expected
