@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional, Union
 
 from .errors import DimensionMismatch, MapEvalError, MapParseError
-from .field import MAX_DIM, Matrix, Vector, format_scalar
+from .field import MAX_DIM, Matrix, Vector, format_scalar, from_pairs
 
 #: Deepest expression tree accepted, counted in nodes from root to leaf, and
 #: most parentheses, signs and conditionals open at once.  Parsing,
@@ -320,29 +320,36 @@ def parse_map(text: str) -> MapSpec:
 # -- evaluation ---------------------------------------------------------------
 
 
-def eval_expr(expr: Expr, coords: tuple[Fraction, ...]) -> Fraction:
-    if isinstance(expr, Lit):
-        return expr.value
-    if isinstance(expr, Var):
-        return coords[expr.index]
-    if isinstance(expr, Neg):
-        return -eval_expr(expr.operand, coords)
-    if isinstance(expr, BinOp):
-        left = eval_expr(expr.left, coords)
-        right = eval_expr(expr.right, coords)
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        if expr.op == "*":
-            return left * right
-        if right == 0:
+def eval_expr(expr: Expr, nums: tuple[int, ...], den: int) -> tuple[int, int]:
+    """Value of ``expr`` at the point nums/den (den > 0) as an unreduced pair
+    (p, q) with q > 0; a division by zero raises MapEvalError."""
+    kind = type(expr)
+    if kind is BinOp:
+        a, b = eval_expr(expr.left, nums, den)
+        c, d = eval_expr(expr.right, nums, den)
+        op = expr.op
+        if op == "+":
+            return (a + c, b) if b == d else (a * d + c * b, b * d)
+        if op == "-":
+            return (a - c, b) if b == d else (a * d - c * b, b * d)
+        if op == "*":
+            return a * c, b * d
+        if c == 0:
             raise MapEvalError("division by zero")
-        return left / right
-    if isinstance(expr, IfLe):
-        if eval_expr(expr.guard_left, coords) <= eval_expr(expr.guard_right, coords):
-            return eval_expr(expr.then_branch, coords)
-        return eval_expr(expr.else_branch, coords)
+        return (a * d, b * c) if c > 0 else (-a * d, -b * c)
+    if kind is Var:
+        return nums[expr.index], den
+    if kind is Lit:
+        v = expr.value
+        return v.numerator, v.denominator
+    if kind is Neg:
+        a, b = eval_expr(expr.operand, nums, den)
+        return -a, b
+    if kind is IfLe:
+        a, b = eval_expr(expr.guard_left, nums, den)
+        c, d = eval_expr(expr.guard_right, nums, den)
+        branch = expr.then_branch if a * d <= c * b else expr.else_branch
+        return eval_expr(branch, nums, den)
     raise TypeError(f"not an expression: {expr!r}")
 
 
@@ -350,17 +357,18 @@ def eval_map(spec: MapSpec, x: Vector) -> Vector:
     """Exact evaluation; division by zero names the output index and input."""
     if x.dim != spec.m:
         raise DimensionMismatch(f"map {spec.name} takes dim {spec.m}, got {x.dim}")
-    out = []
+    nums, den = x.nums, x.den
+    pairs = []
     for i, expr in enumerate(spec.outputs):
         try:
-            out.append(eval_expr(expr, x.coords))
+            pairs.append(eval_expr(expr, nums, den))
         except MapEvalError as exc:
             raise MapEvalError(
                 f"map {spec.name}: division by zero in output y{i} at input {x}",
                 output_index=i,
                 at=x,
             ) from exc
-    return Vector(out)
+    return from_pairs(pairs)
 
 
 # -- rendering ----------------------------------------------------------------

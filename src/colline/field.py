@@ -2,9 +2,11 @@
 
 Scalars are ``fractions.Fraction`` values: arbitrary precision, always in
 canonical form (positive denominator, gcd(|num|, den) = 1), with exact
-arithmetic.  Vectors are immutable coordinate tuples over that field.  Rank
-and collinearity questions are decided exactly by integer elimination after
-clearing denominators.
+arithmetic.  A vector stores integer numerators over one common denominator
+(``nums``, ``den``), in lowest terms: den > 0 and gcd(*nums, den) = 1, so
+equal vectors have equal storage.  Vector arithmetic, rank, independence
+and collinearity run on those integers (the fraction-free idea of Bareiss,
+Math. Comp. 1968); ``coords`` reads the coordinates back as Fractions.
 """
 
 from __future__ import annotations
@@ -43,16 +45,35 @@ def format_scalar(s: Fraction) -> str:
     return f"{s.numerator}/{s.denominator}"
 
 
-class Vector:
-    """Immutable fixed-dimension coordinate tuple over the rational field."""
+def _ratio(s) -> tuple[int, int]:
+    """(p, q) with s = p/q, q > 0, for an int, a Fraction or Fraction's input."""
+    if type(s) is not int and type(s) is not Fraction:
+        s = Fraction(s)
+    return s.numerator, s.denominator
 
-    __slots__ = ("coords",)
+
+# bound once: from_ints runs for every vector the arithmetic builds
+_new = object.__new__
+_set = object.__setattr__
+_gcd = math.gcd
+
+
+class Vector:
+    """Immutable fixed-dimension coordinate tuple over the rational field,
+    stored as integer numerators ``nums`` over one denominator ``den``."""
+
+    __slots__ = ("nums", "den")
 
     def __init__(self, coords: Iterable[Fraction]):
-        object.__setattr__(self, "coords", tuple(coords))
-        n = len(self.coords)
+        pairs = [_ratio(c) for c in coords]
+        n = len(pairs)
         if not 1 <= n <= MAX_DIM:
             raise DimensionMismatch(f"vector dimension {n} outside 1..{MAX_DIM}")
+        den = math.lcm(*[q for _, q in pairs])
+        # each p/q is in lowest terms, so over their lcm no prime of den
+        # divides the numerator of the coordinate carrying its highest power
+        _set(self, "nums", tuple(p * (den // q) for p, q in pairs))
+        _set(self, "den", den)
 
     @classmethod
     def of(cls, *values) -> "Vector":
@@ -70,32 +91,40 @@ class Vector:
         return cls([ONE if i == index else ZERO for i in range(dim)])
 
     @property
+    def coords(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.nums)
+
+    @property
     def dim(self) -> int:
-        return len(self.coords)
+        return len(self.nums)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.nums)
 
-    def _check_dim(self, other: "Vector") -> None:
-        if len(self.coords) != len(other.coords):
+    def _combine(self, other: "Vector", sign: int) -> "Vector":
+        """self + sign·other over the lcm of the two denominators."""
+        if len(self.nums) != len(other.nums):
             raise DimensionMismatch(
-                f"dimension mismatch: {len(self.coords)} vs {len(other.coords)}"
+                f"dimension mismatch: {len(self.nums)} vs {len(other.nums)}"
             )
+        d0, d1 = self.den, other.den
+        g = _gcd(d0, d1)
+        m0, m1 = d1 // g, sign * (d0 // g)
+        return from_ints([a * m0 + b * m1 for a, b in zip(self.nums, other.nums)], d0 * m0)
 
     def __add__(self, other: "Vector") -> "Vector":
-        self._check_dim(other)
-        return Vector(a + b for a, b in zip(self.coords, other.coords))
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Vector") -> "Vector":
-        self._check_dim(other)
-        return Vector(a - b for a, b in zip(self.coords, other.coords))
+        return self._combine(other, -1)
 
     def __neg__(self) -> "Vector":
-        return Vector(-a for a in self.coords)
+        return from_ints([-a for a in self.nums], self.den)
 
     def __mul__(self, s) -> "Vector":
-        s = Fraction(s)
-        return Vector(a * s for a in self.coords)
+        p, q = _ratio(s)
+        return from_ints([a * p for a in self.nums], self.den * q)
 
     __rmul__ = __mul__
 
@@ -103,10 +132,10 @@ class Vector:
         raise AttributeError("Vector is immutable")
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Vector) and self.coords == other.coords
+        return isinstance(other, Vector) and self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
-        return hash(self.coords)
+        return hash((self.nums, self.den))
 
     def __repr__(self) -> str:
         return f"Vector{self.coords!r}"
@@ -115,9 +144,38 @@ class Vector:
         return format_vector(self)
 
 
+def from_ints(nums: Sequence[int], den: int) -> Vector:
+    """The vector nums/den (den ≠ 0), reduced once to lowest terms."""
+    n = len(nums)
+    if not 1 <= n <= MAX_DIM:
+        raise DimensionMismatch(f"vector dimension {n} outside 1..{MAX_DIM}")
+    if den != 1:
+        g = _gcd(*nums, den)
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = [a // g for a in nums]
+            den //= g
+    v = _new(Vector)
+    _set(v, "nums", tuple(nums))
+    _set(v, "den", den)
+    return v
+
+
+def from_pairs(pairs: Sequence[tuple[int, int]]) -> Vector:
+    """The vector (p0/q0, p1/q1, ...) from integer pairs with q > 0."""
+    den = math.lcm(*[q for _, q in pairs])
+    return from_ints([p * (den // q) for p, q in pairs], den)
+
+
 def format_vector(v: Vector) -> str:
     """Text form ``(s1, s2, ..., sn)`` used in the DSL, CLI, and reports."""
-    return "(" + ", ".join(format_scalar(c) for c in v.coords) + ")"
+    den = v.den
+    parts = []
+    for a in v.nums:
+        g = _gcd(a, den)
+        parts.append(str(a // g) if g == den else f"{a // g}/{den // g}")
+    return "(" + ", ".join(parts) + ")"
 
 
 def parse_vector(text: str) -> Vector:
@@ -128,30 +186,16 @@ def parse_vector(text: str) -> Vector:
     return Vector(parse_scalar(p) for p in parts)
 
 
-# -- integer fast paths -------------------------------------------------------
+# -- integer rank and collinearity ----------------------------------------------
 #
-# Rank, independence, and collinearity reduce to integer computations after
-# clearing denominators row by row (scaling a row by a nonzero constant does
-# not change rank).  Keeping the inner loops on Python ints avoids Fraction
-# overhead, which dominates otherwise.
+# Rank, independence, and collinearity are integer computations on the
+# stored numerators (scaling a row by a nonzero constant does not change
+# rank), so the inner loops never build a Fraction.
 
 
-def _int_pair(v: Vector) -> tuple[list[int], int]:
-    """Return (numerators, common denominator) with v = numerators/den."""
-    den = 1
-    for c in v.coords:
-        d = c.denominator
-        den = den // math.gcd(den, d) * d
-    return [c.numerator * (den // c.denominator) for c in v.coords], den
-
-
-def _int_row(v: Vector) -> list[int]:
-    return _int_pair(v)[0]
-
-
-def _int_rank(rows: list[list[int]]) -> int:
+def _int_rank(rows: list[Sequence[int]]) -> int:
     """Rank of an integer matrix by fraction-free elimination."""
-    rows = [r[:] for r in rows if any(r)]
+    rows = [list(r) for r in rows if any(r)]
     if not rows:
         return 0
     ncols = len(rows[0])
@@ -183,25 +227,24 @@ def linearly_independent(v: Vector, w: Vector) -> bool:
     """Exact independence test: no (α, β) ≠ (0, 0) gives αv + βw = 0."""
     if v.dim != w.dim:
         raise DimensionMismatch(f"dimension mismatch: {v.dim} vs {w.dim}")
-    return _int_rank([_int_row(v), _int_row(w)]) == 2
+    return _int_rank([v.nums, w.nums]) == 2
 
 
 def affine_rank(points: Sequence[Vector]) -> int:
     """Rank of {p_i − p_0}: 0 for a repeated point, 1 collinear, 2 coplanar, ..."""
     if not points:
         raise PreconditionError("affine_rank of empty point set")
-    dim = points[0].dim
-    pairs = []
-    for p in points:
-        if p.dim != dim:
-            raise DimensionMismatch(f"dimension mismatch: {dim} vs {p.dim}")
-        pairs.append(_int_pair(p))
-    n0, d0 = pairs[0]
+    p0 = points[0]
+    n0, d0 = p0.nums, p0.den
+    dim = len(n0)
     rows = []
-    for ni, di in pairs[1:]:
-        g = math.gcd(di, d0)
-        lcm = di // g * d0
-        mi, m0 = lcm // di, lcm // d0
+    for p in points[1:]:
+        ni, di = p.nums, p.den
+        if len(ni) != dim:
+            raise DimensionMismatch(f"dimension mismatch: {dim} vs {len(ni)}")
+        # p_i − p_0 scaled by di·d0/gcd: a nonzero factor, same rank
+        g = _gcd(di, d0)
+        mi, m0 = d0 // g, di // g
         rows.append([a * mi - b * m0 for a, b in zip(ni, n0)])
     return _int_rank(rows)
 
@@ -213,16 +256,17 @@ def collinearity_scalar(v: Vector, w: Vector) -> Optional[Fraction]:
     """
     if v.dim != w.dim:
         raise DimensionMismatch(f"dimension mismatch: {v.dim} vs {w.dim}")
-    if w.is_zero():
+    vn, wn = v.nums, w.nums
+    j = next((i for i, c in enumerate(wn) if c), None)
+    if j is None:
         raise PreconditionError("collinearity_scalar with w = 0: scalar not unique")
-    j = next(i for i, c in enumerate(w.coords) if c != 0)
-    s = v.coords[j] / w.coords[j]
-    sn, sd = s.numerator, s.denominator
-    for vk, wk in zip(v.coords, w.coords):
-        # vk == s*wk, cross-multiplied to integers
-        if vk.numerator * sd * wk.denominator != sn * wk.numerator * vk.denominator:
+    # with s = vn[j]·w.den / (wn[j]·v.den), vk == s·wk reduces to the
+    # cross-multiplied vn[k]·wn[j] == vn[j]·wn[k]: both denominators cancel
+    vj, wj = vn[j], wn[j]
+    for vk, wk in zip(vn, wn):
+        if vk * wj != vj * wk:
             return None
-    return s
+    return Fraction(vj * w.den, wj * v.den)
 
 
 # -- small exact matrices -----------------------------------------------------
@@ -264,8 +308,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def matrix_rank(a: Matrix) -> int:
-    rows = [_int_row(Vector(row)) for row in a]
-    return _int_rank(rows)
+    return _int_rank([Vector(row).nums for row in a])
 
 
 def parse_matrix(text: str) -> Matrix:

@@ -15,10 +15,11 @@ from .field import (
     Vector,
     collinearity_scalar,
     format_vector,
+    from_ints,
     linearly_independent,
     affine_rank,
     _int_rank,
-    _int_row,
+    _ratio,
 )
 
 
@@ -45,8 +46,11 @@ class Line:
         return self.origin.dim
 
     def point_at(self, t) -> Vector:
-        t = Fraction(t)
-        return Vector(o + t * d for o, d in zip(self.origin.coords, self.direction.coords))
+        p, q = _ratio(t)
+        o, d = self.origin, self.direction
+        # o + (p/q)·d over the denominator o.den·d.den·q
+        mo, md = d.den * q, o.den * p
+        return from_ints([a * mo + b * md for a, b in zip(o.nums, d.nums)], o.den * mo)
 
     def contains(self, p: Vector) -> bool:
         """Exact membership: p − origin must be a multiple of direction."""
@@ -93,11 +97,18 @@ def line_through(a: Vector, b: Vector) -> Line:
 
 def divides_in_ratio(a: Vector, b: Vector, r, s) -> Vector:
     """The point (r/(r+s))·(b − a) + a; may lie outside the closed interval."""
-    r, s = Fraction(r), Fraction(s)
-    if r + s == 0:
+    rp, rq = _ratio(r)
+    sp, sq = _ratio(s)
+    # t = r/(r+s) = tn/td after multiplying both by rq·sq
+    tn, td = rp * sq, rp * sq + sp * rq
+    if td == 0:
         raise PreconditionError("divides_in_ratio with r + s = 0")
-    t = r / (r + s)
-    return Vector(x + t * (y - x) for x, y in zip(a.coords, b.coords))
+    # a + t·(b − a) over the denominator a.den·b.den·td
+    ma, mb = b.den, a.den
+    return from_ints(
+        [x * ma * (td - tn) + y * mb * tn for x, y in zip(a.nums, b.nums)],
+        a.den * ma * td,
+    )
 
 
 def ratio_of(a: Vector, b: Vector, c: Vector) -> Optional[tuple[Fraction, Fraction]]:
@@ -192,15 +203,19 @@ class Plane:
         return self.origin.dim
 
     def point_at(self, s, t) -> Vector:
-        s, t = Fraction(s), Fraction(t)
-        return Vector(
-            o + s * d1 + t * d2
-            for o, d1, d2 in zip(self.origin.coords, self.dir1.coords, self.dir2.coords)
+        sp, sq = _ratio(s)
+        tp, tq = _ratio(t)
+        o, d1, d2 = self.origin, self.dir1, self.dir2
+        # o + (sp/sq)·d1 + (tp/tq)·d2 over the denominator o.den·d1.den·d2.den·sq·tq
+        e1, e2 = d1.den * sq, d2.den * tq
+        mo, m1, m2 = e1 * e2, o.den * sp * e2, o.den * tp * e1
+        return from_ints(
+            [a * mo + b * m1 + c * m2 for a, b, c in zip(o.nums, d1.nums, d2.nums)],
+            o.den * mo,
         )
 
     def contains(self, p: Vector) -> bool:
-        rows = [_int_row(self.dir1), _int_row(self.dir2), _int_row(p - self.origin)]
-        return _int_rank(rows) == 2
+        return _int_rank([self.dir1.nums, self.dir2.nums, (p - self.origin).nums]) == 2
 
     def contains_line(self, line: Line) -> bool:
         return self.contains(line.origin) and self.contains(line.origin + line.direction)

@@ -25,7 +25,7 @@ from .errors import (
     MapEvalError,
     ProbeEvaluationError,
 )
-from .field import Vector, affine_rank, linearly_independent
+from .field import Vector, affine_rank, from_pairs, linearly_independent
 from .geometry import Line, Plane, divides_in_ratio, in_interval, line_through, lines_parallel
 from .serialize import from_jsonable, to_jsonable
 from .zoo import MapHandle
@@ -129,7 +129,9 @@ class _Sampler:
                 return s
 
     def vector(self, dim: int) -> Vector:
-        return Vector(self.scalar() for _ in range(dim))
+        # the same randint calls, in the same order, as dim calls of scalar()
+        randint, r = self.rng.randint, self.range
+        return from_pairs([(randint(-r, r), randint(1, r)) for _ in range(dim)])
 
     def nonzero_vector(self, dim: int) -> Vector:
         while True:
@@ -681,7 +683,12 @@ def classify_plane_image(f: MapHandle, plane: Plane, cfg: ProbeConfig) -> PlaneI
             seen.add(uv)
             grid.append(uv)
     points = [plane.point_at(u, v) for u, v in grid]
-    images = [f(p) for p in points]
+    images = []
+    for point in points:
+        try:
+            images.append(f(point))
+        except MapEvalError as exc:
+            raise ProbeEvaluationError(row.name, {"plane": plane, "p": point}, exc) from exc
     rank = affine_rank(images)
     violation = row.violation(f)
     if rank > 2:

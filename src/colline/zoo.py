@@ -8,7 +8,9 @@ provably affine by DSL normalization) expose their (A, b) form through
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import mul
 from typing import Mapping, Optional
 
 from .dsl import Expr, MapSpec, eval_expr, eval_map, parse_map, render_expr, symbolic_affine_form
@@ -17,12 +19,12 @@ from .field import (
     Matrix,
     Vector,
     format_vector,
+    from_ints,
     mat_mul,
     mat_vec,
     matrix,
     parse_matrix,
     parse_vector,
-    _int_pair,
 )
 
 from . import dsl as _dsl
@@ -57,6 +59,13 @@ class MapHandle:
         return f"<{type(self).__name__} {self.name}: {self.m}->{self.n}>"
 
 
+def _int_rows(a: Matrix) -> tuple[list[list[int]], int]:
+    """Integer rows and one common denominator with a = rows/den."""
+    rows = [Vector(row) for row in a]
+    den = math.lcm(*[v.den for v in rows])
+    return [[c * (den // v.den) for c in v.nums] for v in rows], den
+
+
 class LinearMap(MapHandle):
     kind = "linear"
 
@@ -64,19 +73,12 @@ class LinearMap(MapHandle):
         a = matrix(a)
         super().__init__(m=len(a[0]), n=len(a), name=name)
         self.a = a
-        # integer rows with per-row denominators keep the hot path on ints
-        self._rows = []
-        for row in a:
-            ints, den = _int_pair(Vector(row))
-            self._rows.append((ints, den))
+        self._rows, self._den = _int_rows(a)
 
     def __call__(self, x: Vector) -> Vector:
         self._check_input(x)
-        xi, xd = _int_pair(x)
-        return Vector(
-            Fraction(sum(c * v for c, v in zip(ints, xi)), den * xd)
-            for ints, den in self._rows
-        )
+        xn = x.nums
+        return from_ints([sum(map(mul, row, xn)) for row in self._rows], self._den * x.den)
 
     def affine_form(self):
         return self.a, Vector.zero(self.n)
@@ -95,20 +97,20 @@ class AffineMap(MapHandle):
         super().__init__(m=len(a[0]), n=len(a), name=name)
         self.a = a
         self.b = b
-        self._rows = []
-        for row, off in zip(a, b.coords):
-            ints, den = _int_pair(Vector(row))
-            self._rows.append((ints, den, off))
+        # A·x + b = (rows·x + offsets·x.den) / (den·x.den)
+        rows, den = _int_rows(a)
+        g = math.gcd(den, b.den)
+        self._rows = [[c * (b.den // g) for c in row] for row in rows]
+        self._offsets = [c * (den // g) for c in b.nums]
+        self._den = den // g * b.den
 
     def __call__(self, x: Vector) -> Vector:
         self._check_input(x)
-        xi, xd = _int_pair(x)
-        out = []
-        for ints, den, off in self._rows:
-            s = sum(c * v for c, v in zip(ints, xi))
-            d = den * xd
-            out.append(Fraction(s * off.denominator + off.numerator * d, d * off.denominator))
-        return Vector(out)
+        xn, xd = x.nums, x.den
+        return from_ints(
+            [sum(map(mul, row, xn)) + off * xd for row, off in zip(self._rows, self._offsets)],
+            self._den * xd,
+        )
 
     def affine_form(self):
         return self.a, self.b
@@ -150,7 +152,7 @@ class Lemma23Map(MapHandle):
             raise DimensionMismatch(f"d0 dim {d0.dim} but declared output dim {n}")
         if not 0 <= e0_index < m:
             raise ConstructionError(f"coordinate index {e0_index} outside 0..{m - 1}")
-        if eval_expr(psi, (Fraction(0),)) != 0:
+        if eval_expr(psi, (0,), 1)[0] != 0:
             raise ConstructionError("lemma23 scalar warp must fix 0 (psi(0) = 0)")
         super().__init__(m=m, n=n, name=name)
         self.psi = psi
@@ -159,8 +161,9 @@ class Lemma23Map(MapHandle):
 
     def __call__(self, x: Vector) -> Vector:
         self._check_input(x)
-        t = eval_expr(self.psi, (x.coords[self.e0_index],))
-        return Vector(t * d for d in self.d0.coords)
+        p, q = eval_expr(self.psi, (x.nums[self.e0_index],), x.den)
+        d0 = self.d0
+        return from_ints([p * c for c in d0.nums], q * d0.den)
 
     def source(self):
         return {

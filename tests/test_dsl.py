@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,6 @@ from colline.dsl import (
     MapSpec,
     Neg,
     Var,
-    eval_expr,
     eval_map,
     parse_map,
     parse_map_file,
@@ -286,6 +286,50 @@ class TestSymbolicAffineForm:
             assert eval_map(spec, x) == want
 
 
+def _reference_eval(expr, coords):
+    """Fraction evaluation, independent of eval_map's integer walk."""
+    if isinstance(expr, Lit):
+        return expr.value
+    if isinstance(expr, Var):
+        return coords[expr.index]
+    if isinstance(expr, Neg):
+        return -_reference_eval(expr.operand, coords)
+    if isinstance(expr, IfLe):
+        guard = _reference_eval(expr.guard_left, coords) <= _reference_eval(
+            expr.guard_right, coords)
+        return _reference_eval(expr.then_branch if guard else expr.else_branch, coords)
+    left, right = _reference_eval(expr.left, coords), _reference_eval(expr.right, coords)
+    if expr.op == "+":
+        return left + right
+    if expr.op == "-":
+        return left - right
+    if expr.op == "*":
+        return left * right
+    return left / right  # ZeroDivisionError for a zero divisor
+
+
+class TestIntegerEvaluation:
+    @given(st.lists(_expr_strategy(2), min_size=1, max_size=3),
+           st.tuples(*[st.fractions(min_value=-5, max_value=5, max_denominator=4)] * 2))
+    @settings(max_examples=150, deadline=None)
+    def test_eval_map_matches_fraction_reference(self, outputs, point):
+        spec = MapSpec("r", 2, len(outputs), tuple(outputs))
+        x = Vector(point)
+        want = []
+        for i, expr in enumerate(outputs):
+            try:
+                want.append(_reference_eval(expr, point))
+            except ZeroDivisionError:
+                with pytest.raises(MapEvalError) as info:
+                    eval_map(spec, x)
+                assert info.value.output_index == i and info.value.at == x
+                assert str(info.value) == f"map r: division by zero in output y{i} at input {x}"
+                return
+        got = eval_map(spec, x)
+        assert got.coords == tuple(want)
+        assert got.den > 0 and math.gcd(*got.nums, got.den) == 1
+
+
 _FUZZ_TOKENS = (
     "map", "f", ":", "1", "2", "->", "{", "}", ";", "y0", "y1", "=", "x0", "x1", "x9",
     "+", "-", "*", "/", "(", ")", "if", "<=", "then", "else", "3/4", "0", "#", "\n", "$",
@@ -316,8 +360,7 @@ class TestParserFuzz:
             assert isinstance(spec, MapSpec)
             symbolic_affine_form(spec)
             assert parse_map_file(render_map(spec)) == [spec]
-            for expr in spec.outputs:
-                try:
-                    eval_expr(expr, (Fraction(1, 2), Fraction(-3)))
-                except MapEvalError:
-                    pass
+            try:
+                eval_map(spec, vec("1/2", -3))
+            except MapEvalError:
+                pass

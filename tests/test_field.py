@@ -116,6 +116,68 @@ class TestVector:
         assert len({vec(1, 2), vec(1, 2), vec(2, 1)}) == 2
 
 
+def assert_canonical(v: Vector) -> None:
+    assert v.den > 0 and math.gcd(*v.nums, v.den) == 1
+
+
+same_dim_pair = st.integers(1, MAX_DIM).flatmap(
+    lambda n: st.tuples(*[st.lists(rationals, min_size=n, max_size=n)] * 2)
+)
+
+
+class TestIntegerStorage:
+    """The (nums, den) storage against arithmetic on Fraction coordinates."""
+
+    @given(same_dim_pair, rationals)
+    @settings(max_examples=80)
+    def test_arithmetic_matches_fractions(self, pair, s):
+        xs, ys = pair
+        v, w = Vector(xs), Vector(ys)
+        cases = [
+            (v + w, [x + y for x, y in zip(xs, ys)]),
+            (v - w, [x - y for x, y in zip(xs, ys)]),
+            (-v, [-x for x in xs]),
+            (s * v, [s * x for x in xs]),
+            (v * s, [x * s for x in xs]),
+        ]
+        for got, want in cases:
+            assert got.coords == tuple(want)
+            assert got == Vector(want)
+            assert_canonical(got)
+
+    @given(st.lists(st.tuples(st.integers(-40, 40), st.integers(1, 40)),
+                    min_size=1, max_size=MAX_DIM))
+    @settings(max_examples=80)
+    def test_two_spellings_are_one_vector(self, pairs):
+        # p/q unreduced versus the reduced Fraction, and versus its text
+        unreduced = Vector(Fraction(2 * p, 2 * q) for p, q in pairs)
+        reduced = Vector.of(*(format_scalar(Fraction(p, q)) for p, q in pairs))
+        assert unreduced == reduced and hash(unreduced) == hash(reduced)
+        assert unreduced.nums == reduced.nums and unreduced.den == reduced.den
+        assert_canonical(unreduced)
+        assert format_vector(unreduced) == (
+            "(" + ", ".join(format_scalar(Fraction(p, q)) for p, q in pairs) + ")"
+        )
+
+    def test_half_spelled_two_ways(self):
+        v, w = Vector((Fraction(2, 4), Fraction(3))), vec("1/2", 3)
+        assert v == w and hash(v) == hash(w)
+        assert (v.nums, v.den) == ((1, 6), 2)
+
+    @given(same_dim_pair, rationals)
+    @settings(max_examples=80)
+    def test_collinearity_scalar_matches_fractions(self, pair, s):
+        xs, ws = pair
+        w = Vector(ws)
+        if w.is_zero():
+            return
+        j = next(i for i, c in enumerate(ws) if c != 0)
+        for v in (Vector(xs), s * w):
+            t = v.coords[j] / ws[j]
+            want = t if all(x == t * c for x, c in zip(v.coords, ws)) else None
+            assert collinearity_scalar(v, w) == want
+
+
 class TestLinearlyIndependent:
     def test_standard_basis(self):
         assert linearly_independent(vec(1, 0), vec(0, 1))

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -67,6 +68,38 @@ class TestLine:
     def test_text_form(self):
         l = line_through(vec(1, 0), vec(1, 2))
         assert format_line(l) == "line (1, 0) dir (0, 2)"
+
+
+same_dim = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(*[st.lists(rationals, min_size=n, max_size=n)] * 2)
+)
+
+
+class TestIntegerStorage:
+    """point_at and divides_in_ratio against arithmetic on Fraction coordinates."""
+
+    @given(same_dim, rationals)
+    @settings(max_examples=80)
+    def test_point_at_matches_fractions(self, pair, t):
+        os_, ds = pair
+        if not any(ds):
+            return
+        got = Line(Vector(os_), Vector(ds)).point_at(t)
+        assert got.coords == tuple(o + t * d for o, d in zip(os_, ds))
+        assert got.den > 0 and math.gcd(*got.nums, got.den) == 1
+
+    @given(same_dim, rationals, rationals)
+    @settings(max_examples=80)
+    def test_divides_in_ratio_matches_fractions(self, pair, r, s):
+        xs, ys = pair
+        if r + s == 0:
+            with pytest.raises(PreconditionError):
+                divides_in_ratio(Vector(xs), Vector(ys), r, s)
+            return
+        got = divides_in_ratio(Vector(xs), Vector(ys), r, s)
+        t = r / (r + s)
+        assert got.coords == tuple(x + t * (y - x) for x, y in zip(xs, ys))
+        assert got.den > 0 and math.gcd(*got.nums, got.den) == 1
 
 
 class TestRatios:

@@ -302,6 +302,15 @@ class TestPlaneImage:
         assert res.shape is None
         assert_sound_failure(f, res.outcome)
 
+    def test_eval_error_names_the_point(self):
+        f = dsl("map g : 2 -> 2 { y0 = 1/x0; y1 = x1 }")
+        plane = self.plane2d()
+        with pytest.raises(ProbeEvaluationError) as info:
+            classify_plane_image(f, plane, CFG)
+        assert info.value.check == "plane-image"
+        assert info.value.inputs == {"plane": plane, "p": vec(0, 0)}
+        assert "division by zero in output y0 at input (0, 0)" in str(info.value)
+
     @pytest.mark.parametrize("coordinate_range, pairs", [(1, 9), (2, 49)])
     def test_small_coordinate_range_terminates(self, coordinate_range, pairs):
         # only 3 (range 1) or 7 (range 2) distinct scalars exist, so fewer
