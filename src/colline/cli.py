@@ -31,17 +31,17 @@ from .engine import (
     shift_reduce,
 )
 from .errors import CollineError, MapParseError, ViolationError
-from .field import Vector, format_vector, parse_scalar, parse_vector
+from .field import Vector, parse_scalar, parse_vector
 from .predicates import (
     CHECKS,
     CheckOutcome,
     ProbeConfig,
-    Witness,
     check_scalar_monotone,
     find_independence_witness,
     revalidate_witness,
     run_check,
 )
+from .serialize import CERTIFICATE, CLASSIFICATION, OUTCOME, VECTOR, WITNESS, pair, sequence
 from .zoo import MapHandle, from_source, make_dsl, parse_builtin
 
 # `colline check` names: every row of the check table with a default probe
@@ -205,13 +205,8 @@ def _report_for_map(handle: MapHandle, args, cfg: ProbeConfig) -> dict:
                 CheckOutcome(f"certificate:{args.kind}", False, 1, exc.witness)
             ]
     elif args.command == "zoo":
-        samples = []
-        for i in range(handle.m):
-            x = Vector.basis(handle.m, i)
-            samples.append([format_vector(x), format_vector(handle(x))])
-        zero = Vector.zero(handle.m)
-        samples.append([format_vector(zero), format_vector(handle(zero))])
-        extra["samples"] = samples
+        xs = [Vector.basis(handle.m, i) for i in range(handle.m)] + [Vector.zero(handle.m)]
+        extra["samples"] = sequence(pair(VECTOR, VECTOR)).encode((x, handle(x)) for x in xs)
 
     wall_ms = (time.perf_counter() - start) * 1000.0
     report = {
@@ -224,9 +219,9 @@ def _report_for_map(handle: MapHandle, args, cfg: ProbeConfig) -> dict:
             "source": handle.source(),
         },
         "config": _config_echo(args, cfg),
-        "outcomes": [o.to_json() for o in outcomes],
-        "certificates": [c.to_json() for c in certificates],
-        "classification": classification.to_json() if classification else None,
+        "outcomes": [OUTCOME.encode(o) for o in outcomes],
+        "certificates": [CERTIFICATE.encode(c) for c in certificates],
+        "classification": classification and CLASSIFICATION.encode(classification),
         **extra,
         "wall_time_ms": round(wall_ms, 3),
     }
@@ -307,25 +302,22 @@ def _recheck_report(report: dict) -> list[str]:
     reduced = None
     if cls.get("affine_base"):
         reduced = shift_reduce(handle, parse_vector(cls["affine_base"]))
-    for outcome in report.get("outcomes", []):
-        if outcome.get("witness") is None:
+    for outcome in map(OUTCOME.decode, report.get("outcomes", [])):
+        if outcome.witness is None:
             continue
-        check = outcome["check"]
-        target = reduced if check.startswith("reduced:") else handle
+        target = reduced if outcome.check.startswith("reduced:") else handle
         if target is None:
-            failures.append(f"{check}: no reduced map recorded")
+            failures.append(f"{outcome.check}: no reduced map recorded")
             continue
-        witness = Witness.from_json(check.removeprefix("reduced:"), outcome["witness"])
-        if not revalidate_witness(target, witness):
-            failures.append(f"witness for {check} no longer violates")
+        if not revalidate_witness(target, outcome.witness):
+            failures.append(f"witness for {outcome.check} no longer violates")
     if cls.get("witness"):
         target = reduced if cls.get("witness_scope") == "reduced" else handle
-        witness = Witness.from_json(cls["witness"]["check"], cls["witness"])
+        witness = WITNESS.decode(cls["witness"])
         if target is None or not revalidate_witness(target, witness):
             failures.append("classification witness no longer violates")
     cert_target = reduced if cls.get("certificate_scope") == "reduced" else handle
-    for cert_json in report.get("certificates", []):
-        cert = Certificate.from_json(cert_json)
+    for cert in map(CERTIFICATE.decode, report.get("certificates", [])):
         failures.extend(
             f"certificate {cert.kind}: {failure}" for failure in cert.validate(cert_target)
         )

@@ -30,8 +30,6 @@ from .field import (
     format_vector,
     identity_matrix,
     linearly_independent,
-    parse_scalar,
-    parse_vector,
 )
 from .geometry import Line, line_through, lines_parallel, crossing_line
 from .predicates import (
@@ -58,7 +56,6 @@ from .predicates import (
     find_independence_witness,
     run_check,
 )
-from .serialize import from_jsonable, to_jsonable
 from .zoo import MapHandle, compose, make_affine
 
 
@@ -142,23 +139,6 @@ class PhiTable:
         if one_val is not None and one_val != 1:
             failures.append("phi(1) != 1")
         return failures
-
-    def to_json(self) -> dict:
-        return {
-            "entries": [[format_scalar(r), format_scalar(v)] for r, v in self.entries],
-            "anchors": [[format_scalar(r), format_vector(a)] for r, a in self.anchors],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "PhiTable":
-        return cls(
-            entries=tuple(
-                (parse_scalar(r), parse_scalar(v)) for r, v in obj["entries"]
-            ),
-            anchors=tuple(
-                (parse_scalar(r), parse_vector(a)) for r, a in obj["anchors"]
-            ),
-        )
 
 
 def _phi_table(f: MapHandle, anchor: Vector, keys) -> PhiTable:
@@ -342,92 +322,6 @@ class Certificate:
         if not self.holds:
             failures.append("certificate is marked as not holding")
         return failures
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "lines": [
-                {
-                    "name": cl.name,
-                    "origin": format_vector(cl.line.origin),
-                    "direction": format_vector(cl.line.direction),
-                    "image_origin": format_vector(cl.image.origin) if cl.image else None,
-                    "image_direction": format_vector(cl.image.direction) if cl.image else None,
-                    "anchors": [format_vector(a) for a in cl.anchors],
-                    "anchor_images": [format_vector(a) for a in cl.anchor_images],
-                }
-                for cl in self.lines
-            ],
-            "intersections": [
-                {
-                    "lines": list(fact.lines),
-                    "point": format_vector(fact.point),
-                    "image_point": format_vector(fact.image_point),
-                }
-                for fact in self.intersections
-            ],
-            "parallels": [
-                {"lines": list(fact.lines), "equal": fact.equal} for fact in self.parallels
-            ],
-            "points": [
-                {"label": label, "input": format_vector(p), "image": format_vector(img)}
-                for label, p, img in self.points
-            ],
-            "equations": [
-                {"label": eq.label, "lhs": to_jsonable(eq.lhs), "rhs": to_jsonable(eq.rhs)}
-                for eq in self.equations
-            ],
-            "conclusion": self.conclusion,
-            "holds": self.holds,
-            "note": self.note,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Certificate":
-        lines = []
-        for entry in obj["lines"]:
-            image = None
-            if entry.get("image_origin") is not None:
-                image = Line(
-                    parse_vector(entry["image_origin"]),
-                    parse_vector(entry["image_direction"]),
-                )
-            lines.append(
-                CertLine(
-                    name=entry["name"],
-                    line=Line(parse_vector(entry["origin"]), parse_vector(entry["direction"])),
-                    image=image,
-                    anchors=tuple(parse_vector(a) for a in entry["anchors"]),
-                    anchor_images=tuple(parse_vector(a) for a in entry["anchor_images"]),
-                )
-            )
-        return cls(
-            kind=obj["kind"],
-            lines=tuple(lines),
-            intersections=tuple(
-                PointFact(
-                    tuple(fact["lines"]),
-                    parse_vector(fact["point"]),
-                    parse_vector(fact["image_point"]),
-                )
-                for fact in obj["intersections"]
-            ),
-            parallels=tuple(
-                ParallelFact(tuple(fact["lines"]), fact.get("equal", False))
-                for fact in obj["parallels"]
-            ),
-            points=tuple(
-                (entry["label"], parse_vector(entry["input"]), parse_vector(entry["image"]))
-                for entry in obj["points"]
-            ),
-            equations=tuple(
-                Equation(eq["label"], from_jsonable(eq["lhs"]), from_jsonable(eq["rhs"]))
-                for eq in obj["equations"]
-            ),
-            conclusion=obj["conclusion"],
-            holds=obj["holds"],
-            note=obj.get("note", ""),
-        )
 
 
 class _CertBuilder:
@@ -1098,26 +992,6 @@ class Classification:
     # shift reduction (classification of a non-zero-fixed map goes through it)
     witness_scope: str = "primary"
     certificate_scope: str = "primary"
-
-    def to_json(self) -> dict:
-        witness = None
-        if self.witness is not None:
-            witness = {"check": self.witness.check, **self.witness.to_json()}
-        return {
-            "verdict": self.verdict,
-            "matrix": [[format_scalar(c) for c in row] for row in self.matrix]
-            if self.matrix is not None
-            else None,
-            "offset": format_vector(self.offset) if self.offset is not None else None,
-            "witness": witness,
-            "witness_scope": self.witness_scope,
-            "certificate_scope": self.certificate_scope,
-            "reasons": list(self.reasons),
-            "phi": self.phi.to_json() if self.phi is not None else None,
-            "affine_base": format_vector(self.affine_base)
-            if self.affine_base is not None
-            else None,
-        }
 
 
 def _certificate_pairs(ind: tuple[Vector, Vector], cfg: ProbeConfig, dim: int):

@@ -27,7 +27,6 @@ from .errors import (
 )
 from .field import Vector, affine_rank, from_pairs, linearly_independent
 from .geometry import Line, Plane, divides_in_ratio, in_interval, line_through, lines_parallel
-from .serialize import from_jsonable, to_jsonable
 from .zoo import MapHandle
 
 
@@ -58,22 +57,6 @@ class Witness:
     inputs: tuple[tuple[str, object], ...]
     values: tuple[tuple[str, object], ...]
 
-    def to_json(self) -> dict:
-        return {
-            "equation": self.equation,
-            "inputs": {k: to_jsonable(v) for k, v in self.inputs},
-            "values": {k: to_jsonable(v) for k, v in self.values},
-        }
-
-    @classmethod
-    def from_json(cls, check: str, obj: dict) -> "Witness":
-        return cls(
-            check=check,
-            equation=obj["equation"],
-            inputs=tuple((k, from_jsonable(v)) for k, v in obj["inputs"].items()),
-            values=tuple((k, from_jsonable(v)) for k, v in obj["values"].items()),
-        )
-
 
 @dataclass(frozen=True)
 class CheckOutcome:
@@ -88,26 +71,6 @@ class CheckOutcome:
     @property
     def verdict(self) -> str:
         return "pass" if self.passed else "fail"
-
-    def to_json(self) -> dict:
-        return {
-            "check": self.check,
-            "verdict": self.verdict,
-            "probes": self.probes,
-            "skipped": self.skipped,
-            "witness": self.witness.to_json() if self.witness else None,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "CheckOutcome":
-        witness = obj.get("witness")
-        return cls(
-            check=obj["check"],
-            passed=obj["verdict"] == "pass",
-            probes=obj["probes"],
-            witness=Witness.from_json(obj["check"], witness) if witness else None,
-            skipped=obj.get("skipped", 0),
-        )
 
 
 class _Sampler:

@@ -1,70 +1,197 @@
-"""Tagged JSON encoding for the exact values that appear in reports.
+"""The report format: tagged exact values plus one codec table per record.
 
 Every value serializes to text forms that parse back exactly, so stored
 witnesses and certificates can be re-validated from the report alone.
+
+Each record is declared once, as its JSON keys in report order with the
+codec of each key's value, and both the encoder and the decoder read that
+one declaration, so the two directions cannot drift apart. A codec is an
+``(encode, decode)`` pair: ``CERTIFICATE.encode(cert)`` writes a
+certificate, ``CERTIFICATE.decode(obj)`` reads it back.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
+from operator import attrgetter, itemgetter
+from typing import Callable
 
+from .engine import Certificate, CertLine, Classification, Equation, ParallelFact, PhiTable
+from .engine import PointFact
 from .field import Vector, format_scalar, format_vector, parse_scalar, parse_vector
 from .geometry import Line, Plane
+from .predicates import CheckOutcome, Witness
+
+
+Codec = namedtuple("Codec", "encode decode")  # value → JSON data, and back
+PLAIN = Codec(lambda v: v, lambda j: j)  # text, numbers and booleans as JSON has them
+SCALAR = Codec(format_scalar, parse_scalar)
+VECTOR = Codec(format_vector, parse_vector)
+
+
+def optional(c: Codec) -> Codec:
+    return Codec(lambda v: None if v is None else c.encode(v),
+                 lambda j: None if j is None else c.decode(j))
+
+
+def sequence(c: Codec) -> Codec:
+    return Codec(lambda vs: list(map(c.encode, vs)), lambda js: tuple(map(c.decode, js)))
+
+
+def pair(c1: Codec, c2: Codec) -> Codec:
+    return Codec(lambda p: [c1.encode(p[0]), c2.encode(p[1])],
+                 lambda j: tuple(c.decode(v) for c, v in zip((c1, c2), j, strict=True)))
+
+
+def named(c: Codec) -> Codec:
+    """Name → value pairs, stored as one JSON object."""
+    return Codec(lambda kvs: {k: c.encode(v) for k, v in kvs},
+                 lambda j: tuple((k, c.decode(v)) for k, v in j.items()))
+
+
+_REQUIRED = object()
+# one key of a record: its value is read by `get` (an attribute path or a function; by
+# default the attribute of the key's name), and a stored report without it reads `default`
+Key = namedtuple("Key", "name codec get default", defaults=(PLAIN, None, _REQUIRED))
+
+
+def record(make: Callable, *keys: Key) -> Codec:
+    """A JSON object with ``keys`` in this order; ``make`` takes them by name."""
+    getters = [k.get if callable(k.get) else attrgetter(k.get or k.name) for k in keys]
+    encoders = [(k.name, k.codec.encode, get) for k, get in zip(keys, getters)]
+    decoders = [(k.name, k.codec.decode, k.default) for k in keys]
+
+    def encode(x):
+        return {name: enc(get(x)) for name, enc, get in encoders}
+
+    def decode(obj):
+        return make(**{name: dec(obj[name]) if default is _REQUIRED or name in obj else default
+                       for name, dec, default in decoders})
+
+    return Codec(encode, decode)
+
+
+# -- tagged values: {"type": tag, ...} for a value of any type ---------------------
 
 
 def to_jsonable(value):
-    if isinstance(value, Fraction):
-        return {"type": "scalar", "value": format_scalar(value)}
-    if isinstance(value, Vector):
-        return {"type": "vector", "value": format_vector(value)}
-    if isinstance(value, Line):
-        return {
-            "type": "line",
-            "origin": format_vector(value.origin),
-            "direction": format_vector(value.direction),
-        }
-    if isinstance(value, Plane):
-        return {
-            "type": "plane",
-            "origin": format_vector(value.origin),
-            "dir1": format_vector(value.dir1),
-            "dir2": format_vector(value.dir2),
-        }
     if isinstance(value, (tuple, list)):
-        if all(isinstance(v, Fraction) for v in value):
-            return {"type": "scalars", "value": [format_scalar(v) for v in value]}
-        if all(isinstance(v, Vector) for v in value):
-            return {"type": "vectors", "value": [format_vector(v) for v in value]}
-        return {"type": "list", "value": [to_jsonable(v) for v in value]}
-    if isinstance(value, str):
-        return {"type": "text", "value": value}
-    if isinstance(value, bool):
-        return {"type": "bool", "value": value}
-    if isinstance(value, int):
-        return {"type": "int", "value": value}
-    raise TypeError(f"cannot serialize value of type {type(value).__name__}")
+        tag = ("scalars" if all(isinstance(v, Fraction) for v in value)
+               else "vectors" if all(isinstance(v, Vector) for v in value) else "list")
+    else:
+        for tag, cls in _TYPES:
+            if isinstance(value, cls):
+                break
+        else:
+            raise TypeError(f"cannot serialize value of type {type(value).__name__}")
+    return {"type": tag, **_TAGS[tag].encode(value)}
 
 
 def from_jsonable(obj):
     kind = obj["type"]
-    if kind == "scalar":
-        return parse_scalar(obj["value"])
-    if kind == "vector":
-        return parse_vector(obj["value"])
-    if kind == "line":
-        return Line(parse_vector(obj["origin"]), parse_vector(obj["direction"]))
-    if kind == "plane":
-        return Plane(
-            parse_vector(obj["origin"]),
-            parse_vector(obj["dir1"]),
-            parse_vector(obj["dir2"]),
-        )
-    if kind == "scalars":
-        return tuple(parse_scalar(v) for v in obj["value"])
-    if kind == "vectors":
-        return tuple(parse_vector(v) for v in obj["value"])
-    if kind == "list":
-        return tuple(from_jsonable(v) for v in obj["value"])
-    if kind in ("text", "bool", "int"):
-        return obj["value"]
-    raise ValueError(f"unknown tagged value type {kind!r}")
+    if kind not in _TAGS:
+        raise ValueError(f"unknown tagged value type {kind!r}")
+    return _TAGS[kind].decode(obj)
+
+
+# looked up at call time, so a wrapper installed on the module functions sees every call
+TAGGED = Codec(lambda v: to_jsonable(v), lambda j: from_jsonable(j))
+
+
+def _value(c: Codec) -> Codec:
+    return Codec(lambda v: {"value": c.encode(v)}, lambda j: c.decode(j["value"]))
+
+
+_TYPES = (("scalar", Fraction), ("vector", Vector), ("line", Line), ("plane", Plane),
+          ("text", str), ("bool", bool), ("int", int))
+_TAGS = {
+    "scalar": _value(SCALAR),
+    "vector": _value(VECTOR),
+    "line": record(Line, Key("origin", VECTOR), Key("direction", VECTOR)),
+    "plane": record(Plane, Key("origin", VECTOR), Key("dir1", VECTOR), Key("dir2", VECTOR)),
+    "scalars": _value(sequence(SCALAR)),
+    "vectors": _value(sequence(VECTOR)),
+    "list": _value(sequence(TAGGED)),
+    **dict.fromkeys(("text", "bool", "int"), _value(PLAIN)),
+}
+
+
+# -- report records ----------------------------------------------------------------
+
+_WITNESS_BODY = (Key("equation"), Key("inputs", named(TAGGED)), Key("values", named(TAGGED)))
+WITNESS = record(Witness, Key("check"), *_WITNESS_BODY)
+
+
+def _outcome(check, verdict, probes, skipped, witness):
+    # the stored witness is named by its outcome's check, less `reduced:`
+    if witness is not None:
+        witness = Witness(check.removeprefix("reduced:"), **witness)
+    return CheckOutcome(check, passed=verdict, probes=probes, witness=witness, skipped=skipped)
+
+
+OUTCOME = record(
+    _outcome,
+    Key("check"),
+    Key("verdict", Codec(lambda passed: "pass" if passed else "fail", lambda j: j == "pass"),
+        "passed"),
+    Key("probes"),
+    Key("skipped", default=0),
+    Key("witness", optional(record(dict, *_WITNESS_BODY)), default=None),
+)
+
+PHI_TABLE = record(
+    PhiTable,
+    Key("entries", sequence(pair(SCALAR, SCALAR))),
+    Key("anchors", sequence(pair(SCALAR, VECTOR))),
+)
+
+
+def _cert_line(name, origin, direction, image_origin, image_direction, anchors, anchor_images):
+    image = None if image_origin is None else Line(image_origin, image_direction)
+    return CertLine(name, Line(origin, direction), image, anchors, anchor_images)
+
+
+CERTIFICATE = record(
+    Certificate,
+    Key("kind"),
+    Key("lines", sequence(record(
+        _cert_line,
+        Key("name"),
+        Key("origin", VECTOR, "line.origin"),
+        Key("direction", VECTOR, "line.direction"),
+        Key("image_origin", optional(VECTOR), lambda cl: cl.image and cl.image.origin, None),
+        Key("image_direction", optional(VECTOR), lambda cl: cl.image and cl.image.direction,
+            None),
+        Key("anchors", sequence(VECTOR)),
+        Key("anchor_images", sequence(VECTOR)),
+    ))),
+    Key("intersections", sequence(record(
+        PointFact, Key("lines", sequence(PLAIN)), Key("point", VECTOR), Key("image_point", VECTOR),
+    ))),
+    Key("parallels", sequence(record(
+        ParallelFact, Key("lines", sequence(PLAIN)), Key("equal", default=False),
+    ))),
+    Key("points", sequence(record(  # (label, input, image) triples
+        lambda label, input, image: (label, input, image),
+        Key("label", PLAIN, itemgetter(0)),
+        Key("input", VECTOR, itemgetter(1)),
+        Key("image", VECTOR, itemgetter(2)),
+    ))),
+    Key("equations", sequence(record(
+        Equation, Key("label"), Key("lhs", TAGGED), Key("rhs", TAGGED),
+    ))),
+    Key("conclusion"), Key("holds"), Key("note", default=""),
+)
+
+CLASSIFICATION = record(
+    Classification,
+    Key("verdict"),
+    Key("matrix", optional(sequence(sequence(SCALAR)))),
+    Key("offset", optional(VECTOR)),
+    Key("witness", optional(WITNESS)),
+    Key("witness_scope"), Key("certificate_scope"),
+    Key("reasons", sequence(PLAIN)),
+    Key("phi", optional(PHI_TABLE)),
+    Key("affine_base", optional(VECTOR)),
+)

@@ -7,8 +7,6 @@ from colline.errors import PreconditionError, ProbeEvaluationError, ViolationErr
 from colline.field import Vector, identity_matrix
 from colline.predicates import ProbeConfig, revalidate_witness, _Sampler
 from colline.engine import (
-    Certificate,
-    PhiTable,
     additivity_certificate,
     affine_reduce,
     check_affine_reconstruction,
@@ -23,6 +21,7 @@ from colline.engine import (
     shift_reduce,
     _violation_phi_add_mult,
 )
+from colline.serialize import CERTIFICATE, PHI_TABLE
 from colline.zoo import (
     compose,
     make_affine,
@@ -213,16 +212,16 @@ class TestAdditivityCertificate:
     def test_json_round_trip_revalidates(self):
         f = make_linear(identity_matrix(2))
         cert = additivity_certificate(f, vec(1, 0), vec(2, 0), self.ind2())
-        clone = Certificate.from_json(cert.to_json())
+        clone = CERTIFICATE.decode(CERTIFICATE.encode(cert))
         assert clone.validate(f) == []
-        assert clone.to_json() == cert.to_json()
+        assert CERTIFICATE.encode(clone) == CERTIFICATE.encode(cert)
 
     def test_tampered_certificate_detected(self):
         f = make_linear(identity_matrix(2))
         cert = additivity_certificate(f, vec(1, 0), vec(0, 1))
-        obj = cert.to_json()
+        obj = CERTIFICATE.encode(cert)
         obj["intersections"][0]["point"] = "(5, 5)"
-        assert Certificate.from_json(obj).validate(f) != []
+        assert CERTIFICATE.decode(obj).validate(f) != []
 
 
 class TestLemma32Check:
@@ -412,7 +411,7 @@ class TestClassify:
 
     def test_phi_table_json_round_trip(self):
         c = classify_map(make_linear([[1, 2], [3, 4]]), CFG, use_symbolic=False)
-        clone = PhiTable.from_json(c.phi.to_json())
+        clone = PHI_TABLE.decode(PHI_TABLE.encode(c.phi))
         assert clone == c.phi
 
 
@@ -490,5 +489,5 @@ class TestCrossModuleInvariants:
     def test_certificate_validates_from_stored_data_alone(self):
         f = make_linear(identity_matrix(2))
         cert = additivity_certificate(f, vec(1, 0), vec(2, 0), (vec(1, 0), vec(0, 1)))
-        clone = Certificate.from_json(cert.to_json())
+        clone = CERTIFICATE.decode(CERTIFICATE.encode(cert))
         assert clone.validate() == []  # no map handle needed

@@ -29,6 +29,7 @@ from colline.predicates import (
     find_independence_witness,
     revalidate_witness,
 )
+from colline.serialize import OUTCOME
 from colline.zoo import make_affine, make_dsl, make_lemma23, make_linear, make_table
 
 CFG = ProbeConfig(seed=0, count=200)
@@ -366,7 +367,7 @@ class TestOutcomeMechanics:
     def test_outcome_json_round_trip(self):
         f = lemma23_default()
         out = check_additivity(f, CFG)
-        clone = CheckOutcome.from_json(out.to_json())
+        clone = OUTCOME.decode(OUTCOME.encode(out))
         assert clone == out
         assert revalidate_witness(f, clone.witness)
 
