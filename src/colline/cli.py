@@ -41,7 +41,7 @@ from .predicates import (
     revalidate_witness,
     run_check,
 )
-from .serialize import CERTIFICATE, CLASSIFICATION, OUTCOME, VECTOR, WITNESS, pair, sequence
+from .serialize import CERTIFICATE, CLASSIFICATION, OUTCOME, PHI_TABLE, VECTOR, WITNESS, pair, sequence
 from .zoo import MapHandle, from_source, make_dsl, parse_builtin
 
 # `colline check` names: every row of the check table with a default probe
@@ -317,6 +317,9 @@ def _recheck_report(report: dict) -> list[str]:
         if target is None or not revalidate_witness(target, witness):
             failures.append("classification witness no longer violates")
     cert_target = reduced if cls.get("certificate_scope") == "reduced" else handle
+    if cls.get("phi"):
+        phi = PHI_TABLE.decode(cls["phi"])  # read off the map its certificates are for
+        failures.extend(f"phi table: {failure}" for failure in phi.validate(cert_target))
     for cert in map(CERTIFICATE.decode, report.get("certificates", [])):
         failures.extend(
             f"certificate {cert.kind}: {failure}" for failure in cert.validate(cert_target)

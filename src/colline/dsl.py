@@ -1,4 +1,4 @@
-"""Parse and evaluate vector maps ℚ^m → ℚ^n from a small text language.
+"""Parse, compile and evaluate vector maps ℚ^m → ℚ^n from a small text language.
 
 Grammar (ASCII digits and names, whitespace-insensitive, ``#`` comments to end of line):
 
@@ -14,20 +14,26 @@ Grammar (ASCII digits and names, whitespace-insensitive, ``#`` comments to end o
 A rational literal ``p/q`` and the division ``p / q`` denote the same exact
 value, so the parser uniformly treats ``/`` as division.  Conditionals carry
 only ``<=`` guards.
+
+Evaluation is compiled once per spec: the first ``eval_map`` generates one
+Python function over integer (numerator, denominator) pairs and keeps it on
+the spec.  Each affine subtree is folded into one integer dot product by the
+same pass that gives ``symbolic_affine_form`` its (A, b).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from .errors import DimensionMismatch, MapEvalError, MapParseError
 from .field import MAX_DIM, Matrix, Vector, format_scalar, from_pairs
 
 #: Deepest expression tree accepted, counted in nodes from root to leaf, and
 #: most parentheses, signs and conditionals open at once.  Parsing,
-#: evaluation, rendering and normalization recurse once per level.
+#: compiling and rendering recurse once per level.
 MAX_DEPTH = 200
 
 # -- abstract syntax ----------------------------------------------------------
@@ -72,6 +78,8 @@ class MapSpec:
     m: int
     n: int
     outputs: tuple[Expr, ...]
+    #: the generated evaluator, compiled on the first eval_map
+    compiled: Optional[Callable] = field(default=None, init=False, compare=False, repr=False)
 
 
 # -- lexer --------------------------------------------------------------------
@@ -148,16 +156,14 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = list(_tokenize(text))
         self.pos = 0
+        self.cur = self.tokens[0]
         self.open = 0
-
-    @property
-    def cur(self) -> _Token:
-        return self.tokens[self.pos]
 
     def advance(self) -> _Token:
         tok = self.cur
         if tok.kind != "eof":
             self.pos += 1
+            self.cur = self.tokens[self.pos]
         return tok
 
     def error(self, message: str, expected: tuple[str, ...] = (), tok: _Token | None = None):
@@ -318,57 +324,158 @@ def parse_map(text: str) -> MapSpec:
 
 
 # -- evaluation ---------------------------------------------------------------
+#
+# One bottom-up pass: an affine node yields its form (coeffs, const, den), that is
+# (coeffs·x + const)/den in lowest terms with den > 0; any other node yields the
+# (p, q) source strings, each a product of integers and names, of its statements.
+
+_NEST = 32  # branches open in one generated function (Python refuses ~98 nested blocks)
 
 
-def eval_expr(expr: Expr, nums: tuple[int, ...], den: int) -> tuple[int, int]:
-    """Value of ``expr`` at the point nums/den (den > 0) as an unreduced pair
-    (p, q) with q > 0; a division by zero raises MapEvalError."""
-    kind = type(expr)
-    if kind is BinOp:
-        a, b = eval_expr(expr.left, nums, den)
-        c, d = eval_expr(expr.right, nums, den)
-        op = expr.op
-        if op == "+":
-            return (a + c, b) if b == d else (a * d + c * b, b * d)
-        if op == "-":
-            return (a - c, b) if b == d else (a * d - c * b, b * d)
+def _fold(op: str, left: tuple, right: tuple) -> Optional[tuple]:
+    """The form of ``left op right``, or None when it is not affine."""
+    (c1, k1, d1), (c2, k2, d2) = left, right
+    if op == "+" or op == "-":
+        s = 1 if op == "+" else -1
+        coeffs = [a * d2 + s * b * d1 for a, b in zip(c1, c2)]
+        const, den = k1 * d2 + s * k2 * d1, d1 * d2
+    elif op == "*":
+        if any(c1):
+            if any(c2):
+                return None
+            (c1, k1, d1), (c2, k2, d2) = right, left
+        coeffs, const, den = [k1 * c for c in c2], k1 * k2, d1 * d2
+    elif any(c2) or not k2:
+        return None
+    else:
+        s = d2 if k2 > 0 else -d2
+        coeffs, const, den = [s * c for c in c1], s * k1, abs(k2) * d1
+    if den == 1 or (g := math.gcd(*coeffs, const, den)) == 1:
+        return coeffs, const, den
+    return [c // g for c in coeffs], const // g, den // g
+
+
+def _lit(k: int) -> str:
+    return str(k) if -(10**18) < k < 10**18 else hex(k)  # hex has no digit limit
+
+
+def _mul(a: str, b: str) -> str:
+    return b if a == "1" else a if b == "1" else "0" if "0" in (a, b) else f"{a}*{b}"
+
+
+class _Emitter:
+    """One map's generated code; a conditional past _NEST is hoisted into a function."""
+
+    def __init__(self, m: int):
+        self.m, self.count, self.output, self.depth = m, 0, 0, 1
+        self.params = "".join(f"x{i}, " for i in range(m)) + "d"
+        self.funcs, self.lines = [], []  # hoisted functions; the body being emitted
+
+    def name(self) -> str:
+        self.count += 1
+        return f"t{self.count}"
+
+    def line(self, text: str) -> None:
+        self.lines.append(" " * self.depth + text)
+
+    def pair(self, value: tuple, bind: bool = True) -> tuple[str, str]:
+        """A form as one dot product over den*d, bound to a name unless
+        ``bind`` is false; a pair passes through."""
+        if len(value) == 2:
+            return value
+        coeffs, const, den = value
+        terms = [_mul(_lit(c), f"x{i}") for i, c in enumerate(coeffs) if c]
+        if not terms:
+            return _lit(const), _lit(den)
+        if const:
+            terms.append(_mul(_lit(const), "d"))
+        p = " + ".join(terms).replace("+ -", "- ")
+        if bind and len(terms) > 1:
+            self.line(f"{self.name()} = {p}")
+            p = f"t{self.count}"
+        return p, _mul(_lit(den), "d")
+
+    def visit(self, expr: Expr) -> tuple:
+        kind = type(expr)
+        if kind is Lit:
+            return [0] * self.m, expr.value.numerator, expr.value.denominator
+        if kind is Var:
+            return [0] * expr.index + [1] + [0] * (self.m - expr.index - 1), 0, 1
+        if kind is Neg:
+            sub = self.visit(expr.operand)
+            if len(sub) == 2:
+                return "-" + sub[0], sub[1]
+            return [-c for c in sub[0]], -sub[1], sub[2]
+        if kind is IfLe:
+            return self.hoist(expr) if self.depth >= _NEST else self.branch(expr)
+        left, right, op = self.visit(expr.left), self.visit(expr.right), expr.op
+        if len(left) == len(right) == 3 and (form := _fold(op, left, right)) is not None:
+            return form
+        (a, b), (c, e) = self.pair(left), self.pair(right)
+        p, q = self.name(), self.name()
         if op == "*":
-            return a * c, b * d
-        if c == 0:
-            raise MapEvalError("division by zero")
-        return (a * d, b * c) if c > 0 else (-a * d, -b * c)
-    if kind is Var:
-        return nums[expr.index], den
-    if kind is Lit:
-        v = expr.value
-        return v.numerator, v.denominator
-    if kind is Neg:
-        a, b = eval_expr(expr.operand, nums, den)
-        return -a, b
-    if kind is IfLe:
-        a, b = eval_expr(expr.guard_left, nums, den)
-        c, d = eval_expr(expr.guard_right, nums, den)
-        branch = expr.then_branch if a * d <= c * b else expr.else_branch
-        return eval_expr(branch, nums, den)
-    raise TypeError(f"not an expression: {expr!r}")
+            self.line(f"{p}, {q} = {_mul(a, c)}, {_mul(b, e)}")
+        elif op != "/":
+            if b != e:
+                a, c, b = _mul(a, e), _mul(c, b), _mul(b, e)
+            self.line(f"{p}, {q} = {a} {op} {c}, {b}")
+        else:
+            ae, bc = _mul(a, e), _mul(b, c)
+            self.line(f"if not {c}: raise ZeroDivisionError({self.output})")
+            self.line(f"{p}, {q} = ({ae}, {bc}) if {c} > 0 else (-{ae}, -{bc})")
+        return p, q
+
+    def branch(self, expr: IfLe) -> tuple:
+        left, right = self.visit(expr.guard_left), self.visit(expr.guard_right)
+        if len(left) == len(right) == 3 and not any(left[0]) and not any(right[0]):
+            taken = left[1] * right[2] <= right[1] * left[2]  # a constant guard folds
+            return self.visit(expr.then_branch if taken else expr.else_branch)
+        (a, b), (c, e) = self.pair(left), self.pair(right)
+        if b != e:
+            a, c = _mul(a, e), _mul(c, b)
+        p, q = self.name(), self.name()
+        for head, arm in ((f"if {a} <= {c}:", expr.then_branch), ("else:", expr.else_branch)):
+            self.line(head)
+            self.depth += 1
+            self.line("{}, {} = {}, {}".format(p, q, *self.pair(self.visit(arm), False)))
+            self.depth -= 1
+        return p, q
+
+    def hoist(self, expr: IfLe) -> tuple[str, str]:
+        p, q = self.name(), self.name()
+        outer, self.lines, self.depth = (self.lines, self.depth), [], 1
+        self.line("return {}, {}".format(*self.pair(self.branch(expr), False)))
+        self.funcs.append(f"def f{p[1:]}({self.params}):\n" + "\n".join(self.lines))
+        self.lines, self.depth = outer
+        self.line(f"{p}, {q} = f{p[1:]}({self.params})")
+        return p, q
+
+
+def _compile(spec: MapSpec) -> Callable:
+    """f(x, d): the (p, q) pair, q > 0, of every output at the point x/d; a
+    zero divisor on the path taken raises ZeroDivisionError(output index)."""
+    emitter, results = _Emitter(spec.m), []
+    for emitter.output, expr in enumerate(spec.outputs):
+        results.append("({}, {}),".format(*emitter.pair(emitter.visit(expr), False)))
+    head = f"def f(x, d):\n {emitter.params[:-1]}= x"
+    source = "\n".join(emitter.funcs + [head] + emitter.lines + [" return " + " ".join(results)])
+    namespace: dict = {}
+    exec(compile(source, "<colline map>", "exec"), namespace)
+    return namespace["f"]
 
 
 def eval_map(spec: MapSpec, x: Vector) -> Vector:
     """Exact evaluation; division by zero names the output index and input."""
-    if x.dim != spec.m:
+    if len(x.nums) != spec.m:
         raise DimensionMismatch(f"map {spec.name} takes dim {spec.m}, got {x.dim}")
-    nums, den = x.nums, x.den
-    pairs = []
-    for i, expr in enumerate(spec.outputs):
-        try:
-            pairs.append(eval_expr(expr, nums, den))
-        except MapEvalError as exc:
-            raise MapEvalError(
-                f"map {spec.name}: division by zero in output y{i} at input {x}",
-                output_index=i,
-                at=x,
-            ) from exc
-    return from_pairs(pairs)
+    if spec.compiled is None:
+        object.__setattr__(spec, "compiled", _compile(spec))
+    try:
+        return from_pairs(spec.compiled(x.nums, x.den))
+    except ZeroDivisionError as exc:  # raised by the generated code only
+        i = exc.args[0]
+        message = f"map {spec.name}: division by zero in output y{i} at input {x}"
+        raise MapEvalError(message, output_index=i, at=x) from None
 
 
 # -- rendering ----------------------------------------------------------------
@@ -430,65 +537,16 @@ def render_map_file(specs: list[MapSpec]) -> str:
 # -- symbolic affine detection ------------------------------------------------
 
 
-def _affine_form(expr: Expr, m: int) -> Optional[tuple[list[Fraction], Fraction]]:
-    """Normalize to (coefficients, constant) when the expression is affine.
+def symbolic_affine_form(spec: MapSpec) -> Optional[tuple[Matrix, Vector]]:
+    """Return (A, b) with the map equal to x ↦ A·x + b, when provable by
+    normalization.  None means "not recognized", never "not affine".
 
     Conservative: conditionals fold only on constant guards; an input-
     dependent guard is never recognized, even if both branches agree.
     """
-    if isinstance(expr, Lit):
-        return [Fraction(0)] * m, expr.value
-    if isinstance(expr, Var):
-        coeffs = [Fraction(0)] * m
-        coeffs[expr.index] = Fraction(1)
-        return coeffs, Fraction(0)
-    if isinstance(expr, Neg):
-        sub = _affine_form(expr.operand, m)
-        if sub is None:
-            return None
-        return [-c for c in sub[0]], -sub[1]
-    if isinstance(expr, BinOp):
-        left = _affine_form(expr.left, m)
-        right = _affine_form(expr.right, m)
-        if left is None or right is None:
-            return None
-        lc, lb = left
-        rc, rb = right
-        if expr.op == "+":
-            return [a + b for a, b in zip(lc, rc)], lb + rb
-        if expr.op == "-":
-            return [a - b for a, b in zip(lc, rc)], lb - rb
-        if expr.op == "*":
-            if all(c == 0 for c in lc):
-                return [lb * c for c in rc], lb * rb
-            if all(c == 0 for c in rc):
-                return [rb * c for c in lc], rb * lb
-            return None
-        if any(c != 0 for c in rc) or rb == 0:
-            return None
-        return [c / rb for c in lc], lb / rb
-    if isinstance(expr, IfLe):
-        gl = _affine_form(expr.guard_left, m)
-        gr = _affine_form(expr.guard_right, m)
-        if gl is None or gr is None:
-            return None
-        if any(c != 0 for c in gl[0]) or any(c != 0 for c in gr[0]):
-            return None
-        branch = expr.then_branch if gl[1] <= gr[1] else expr.else_branch
-        return _affine_form(branch, m)
-    raise TypeError(f"not an expression: {expr!r}")
-
-
-def symbolic_affine_form(spec: MapSpec) -> Optional[tuple[Matrix, Vector]]:
-    """Return (A, b) with the map equal to x ↦ A·x + b, when provable by
-    normalization.  None means "not recognized", never "not affine".
-    """
-    rows = []
-    consts = []
-    for expr in spec.outputs:
-        form = _affine_form(expr, spec.m)
-        if form is None:
-            return None
-        rows.append(tuple(form[0]))
-        consts.append(form[1])
-    return tuple(rows), Vector(consts)
+    emitter = _Emitter(spec.m)
+    forms = [emitter.visit(expr) for expr in spec.outputs]
+    if any(len(form) != 3 for form in forms):
+        return None
+    rows = tuple(tuple(Fraction(c, den) for c in coeffs) for coeffs, _, den in forms)
+    return rows, from_pairs([(const, den) for _, const, den in forms])

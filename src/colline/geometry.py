@@ -217,8 +217,26 @@ class Plane:
     def contains(self, p: Vector) -> bool:
         return _int_rank([self.dir1.nums, self.dir2.nums, (p - self.origin).nums]) == 2
 
-    def contains_line(self, line: Line) -> bool:
-        return self.contains(line.origin) and self.contains(line.origin + line.direction)
+    def canonical(self) -> tuple[Vector, Vector, Vector]:
+        """Canonical (origin, dir1, dir2): directions in reduced row echelon form,
+        the origin zero at their pivots."""
+        lead = lambda v: next(i for i, c in enumerate(v.nums) if c)
+        at = lambda v, i: Fraction(v.nums[i], v.den)
+        a, b = sorted((self.dir1, self.dir2), key=lead)
+        a = a * (1 / at(a, j := lead(a)))
+        b = b - at(b, j) * a
+        b = b * (1 / at(b, k := lead(b)))
+        a = a - at(a, k) * b
+        return self.origin - at(self.origin, j) * a - at(self.origin, k) * b, a, b
+
+    def __eq__(self, other) -> bool:
+        """The same point set, which has one canonical form."""
+        if not isinstance(other, Plane):
+            return NotImplemented
+        return self.dim == other.dim and self.canonical() == other.canonical()
+
+    def __hash__(self) -> int:
+        return hash(self.canonical())
 
     def __repr__(self) -> str:
         return f"Plane({self.origin!r}, {self.dir1!r}, {self.dir2!r})"

@@ -13,7 +13,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Mapping, Optional
 
-from .dsl import Expr, MapSpec, eval_expr, eval_map, parse_map, render_expr, symbolic_affine_form
+from .dsl import Expr, MapSpec, eval_map, parse_map, render_expr, symbolic_affine_form
 from .errors import ConstructionError, DimensionMismatch, MapEvalError
 from .field import (
     Matrix,
@@ -152,18 +152,18 @@ class Lemma23Map(MapHandle):
             raise DimensionMismatch(f"d0 dim {d0.dim} but declared output dim {n}")
         if not 0 <= e0_index < m:
             raise ConstructionError(f"coordinate index {e0_index} outside 0..{m - 1}")
-        if eval_expr(psi, (0,), 1)[0] != 0:
+        self.psi_spec = MapSpec("psi", 1, 1, (psi,))
+        if not eval_map(self.psi_spec, from_ints((0,), 1)).is_zero():
             raise ConstructionError("lemma23 scalar warp must fix 0 (psi(0) = 0)")
         super().__init__(m=m, n=n, name=name)
-        self.psi = psi
         self.e0_index = e0_index
         self.d0 = d0
 
     def __call__(self, x: Vector) -> Vector:
         self._check_input(x)
-        p, q = eval_expr(self.psi, (x.nums[self.e0_index],), x.den)
+        t = eval_map(self.psi_spec, from_ints((x.nums[self.e0_index],), x.den))
         d0 = self.d0
-        return from_ints([p * c for c in d0.nums], q * d0.den)
+        return from_ints([t.nums[0] * c for c in d0.nums], t.den * d0.den)
 
     def source(self):
         return {
@@ -172,7 +172,7 @@ class Lemma23Map(MapHandle):
             "n": self.n,
             "e0": self.e0_index,
             "d0": format_vector(self.d0),
-            "psi": render_expr(self.psi),
+            "psi": render_expr(self.psi_spec.outputs[0]),
         }
 
 

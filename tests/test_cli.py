@@ -233,6 +233,18 @@ class TestDeterminismAndRevalidation:
         dest.write_text(json.dumps(report))
         assert run(["--revalidate", str(dest)]) == 2
 
+    def test_revalidate_rechecks_the_phi_table(self, mapfile, tmp_path, capsys):
+        dest = tmp_path / "phi-table.json"
+        argv = ["classify", "--no-symbolic", mapfile("id.map", IDENTITY), "--probes", "60"]
+        assert run(argv + ["--out", str(dest)]) == 0
+        report = json.loads(dest.read_text())
+        assert report["classification"]["phi"]["entries"][2] == ["-1", "-1"]
+        report["classification"]["phi"]["entries"][2] = ["-1", "7"]
+        dest.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert run(["--revalidate", str(dest)]) == 2
+        assert "phi table: entry phi(-1) = 7 fails its anchor" in capsys.readouterr().err
+
     def test_phi_consistency_fail_on_translation_rechecks(self, mapfile, tmp_path, capsys):
         dest = tmp_path / "phi.json"
         argv = ["check", "phi-consistency", mapfile("t.map", TRANSLATE), "--probes", "60",

@@ -1,10 +1,18 @@
+import glob
+import io
 import math
+import os
+import random
+import re
+import tokenize
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from colline import dsl
 from colline.dsl import (
     MAX_DEPTH,
     BinOp,
@@ -23,6 +31,9 @@ from colline.dsl import (
 )
 from colline.errors import DimensionMismatch, MapEvalError, MapParseError
 from colline.field import Vector
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def vec(*values):
@@ -328,6 +339,114 @@ class TestIntegerEvaluation:
         got = eval_map(spec, x)
         assert got.coords == tuple(want)
         assert got.den > 0 and math.gcd(*got.nums, got.den) == 1
+
+
+def _nested_conditionals(seed: int) -> str:
+    """Conditionals nested MAX_DEPTH - 5 deep (the divisors open two more
+    levels), each in the guard, the then branch or the else branch."""
+    rng = random.Random(seed)
+    text = "if x0 <= 0 then x0 else 1"
+    for _ in range(MAX_DEPTH - 5):
+        k = rng.randint(-3, 3)
+        text = rng.choice((
+            f"if {text} <= {k} then x0 else 1/(x0 - {k})",
+            f"if x0 <= {k} then {text} else {k}*x0",
+            f"if x0 <= {k} then 2/(x0 - {k}) else {text}",
+        ))
+    return text
+
+
+def _generated_source(spec: MapSpec) -> str:
+    """The source compiled on the spec's first evaluation."""
+    with mock.patch.object(dsl, "compile", wraps=compile, create=True) as spy:
+        try:
+            eval_map(spec, Vector.zero(spec.m))
+        except MapEvalError:
+            pass
+    (source, *_), _ = spy.call_args
+    return source
+
+
+_SOURCE_NAMES = re.compile(r"(def|return|if|else|not|raise|ZeroDivisionError|[xdf]|[xtf]\d+)\Z")
+_SOURCE_NUMBERS = re.compile(r"(\d+|0x[0-9a-f]+)\Z")
+_SOURCE_OPS = {"+", "-", "*", "<=", ">", "==", "=", ",", "(", ")", ":"}
+
+
+def _assert_only_allowed_tokens(source: str) -> None:
+    layout = {tokenize.NEWLINE, tokenize.NL, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.NAME:
+            assert _SOURCE_NAMES.match(tok.string), tok
+        elif tok.type == tokenize.NUMBER:
+            assert _SOURCE_NUMBERS.match(tok.string), tok
+        elif tok.type == tokenize.OP:
+            assert tok.string in _SOURCE_OPS, tok
+        else:
+            assert tok.type in layout, tok
+
+
+class TestCompiledEvaluation:
+    @pytest.mark.parametrize("body", [
+        "if x0 <= " * (MAX_DEPTH - 2) + "if x0 <= 0 then x0 else 1" + " then 1 else 2" * (MAX_DEPTH - 2),
+        "if x0 <= 1 then " * (MAX_DEPTH - 2) + "if x0 <= 0 then x0 else 1" + " else 2" * (MAX_DEPTH - 2),
+        "if x0 <= 1 then 2 else " * (MAX_DEPTH - 2) + "if x0 <= 3 then x0 else 1",
+    ] + [_nested_conditionals(seed) for seed in range(4)],
+        ids=["guards", "then-branches", "else-branches"] + [f"mixed-{seed}" for seed in range(4)])
+    def test_deep_conditionals_past_the_hoisting_depth_match_the_reference(self, body):
+        spec = parse_map(DEEP_PREFIX + body + " }")
+        for x0 in [Fraction(k, 2) for k in range(-9, 10)]:
+            try:
+                want = _reference_eval(spec.outputs[0], (x0,))
+            except ZeroDivisionError:
+                with pytest.raises(MapEvalError) as info:
+                    eval_map(spec, vec(x0))
+                assert info.value.output_index == 0 and info.value.at == vec(x0)
+                continue
+            assert eval_map(spec, vec(x0)) == vec(want)
+
+    def test_hoisted_functions_appear_below_the_nesting_depth(self):
+        text = "if x0 <= 1 then " * (MAX_DEPTH - 2) + "x0" + " else 2" * (MAX_DEPTH - 2)
+        source = _generated_source(parse_map(DEEP_PREFIX + text + " }"))
+        assert source.count("def ") > 1
+        assert max(len(line) - len(line.lstrip(" ")) for line in source.splitlines()) < 90
+        compile(source, "<test>", "exec")
+
+    def test_zero_divisor_raises_only_at_evaluation_on_the_branch_taken(self):
+        spec = parse_map("map z : 1 -> 1 { y0 = 1/0 }")
+        assert spec.compiled is None
+        with pytest.raises(MapEvalError) as info:
+            eval_map(spec, vec(3))
+        assert spec.compiled is not None  # it compiled; evaluating raised
+        assert str(info.value) == "map z: division by zero in output y0 at input (3)"
+        never = parse_map("map n : 1 -> 1 { y0 = if 1 <= 0 then 1/0 else x0 }")
+        for x in (-1, 0, "5/2"):
+            assert eval_map(never, vec(x)) == vec(x)
+        second = parse_map("map s : 1 -> 2 { y0 = x0; y1 = if x0 <= 0 then 1/x0 else x0 }")
+        assert eval_map(second, vec(-2)) == vec(-2, "-1/2")
+        with pytest.raises(MapEvalError) as info:
+            eval_map(second, vec(0))
+        assert info.value.output_index == 1
+
+    def test_demo_sources_compile_to_allowed_tokens_only(self):
+        for path in sorted(glob.glob(os.path.join(ROOT, "demos", "*.map"))):
+            with open(path, encoding="utf-8") as fh:
+                for spec in parse_map_file(fh.read()):
+                    _assert_only_allowed_tokens(_generated_source(spec))
+
+    @given(st.lists(_expr_strategy(2), min_size=1, max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_random_maps_compile_to_allowed_tokens_only(self, outputs):
+        spec = MapSpec("import_os", 2, len(outputs), tuple(outputs))
+        _assert_only_allowed_tokens(_generated_source(spec))
+
+    def test_spec_equality_hash_and_repr_ignore_the_compiled_function(self):
+        text = "map f : 2 -> 1 { y0 = if x0 <= x1 then x0 else 1/x1 }"
+        fresh, used = parse_map(text), parse_map(text)
+        assert eval_map(used, vec(1, 2)) == vec(1)
+        compiled = used.compiled
+        assert compiled is not None and fresh.compiled is None
+        assert fresh == used and hash(fresh) == hash(used) and repr(fresh) == repr(used)
+        assert eval_map(used, vec(3, 2)) == vec("1/2") and used.compiled is compiled
 
 
 _FUZZ_TOKENS = (

@@ -10,6 +10,7 @@ from colline.field import Vector, linearly_independent
 from colline.geometry import (
     Crossing,
     Line,
+    Plane,
     containing_plane,
     crossing_line,
     divides_in_ratio,
@@ -198,7 +199,7 @@ class TestParallel:
             return
         plane = containing_plane(l0, l1)
         assert plane is not None
-        assert plane.contains_line(l0) and plane.contains_line(l1)
+        assert all(plane.contains(p) for p in (o0, o0 + d0, o1, o1 + d0))
         assert line_intersection(l0, l1) is None
 
     @given(vec2, vec2, vec2)
@@ -238,6 +239,26 @@ class TestPlane:
         base = plane_through(Vector.of(0, 0, 0), Vector.of(1, 0, 0), Vector.of(1, 1, 1))
         assert base.contains(pl.point_at(u, v))
         assert pl.contains(base.point_at(u, v))
+
+    @given(st.permutations([Vector.of(0, 0, 0), Vector.of(1, 0, 0), Vector.of(1, 1, 1)]),
+           st.tuples(*[rationals] * 4).filter(lambda t: t[0] * t[3] != t[1] * t[2]))
+    @settings(max_examples=40)
+    def test_equality_and_hash_follow_the_point_set(self, pts, coeffs):
+        base = plane_through(Vector.of(0, 0, 0), Vector.of(1, 0, 0), Vector.of(1, 1, 1))
+        pl = plane_through(*pts)
+        a, b, c, d = coeffs
+        moved = Plane(base.point_at(b, c), a * base.dir1 + b * base.dir2,
+                      c * base.dir1 + d * base.dir2)
+        for same in (pl, moved):
+            assert same == base and hash(same) == hash(base)
+
+    def test_different_point_sets_differ(self):
+        base = plane_through(vec(0, 0, 0), vec(1, 0, 0), vec(0, 1, 0))
+        shifted = Plane(vec(0, 0, 1), base.dir1, base.dir2)
+        tilted = Plane(base.origin, base.dir1, vec(0, 1, 1))
+        assert base != shifted and base != tilted and shifted != tilted
+        assert base != plane_through(vec(0, 0), vec(1, 0), vec(0, 1))
+        assert base != Line(vec(0, 0, 0), vec(1, 0, 0))
 
 
 class TestLineIntersection:

@@ -11,8 +11,22 @@ import pytest
 from colline.cli import run
 from colline.dsl import parse_map, parse_map_file
 from colline.engine import classify_map
-from colline.predicates import ProbeConfig, check_additivity, revalidate_witness
-from colline.serialize import CERTIFICATE, CLASSIFICATION, OUTCOME, PHI_TABLE
+from colline.field import Vector
+from colline.geometry import Plane
+from colline.predicates import (
+    ProbeConfig,
+    check_additivity,
+    classify_plane_image,
+    revalidate_witness,
+)
+from colline.serialize import (
+    CERTIFICATE,
+    CLASSIFICATION,
+    OUTCOME,
+    PHI_TABLE,
+    from_jsonable,
+    to_jsonable,
+)
 from colline.zoo import make_dsl, parse_builtin
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -76,6 +90,14 @@ class TestRoundTrip:
         assert clone.check == "reduced:additivity"
         assert clone.witness.check == "additivity"
         assert revalidate_witness(f, clone.witness)
+
+    def test_failing_plane_image_outcome_holds_an_equal_plane(self):
+        f = make_dsl(parse_map("map g : 3 -> 3 { y0 = x0*x0; y1 = x1; y2 = x2 }"))
+        plane = Plane(Vector.of(0, 0, 0), Vector.of(1, 0, 0), Vector.of(0, 1, 0))
+        outcome = classify_plane_image(f, plane, ProbeConfig(seed=1, count=30)).outcome
+        assert not outcome.passed and dict(outcome.witness.inputs)["plane"] == plane
+        assert OUTCOME.decode(OUTCOME.encode(outcome)) == outcome
+        assert from_jsonable(to_jsonable(plane)) == plane
 
 
 # keys that a stored report may lack, each read with a default
