@@ -24,9 +24,10 @@ same pass that gives ``symbolic_affine_form`` its (A, b).
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .errors import DimensionMismatch, MapEvalError, MapParseError
 from .field import MAX_DIM, Matrix, Vector, format_scalar, from_pairs
@@ -85,68 +86,44 @@ class MapSpec:
 # -- lexer --------------------------------------------------------------------
 
 _KEYWORDS = {"map", "if", "then", "else"}
-_PUNCT2 = ("->", "<=")
-_PUNCT1 = ":{};=+-*/()"
-_DIGITS = frozenset("0123456789")  # ASCII only: str.isdigit also accepts "²" and "٣"
-_NAME_CHARS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_") | _DIGITS
-_NESTING = {("punct", "-"), ("punct", "("), ("name", "if")}  # factors that recurse
+_NESTING = ("-", "(", "if")  # factors that recurse
+
+# One pattern lexes the language: blanks, then one comment or token.  Names
+# and integers are ASCII only (str.isdigit also accepts "²" and "٣").  "bad"
+# takes any other character and \Z the end, so no match ever backtracks.
+_LEXEME = re.compile(
+    r"[ \t\r\n]*(?:(?P<comment>#[^\n]*)|(?P<punct>->|<=|[:{};=+\-*/()])"
+    r"|(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<bad>.)|\Z)",
+    re.S,
+)
 
 
 class _Token(NamedTuple):
     kind: str  # name | int | punct | eof
     text: str
-    line: int
-    col: int
+    pos: int  # offset in the source text
 
 
-def _tokenize(text: str) -> Iterator[_Token]:
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        two = text[i : i + 2]
-        if two in _PUNCT2:
-            yield _Token("punct", two, line, start_col)
-            i += 2
-            col += 2
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            yield _Token("int", text[i:j], line, start_col)
-            col += j - i
-            i = j
-            continue
-        if ch in _NAME_CHARS:
-            j = i
-            while j < n and text[j] in _NAME_CHARS:
-                j += 1
-            yield _Token("name", text[i:j], line, start_col)
-            col += j - i
-            i = j
-            continue
-        if ch in _PUNCT1:
-            yield _Token("punct", ch, line, start_col)
-            i += 1
-            col += 1
-            continue
-        raise MapParseError(f"unexpected character {ch!r}", line, start_col)
-    yield _Token("eof", "", line, col)
+def _position(text: str, pos: int) -> tuple[int, int]:
+    """The 1-based (line, column) of an offset; every character is one column."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+
+
+def _tokenize(text: str) -> list[_Token]:
+    """All tokens, then eof; end of input sits where a final comment starts."""
+    tokens, end = [], len(text)
+    for m in _LEXEME.finditer(text):
+        kind = m.lastgroup
+        if kind == "comment":
+            if m.end() == len(text):
+                end = m.start(kind)
+        elif kind == "bad":
+            line, col = _position(text, m.start(kind))
+            raise MapParseError(f"unexpected character {m[kind]!r}", line, col)
+        elif kind is not None:
+            tokens.append(_Token(kind, m[kind], m.start(kind)))
+    tokens.append(_Token("eof", "", end))
+    return tokens
 
 
 # -- parser -------------------------------------------------------------------
@@ -154,7 +131,8 @@ def _tokenize(text: str) -> Iterator[_Token]:
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = list(_tokenize(text))
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
         self.cur = self.tokens[0]
         self.open = 0
@@ -168,32 +146,18 @@ class _Parser:
 
     def error(self, message: str, expected: tuple[str, ...] = (), tok: _Token | None = None):
         tok = tok or self.cur
-        raise MapParseError(message, tok.line, tok.col, expected)
+        raise MapParseError(message, *_position(self.text, tok.pos), expected)
 
-    def expect_punct(self, text: str) -> _Token:
-        tok = self.cur
-        if tok.kind != "punct" or tok.text != text:
-            self.error(f"found {self.describe(tok)}", expected=(repr(text),))
+    def take(self, ok: bool, *expected: str) -> _Token:
+        """Consume the current token if ``ok``, else fail naming what was expected."""
+        if not ok:
+            found = "end of input" if self.cur.kind == "eof" else repr(self.cur.text)
+            self.error(f"found {found}", expected)
         return self.advance()
 
-    def expect_keyword(self, word: str) -> _Token:
-        tok = self.cur
-        if tok.kind != "name" or tok.text != word:
-            self.error(f"found {self.describe(tok)}", expected=(repr(word),))
-        return self.advance()
-
-    def expect_int(self, what: str) -> tuple[int, _Token]:
-        tok = self.cur
-        if tok.kind != "int":
-            self.error(f"found {self.describe(tok)}", expected=(what,))
-        self.advance()
-        return int(tok.text), tok
-
-    @staticmethod
-    def describe(tok: _Token) -> str:
-        if tok.kind == "eof":
-            return "end of input"
-        return repr(tok.text)
+    def expect(self, text: str) -> _Token:
+        """The punctuation or keyword ``text`` (no keyword is punctuation)."""
+        return self.take(self.cur.text == text, repr(text))
 
     # file := mapdef+
     def parse_file(self) -> list[MapSpec]:
@@ -203,20 +167,18 @@ class _Parser:
         return specs
 
     def parse_mapdef(self) -> MapSpec:
-        self.expect_keyword("map")
-        name_tok = self.cur
-        if name_tok.kind != "name" or name_tok.text in _KEYWORDS:
-            self.error(f"found {self.describe(name_tok)}", expected=("map name",))
-        self.advance()
-        self.expect_punct(":")
-        m, m_tok = self.expect_int("input dimension")
-        if not 1 <= m <= MAX_DIM:
+        self.expect("map")
+        cur = self.cur
+        name_tok = self.take(cur.kind == "name" and cur.text not in _KEYWORDS, "map name")
+        self.expect(":")
+        m_tok = self.take(self.cur.kind == "int", "input dimension")
+        if not 1 <= (m := int(m_tok.text)) <= MAX_DIM:
             self.error(f"input dimension {m} outside 1..{MAX_DIM}", tok=m_tok)
-        self.expect_punct("->")
-        n, n_tok = self.expect_int("output dimension")
-        if not 1 <= n <= MAX_DIM:
+        self.expect("->")
+        n_tok = self.take(self.cur.kind == "int", "output dimension")
+        if not 1 <= (n := int(n_tok.text)) <= MAX_DIM:
             self.error(f"output dimension {n} outside 1..{MAX_DIM}", tok=n_tok)
-        self.expect_punct("{")
+        self.expect("{")
         outputs: dict[int, Expr] = {}
         while True:
             idx, idx_tok, expr = self.parse_output(m)
@@ -225,14 +187,13 @@ class _Parser:
             if idx >= n:
                 self.error(f"output index {idx} out of range for {n} outputs", tok=idx_tok)
             outputs[idx] = expr
-            if self.cur.kind == "punct" and self.cur.text == ";":
-                self.advance()
-                if self.cur.kind == "punct" and self.cur.text == "}":
-                    break
-                continue
-            break
+            if self.cur.text != ";":
+                break
+            self.advance()
+            if self.cur.text == "}":
+                break
         close = self.cur
-        self.expect_punct("}")
+        self.expect("}")
         if len(outputs) != n:
             missing = [f"y{i}" for i in range(n) if i not in outputs]
             self.error(
@@ -243,12 +204,10 @@ class _Parser:
         return MapSpec(name_tok.text, m, n, tuple(outputs[i] for i in range(n)))
 
     def parse_output(self, m: int) -> tuple[int, _Token, Expr]:
-        tok = self.cur
-        if tok.kind != "name" or not _is_indexed(tok.text, "y"):
-            self.error(f"found {self.describe(tok)}", expected=("output name y<i>",))
-        self.advance()
+        cur = self.cur
+        tok = self.take(cur.kind == "name" and _is_indexed(cur.text, "y"), "output name y<i>")
         idx = int(tok.text[1:])
-        self.expect_punct("=")
+        self.expect("=")
         return idx, tok, self.parse_expr(m)[0]
 
     def deeper(self, depth: int, tok: _Token) -> int:
@@ -278,26 +237,21 @@ class _Parser:
                 self.error(f"variable index {idx} out of range", tok=tok)
             self.advance()
             return Var(idx), 1
-        if (tok.kind, tok.text) not in _NESTING:
-            self.error(
-                f"found {self.describe(tok)}",
-                expected=("rational literal", "variable x<i>", "'-'", "'('", "'if'"),
-            )
+        self.take(tok.text in _NESTING, "rational literal", "variable x<i>", "'-'", "'('", "'if'")
         self.open = self.deeper(self.open, tok)
-        self.advance()
         if tok.text == "-":
             node, height = self.parse_factor(m)
             node, height = Neg(node), self.deeper(height, tok)
         elif tok.text == "(":
             node, height = self.parse_expr(m)
-            self.expect_punct(")")
+            self.expect(")")
         else:
             left, h0 = self.parse_expr(m)
-            self.expect_punct("<=")
+            self.expect("<=")
             right, h1 = self.parse_expr(m)
-            self.expect_keyword("then")
+            self.expect("then")
             then_branch, h2 = self.parse_expr(m)
-            self.expect_keyword("else")
+            self.expect("else")
             else_branch, h3 = self.parse_expr(m)
             node = IfLe(left, right, then_branch, else_branch)
             height = self.deeper(max(h0, h1, h2, h3), tok)

@@ -11,6 +11,7 @@ without re-running the construction.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -82,18 +83,15 @@ def extract_phi(f: MapHandle, a: Vector, r) -> Fraction:
     return s
 
 
-def _violation_phi_extract(f: MapHandle):
-    def violation(inp):
-        a, r = inp["a"], inp["r"]
-        fa = f(a)
-        if fa.is_zero():
-            return _SKIP
-        fra = f(r * a)
-        if collinearity_scalar(fra, fa) is None:
-            return {"f(a)": fa, "f(r*a)": fra}
-        return None
-
-    return violation
+def _violation_phi_extract(f: MapHandle, inp: dict):
+    a, r = inp["a"], inp["r"]
+    fa = f(a)
+    if fa.is_zero():
+        return _SKIP
+    fra = f(r * a)
+    if collinearity_scalar(fra, fa) is None:
+        return {"f(a)": fa, "f(r*a)": fra}
+    return None
 
 
 @dataclass(frozen=True)
@@ -151,21 +149,18 @@ def _phi_table(f: MapHandle, anchor: Vector, keys) -> PhiTable:
     return PhiTable(tuple(table.items()), tuple((r, anchor) for r in table))
 
 
-def _violation_phi_consistency(f: MapHandle):
-    def violation(inp):
-        a, other, r = inp["a"], inp["a'"], inp["r"]
-        if f(a).is_zero() or f(other).is_zero():
-            return _SKIP
-        try:
-            phi_a = extract_phi(f, a, r)
-            phi_other = extract_phi(f, other, r)
-        except ViolationError as exc:
-            return dict(exc.witness.values)
-        if phi_a != phi_other:
-            return {"phi0(a,r)": phi_a, "phi0(a',r)": phi_other}
-        return None
-
-    return violation
+def _violation_phi_consistency(f: MapHandle, inp: dict):
+    a, other, r = inp["a"], inp["a'"], inp["r"]
+    if f(a).is_zero() or f(other).is_zero():
+        return _SKIP
+    try:
+        phi_a = extract_phi(f, a, r)
+        phi_other = extract_phi(f, other, r)
+    except ViolationError as exc:
+        return dict(exc.witness.values)
+    if phi_a != phi_other:
+        return {"phi0(a,r)": phi_a, "phi0(a',r)": phi_other}
+    return None
 
 
 def phi_consistency(
@@ -189,7 +184,7 @@ def phi_consistency(
     a0, a1 = ind
     fa0 = f(a0)
     sampler = _Sampler(cfg)
-    n = max(4, int(cfg.count ** 0.5))
+    n = max(4, math.isqrt(cfg.count))
     rs = [Fraction(0), Fraction(1), Fraction(-1)]
     while len(rs) < n:
         rs.append(sampler.scalar())
@@ -699,41 +694,35 @@ def _collapsing_plane_certificate(builder: _CertBuilder, a: Vector, b: Vector) -
     return builder.seal()
 
 
-def _violation_certificate(f: MapHandle):
-    def violation(inp):
-        kind = inp["kind"]
-        ind = (inp["i0"], inp["i1"]) if "i0" in inp else None
-        try:
-            if kind == "homogeneity":
-                homogeneity_certificate(f, inp["a"], inp["b"], inp["r"])
-            else:
-                additivity_certificate(f, inp["a"], inp["b"], ind)
-        except ViolationError as exc:
-            return {"failing fact": str(exc)}
-        except PreconditionError:
-            return _SKIP
-        return None
-
-    return violation
+def _violation_certificate(f: MapHandle, inp: dict):
+    kind = inp["kind"]
+    ind = (inp["i0"], inp["i1"]) if "i0" in inp else None
+    try:
+        if kind == "homogeneity":
+            homogeneity_certificate(f, inp["a"], inp["b"], inp["r"])
+        else:
+            additivity_certificate(f, inp["a"], inp["b"], ind)
+    except ViolationError as exc:
+        return {"failing fact": str(exc)}
+    except PreconditionError:
+        return _SKIP
+    return None
 
 
 # -- collapsed-summand scenario ------------------------------------------------------
 
 
-def _violation_lemma32(f: MapHandle):
-    def violation(inp):
-        a, b = inp["a"], inp["b"]
-        if a.is_zero() or b.is_zero():
-            return _SKIP
-        fa, fb = f(a), f(b)
-        if not fa.is_zero() or fb.is_zero():
-            return _SKIP
-        fab = f(a + b)
-        if fab != fb:
-            return {"f(a+b)": fab, "f(b)": fb}
-        return None
-
-    return violation
+def _violation_lemma32(f: MapHandle, inp: dict):
+    a, b = inp["a"], inp["b"]
+    if a.is_zero() or b.is_zero():
+        return _SKIP
+    fa, fb = f(a), f(b)
+    if not fa.is_zero() or fb.is_zero():
+        return _SKIP
+    fab = f(a + b)
+    if fab != fb:
+        return {"f(a+b)": fab, "f(b)": fb}
+    return None
 
 
 def lemma32_check(f: MapHandle, a: Vector, b: Vector) -> CheckOutcome:
@@ -760,15 +749,12 @@ class DichotomyResult:
     checks: tuple[CheckOutcome, ...]
 
 
-def _violation_scalar_dichotomy(f: MapHandle):
-    def violation(inp):
-        r = inp["r"]
-        val = f(Vector((r,))).coords[0]
-        if val != 0 and val != r:
-            return {"h(r)": val}
-        return None
-
-    return violation
+def _violation_scalar_dichotomy(f: MapHandle, inp: dict):
+    r = inp["r"]
+    val = f(Vector((r,))).coords[0]
+    if val != 0 and val != r:
+        return {"h(r)": val}
+    return None
 
 
 def scalar_dichotomy(h: MapHandle, cfg: ProbeConfig) -> DichotomyResult:
@@ -794,7 +780,7 @@ def scalar_dichotomy(h: MapHandle, cfg: ProbeConfig) -> DichotomyResult:
     if witness is None:
         r = next(r for r, v in values.items() if v != 0 and v != r)
         row = CHECKS["scalar-dichotomy"]
-        witness = row.shrunk_witness(row.violation(h), {"r": r})
+        witness = row.shrunk_witness(h, {"r": r})
     return DichotomyResult("fail", witness, checks)
 
 
@@ -809,26 +795,23 @@ class PhiPipelineResult:
     dichotomy: Optional[str]  # "zero" | "identity" | "mixed" | None
 
 
-def _violation_phi_add_mult(f: MapHandle):
-    def violation(inp):
-        a, r, s = inp["a"], inp["r"], inp["s"]
-        fa = f(a)
-        if fa.is_zero():
-            return _SKIP
-        fra, fsa = f(r * a), f(s * a)
-        frpsa, frsa = f((r + s) * a), f((r * s) * a)
-        phis = [collinearity_scalar(img, fa) for img in (fra, fsa, frpsa, frsa)]
-        if any(p is None for p in phis):
-            return {"f(a)": fa, "off-ray image": next(img for img, p in
-                    zip((fra, fsa, frpsa, frsa), phis) if p is None)}
-        phi_r, phi_s, phi_rps, phi_rs = phis
-        if frsa != phi_r * fsa or phi_rs != phi_r * phi_s:
-            return {"phi(r*s)": phi_rs, "phi(r)*phi(s)": phi_r * phi_s}
-        if frpsa != fra + fsa or phi_rps != phi_r + phi_s:
-            return {"f((r+s)*a)": frpsa, "f(r*a)+f(s*a)": fra + fsa}
-        return None
-
-    return violation
+def _violation_phi_add_mult(f: MapHandle, inp: dict):
+    a, r, s = inp["a"], inp["r"], inp["s"]
+    fa = f(a)
+    if fa.is_zero():
+        return _SKIP
+    fra, fsa = f(r * a), f(s * a)
+    frpsa, frsa = f((r + s) * a), f((r * s) * a)
+    phis = [collinearity_scalar(img, fa) for img in (fra, fsa, frpsa, frsa)]
+    if any(p is None for p in phis):
+        return {"f(a)": fa, "off-ray image": next(img for img, p in
+                zip((fra, fsa, frpsa, frsa), phis) if p is None)}
+    phi_r, phi_s, phi_rps, phi_rs = phis
+    if frsa != phi_r * fsa or phi_rs != phi_r * phi_s:
+        return {"phi(r*s)": phi_rs, "phi(r)*phi(s)": phi_r * phi_s}
+    if frpsa != fra + fsa or phi_rps != phi_r + phi_s:
+        return {"f((r+s)*a)": frpsa, "f(r*a)+f(s*a)": fra + fsa}
+    return None
 
 
 def phi_dichotomy_pipeline(f: MapHandle, cfg: ProbeConfig) -> PhiPipelineResult:
@@ -903,16 +886,13 @@ def affine_reduce(g: MapHandle, witnesses: tuple[Vector, Vector, Vector]) -> Map
     return shift_reduce(g, a_star)
 
 
-def _violation_affine_reconstruction(g: MapHandle):
-    def violation(inp):
-        x, a_star = inp["x"], inp["a*"]
-        lhs = g(x)
-        rhs = (g(x + a_star) - g(a_star)) + g(Vector.zero(g.m))
-        if lhs != rhs:
-            return {"g(x)": lhs, "f(x) + g(0)": rhs}
-        return None
-
-    return violation
+def _violation_affine_reconstruction(g: MapHandle, inp: dict):
+    x, a_star = inp["x"], inp["a*"]
+    lhs = g(x)
+    rhs = (g(x + a_star) - g(a_star)) + g(Vector.zero(g.m))
+    if lhs != rhs:
+        return {"g(x)": lhs, "f(x) + g(0)": rhs}
+    return None
 
 
 def check_affine_reconstruction(

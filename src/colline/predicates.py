@@ -30,6 +30,10 @@ from .geometry import Line, Plane, divides_in_ratio, in_interval, line_through, 
 from .zoo import MapHandle
 
 
+#: Largest probe count accepted; a larger stream would not end in reasonable time.
+MAX_PROBES = 10**6
+
+
 @dataclass(frozen=True)
 class ProbeConfig:
     """Deterministic probe stream parameters."""
@@ -42,6 +46,8 @@ class ProbeConfig:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("probe count must be positive")
+        if self.count > MAX_PROBES:
+            raise ValueError(f"probe count must be at most {MAX_PROBES}")
         if self.coordinate_range < 1:
             raise ValueError("coordinate range must be positive")
         if self.params_per_line < 3:
@@ -146,8 +152,8 @@ def _rebuild(val, scalars: list):
     return tuple(scalars)
 
 
-def _shrink(inputs: dict, violation) -> dict:
-    """Halve witness numerators while the violation persists."""
+def _shrink(violation, f: MapHandle, inputs: dict) -> dict:
+    """Halve witness numerators while ``violation(f, inputs)`` persists."""
     changed = True
     while changed:
         changed = False
@@ -163,7 +169,7 @@ def _shrink(inputs: dict, violation) -> dict:
                 except (DegenerateGeometry, DimensionMismatch):
                     continue
                 try:
-                    result = violation(cand_inputs)
+                    result = violation(f, cand_inputs)
                 except MapEvalError:
                     continue
                 if isinstance(result, dict):
@@ -179,9 +185,9 @@ def _shrink(inputs: dict, violation) -> dict:
 class Check:
     """One row of the check table (``CHECKS``).
 
-    ``violation(f)`` builds the closure that judges one probe: None when the
+    ``violation(f, inputs)`` judges one probe of the map f: None when the
     equation holds, ``_SKIP`` when the probe does not apply, otherwise a dict
-    of both sides.  The same closure drives checking, witness shrinking and
+    of both sides.  The same function drives checking, witness shrinking and
     report revalidation.  ``stream(f, cfg)`` yields the default probes (None
     for a drawn sample that is unusable); rows without one are driven with a
     caller's stream or by an algorithm of their own.
@@ -189,7 +195,7 @@ class Check:
 
     name: str
     equation: str
-    violation: Callable[[MapHandle], Callable[[dict], object]]
+    violation: Callable[[MapHandle, dict], object]
     stream: Optional[Callable[[MapHandle, ProbeConfig], Iterable[Optional[dict]]]] = None
 
     def witness(self, inputs: dict, values: dict, equation: Optional[str] = None) -> Witness:
@@ -197,9 +203,9 @@ class Check:
             self.name, equation or self.equation, tuple(inputs.items()), tuple(values.items())
         )
 
-    def shrunk_witness(self, violation, inputs: dict) -> Witness:
-        inputs = _shrink(inputs, violation)
-        return self.witness(inputs, violation(inputs))
+    def shrunk_witness(self, f: MapHandle, inputs: dict) -> Witness:
+        inputs = _shrink(self.violation, f, inputs)
+        return self.witness(inputs, self.violation(f, inputs))
 
 
 def run_check(
@@ -208,7 +214,7 @@ def run_check(
     """Feed the probes of ``stream(f, cfg)`` (default: the row's stream) to
     the row's violation; the first violated probe is shrunk into the Fail
     witness, and an evaluation error becomes ProbeEvaluationError."""
-    violation = row.violation(f)
+    violation = row.violation
     probes = 0
     skipped = 0
     for inputs in (stream or row.stream)(f, cfg):
@@ -216,7 +222,7 @@ def run_check(
             skipped += 1
             continue
         try:
-            result = violation(inputs)
+            result = violation(f, inputs)
         except MapEvalError as exc:
             raise ProbeEvaluationError(row.name, inputs, exc) from exc
         if result is _SKIP:
@@ -224,7 +230,7 @@ def run_check(
             continue
         probes += 1
         if result is not None:
-            witness = row.shrunk_witness(violation, inputs)
+            witness = row.shrunk_witness(f, inputs)
             return CheckOutcome(row.name, False, probes, witness, skipped)
     return CheckOutcome(row.name, True, probes, None, skipped)
 
@@ -257,7 +263,7 @@ def revalidate_witness(f: MapHandle, witness: Witness) -> bool:
     if row is None:
         return False
     try:
-        result = row.violation(f)(dict(witness.inputs))
+        result = row.violation(f, dict(witness.inputs))
     except (CollineError, KeyError, ValueError, TypeError):
         return False
     return isinstance(result, dict)
@@ -266,47 +272,38 @@ def revalidate_witness(f: MapHandle, witness: Witness) -> bool:
 # -- homogeneity / additivity / zero ------------------------------------------
 
 
-def _violation_homogeneity(f: MapHandle):
-    def violation(inp):
-        a, c = inp["a"], inp["c"]
-        lhs = f(c * a)
-        rhs = c * f(a)
-        if lhs != rhs:
-            return {"f(c*a)": lhs, "c*f(a)": rhs}
-        return None
-
-    return violation
+def _violation_homogeneity(f: MapHandle, inp: dict):
+    a, c = inp["a"], inp["c"]
+    lhs = f(c * a)
+    rhs = c * f(a)
+    if lhs != rhs:
+        return {"f(c*a)": lhs, "c*f(a)": rhs}
+    return None
 
 
 def check_homogeneity(f: MapHandle, cfg: ProbeConfig) -> CheckOutcome:
     return run_check(CHECKS["homogeneity"], f, cfg)
 
 
-def _violation_additivity(f: MapHandle):
-    def violation(inp):
-        a, b = inp["a"], inp["b"]
-        lhs = f(a + b)
-        rhs = f(a) + f(b)
-        if lhs != rhs:
-            return {"f(a+b)": lhs, "f(a)+f(b)": rhs}
-        return None
-
-    return violation
+def _violation_additivity(f: MapHandle, inp: dict):
+    a, b = inp["a"], inp["b"]
+    lhs = f(a + b)
+    rhs = f(a) + f(b)
+    if lhs != rhs:
+        return {"f(a+b)": lhs, "f(a)+f(b)": rhs}
+    return None
 
 
 def check_additivity(f: MapHandle, cfg: ProbeConfig) -> CheckOutcome:
     return run_check(CHECKS["additivity"], f, cfg)
 
 
-def _violation_zero_fixed(f: MapHandle):
-    def violation(inp):
-        x = inp["x"]
-        fx = f(x)
-        if not fx.is_zero():
-            return {"f(0)": fx, "0": Vector.zero(f.n)}
-        return None
-
-    return violation
+def _violation_zero_fixed(f: MapHandle, inp: dict):
+    x = inp["x"]
+    fx = f(x)
+    if not fx.is_zero():
+        return {"f(0)": fx, "0": Vector.zero(f.n)}
+    return None
 
 
 def check_zero_fixed(f: MapHandle) -> CheckOutcome:
@@ -325,21 +322,18 @@ def _draw_line(f: MapHandle, cfg: ProbeConfig, s: _Sampler) -> dict:
     return {"line": s.line(f.m), "params": s.params(cfg.params_per_line)}
 
 
-def _violation_line_image(f: MapHandle):
-    def violation(inp):
-        line, params = inp["line"], inp["params"]
-        _, imgs = _line_points_images(f, line, params)
-        if affine_rank(imgs) <= 1:
-            return None
-        for i, j, k in combinations(range(len(imgs)), 3):
-            if affine_rank([imgs[i], imgs[j], imgs[k]]) == 2:
-                return {
-                    "witness params": (params[i], params[j], params[k]),
-                    "images": (imgs[i], imgs[j], imgs[k]),
-                }
+def _violation_line_image(f: MapHandle, inp: dict):
+    line, params = inp["line"], inp["params"]
+    _, imgs = _line_points_images(f, line, params)
+    if affine_rank(imgs) <= 1:
         return None
-
-    return violation
+    for i, j, k in combinations(range(len(imgs)), 3):
+        if affine_rank([imgs[i], imgs[j], imgs[k]]) == 2:
+            return {
+                "witness params": (params[i], params[j], params[k]),
+                "images": (imgs[i], imgs[j], imgs[k]),
+            }
+    return None
 
 
 def check_line_image(f: MapHandle, cfg: ProbeConfig) -> CheckOutcome:
@@ -352,22 +346,19 @@ def check_line_image(f: MapHandle, cfg: ProbeConfig) -> CheckOutcome:
     return run_check(CHECKS["line-image"], f, cfg)
 
 
-def _violation_line_injectivity(f: MapHandle):
-    def violation(inp):
-        line, params = inp["line"], inp["params"]
-        _, imgs = _line_points_images(f, line, params)
-        if affine_rank(imgs) != 1:
-            return _SKIP
-        for i, j in combinations(range(len(imgs)), 2):
-            if params[i] != params[j] and imgs[i] == imgs[j]:
-                return {
-                    "t0": params[i],
-                    "t1": params[j],
-                    "common image": imgs[i],
-                }
-        return None
-
-    return violation
+def _violation_line_injectivity(f: MapHandle, inp: dict):
+    line, params = inp["line"], inp["params"]
+    _, imgs = _line_points_images(f, line, params)
+    if affine_rank(imgs) != 1:
+        return _SKIP
+    for i, j in combinations(range(len(imgs)), 2):
+        if params[i] != params[j] and imgs[i] == imgs[j]:
+            return {
+                "t0": params[i],
+                "t1": params[j],
+                "common image": imgs[i],
+            }
+    return None
 
 
 def check_line_injectivity(f: MapHandle, cfg: ProbeConfig) -> CheckOutcome:
@@ -385,22 +376,19 @@ def _draw_ratio(f: MapHandle, cfg: ProbeConfig, s: _Sampler) -> Optional[dict]:
     return {"a": a, "b": b, "r": r, "s": t}
 
 
-def _violation_ratio(f: MapHandle):
-    def violation(inp):
-        a, b, r, s = inp["a"], inp["b"], inp["r"], inp["s"]
-        if a == b or r + s == 0:
-            return _SKIP
-        fa, fb = f(a), f(b)
-        if fa == fb:
-            return _SKIP
-        c = divides_in_ratio(a, b, r, s)
-        fc = f(c)
-        want = divides_in_ratio(fa, fb, r, s)
-        if fc != want:
-            return {"c": c, "f(c)": fc, "point dividing f(a),f(b)": want}
-        return None
-
-    return violation
+def _violation_ratio(f: MapHandle, inp: dict):
+    a, b, r, s = inp["a"], inp["b"], inp["r"], inp["s"]
+    if a == b or r + s == 0:
+        return _SKIP
+    fa, fb = f(a), f(b)
+    if fa == fb:
+        return _SKIP
+    c = divides_in_ratio(a, b, r, s)
+    fc = f(c)
+    want = divides_in_ratio(fa, fb, r, s)
+    if fc != want:
+        return {"c": c, "f(c)": fc, "point dividing f(a),f(b)": want}
+    return None
 
 
 def check_ratio_preservation(f: MapHandle, cfg: ProbeConfig) -> CheckOutcome:
@@ -442,19 +430,16 @@ def _draw_cor43(f: MapHandle, cfg: ProbeConfig, s: _Sampler) -> Optional[dict]:
     return {"a": a, "b": b, "c": a + t * (b - a)}
 
 
-def _violation_betweenness_cor43(f: MapHandle):
-    def violation(inp):
-        a, b, c = inp["a"], inp["b"], inp["c"]
-        if a == b or not in_interval(a, b, c, "open"):
-            return _SKIP
-        ga, gb, gc = f(a), f(b), f(c)
-        if ga == gb == gc:
-            return None
-        if in_interval(ga, gb, gc, "open"):
-            return None
-        return {"g(a)": ga, "g(b)": gb, "g(c)": gc}
-
-    return violation
+def _violation_betweenness_cor43(f: MapHandle, inp: dict):
+    a, b, c = inp["a"], inp["b"], inp["c"]
+    if a == b or not in_interval(a, b, c, "open"):
+        return _SKIP
+    ga, gb, gc = f(a), f(b), f(c)
+    if ga == gb == gc:
+        return None
+    if in_interval(ga, gb, gc, "open"):
+        return None
+    return {"g(a)": ga, "g(b)": gb, "g(c)": gc}
 
 
 def _draw_prop44(f: MapHandle, cfg: ProbeConfig, s: _Sampler) -> dict:
@@ -462,20 +447,17 @@ def _draw_prop44(f: MapHandle, cfg: ProbeConfig, s: _Sampler) -> dict:
     return {"a": a, "c": s.unit_interval() * a}
 
 
-def _violation_betweenness_prop44(f: MapHandle):
-    def violation(inp):
-        a, c = inp["a"], inp["c"]
-        zero_in = Vector.zero(f.m)
-        if a.is_zero() or not in_interval(a, zero_in, c, "open"):
-            return _SKIP
-        fa, fc = f(a), f(c)
-        if fa.is_zero() and fc.is_zero():
-            return None
-        if in_interval(fa, Vector.zero(f.n), fc, "open"):
-            return None
-        return {"f(a)": fa, "f(c)": fc}
-
-    return violation
+def _violation_betweenness_prop44(f: MapHandle, inp: dict):
+    a, c = inp["a"], inp["c"]
+    zero_in = Vector.zero(f.m)
+    if a.is_zero() or not in_interval(a, zero_in, c, "open"):
+        return _SKIP
+    fa, fc = f(a), f(c)
+    if fa.is_zero() and fc.is_zero():
+        return None
+    if in_interval(fa, Vector.zero(f.n), fc, "open"):
+        return None
+    return {"f(a)": fa, "f(c)": fc}
 
 
 def check_betweenness(f: MapHandle, cfg: ProbeConfig, variant: str = "cor43") -> CheckOutcome:
@@ -496,38 +478,30 @@ def _scalar_eval(f: MapHandle, t: Fraction) -> Fraction:
     return f(Vector((t,))).coords[0]
 
 
-def _violation_scalar_multiplicative(f: MapHandle):
+def _violation_scalar_multiplicative(f: MapHandle, inp: dict):
     _require_scalar_map(f)
-
-    def violation(inp):
-        r, s = inp["r"], inp["s"]
-        lhs = _scalar_eval(f, r * s)
-        rhs = _scalar_eval(f, r) * _scalar_eval(f, s)
-        if lhs != rhs:
-            return {"h(r*s)": lhs, "h(r)*h(s)": rhs}
-        return None
-
-    return violation
+    r, s = inp["r"], inp["s"]
+    lhs = _scalar_eval(f, r * s)
+    rhs = _scalar_eval(f, r) * _scalar_eval(f, s)
+    if lhs != rhs:
+        return {"h(r*s)": lhs, "h(r)*h(s)": rhs}
+    return None
 
 
 def check_scalar_multiplicative(f: MapHandle, cfg: ProbeConfig) -> CheckOutcome:
     return run_check(CHECKS["scalar-multiplicative"], f, cfg)
 
 
-def _violation_scalar_monotone(f: MapHandle):
+def _violation_scalar_monotone(f: MapHandle, inp: dict):
     _require_scalar_map(f)
-
-    def violation(inp):
-        x, y, z = inp["x"], inp["y"], inp["z"]
-        if not x < y < z:
-            return _SKIP
-        hx, hy, hz = (_scalar_eval(f, t) for t in (x, y, z))
-        d1, d2 = hy - hx, hz - hy
-        if (d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0):
-            return {"h(x)": hx, "h(y)": hy, "h(z)": hz}
-        return None
-
-    return violation
+    x, y, z = inp["x"], inp["y"], inp["z"]
+    if not x < y < z:
+        return _SKIP
+    hx, hy, hz = (_scalar_eval(f, t) for t in (x, y, z))
+    d1, d2 = hy - hx, hz - hy
+    if (d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0):
+        return {"h(x)": hx, "h(y)": hy, "h(z)": hz}
+    return None
 
 
 def _scalar_sweep(f: MapHandle, cfg: ProbeConfig) -> dict:
@@ -549,7 +523,7 @@ def check_scalar_monotone(f: MapHandle, cfg: ProbeConfig) -> CheckOutcome:
     """Fail iff the sampled value set shows both a strict rise and a strict
     fall; the witness is a triple x < y < z with conflicting slopes."""
     row = CHECKS["scalar-monotone"]
-    violation = row.violation(f)  # rejects a map that is not 1 -> 1
+    _require_scalar_map(f)
     values = _scalar_sweep(f, cfg)
     xs = list(values)
     rise = fall = None
@@ -568,7 +542,7 @@ def check_scalar_monotone(f: MapHandle, cfg: ProbeConfig) -> CheckOutcome:
         lo, hi = fall, rise
         mid = min(range(lo + 1, hi + 1), key=lambda i: (values[xs[i]], i))
     inputs = {"x": xs[lo], "y": xs[mid], "z": xs[hi + 1]}
-    witness = row.shrunk_witness(violation, inputs)
+    witness = row.shrunk_witness(f, inputs)
     return CheckOutcome(row.name, False, len(xs), witness)
 
 
@@ -584,30 +558,27 @@ class PlaneImage:
     outcome: CheckOutcome
 
 
-def _violation_plane_image(f: MapHandle):
-    def violation(inp):
-        plane: Plane = inp["plane"]
-        if "q" in inp:  # injectivity witness on a rank-2 plane image
-            p, q = inp["p"], inp["q"]
-            anchors = [inp["w0"], inp["w1"], inp["w2"]]
-            if p == q:
-                return _SKIP
-            if not all(plane.contains(x) for x in [p, q, *anchors]):
-                return _SKIP
-            if affine_rank([f(w) for w in anchors]) != 2:
-                return _SKIP
-            if f(p) == f(q):
-                return {"f(p)": f(p), "f(q)": f(q)}
-            return None
-        pts = [inp["p0"], inp["p1"], inp["p2"], inp["p3"]]
-        if not all(plane.contains(x) for x in pts):
+def _violation_plane_image(f: MapHandle, inp: dict):
+    plane: Plane = inp["plane"]
+    if "q" in inp:  # injectivity witness on a rank-2 plane image
+        p, q = inp["p"], inp["q"]
+        anchors = [inp["w0"], inp["w1"], inp["w2"]]
+        if p == q:
             return _SKIP
-        imgs = [f(p) for p in pts]
-        if affine_rank(imgs) >= 3:
-            return {"images": tuple(imgs)}
+        if not all(plane.contains(x) for x in [p, q, *anchors]):
+            return _SKIP
+        if affine_rank([f(w) for w in anchors]) != 2:
+            return _SKIP
+        if f(p) == f(q):
+            return {"f(p)": f(p), "f(q)": f(q)}
         return None
-
-    return violation
+    pts = [inp["p0"], inp["p1"], inp["p2"], inp["p3"]]
+    if not all(plane.contains(x) for x in pts):
+        return _SKIP
+    imgs = [f(p) for p in pts]
+    if affine_rank(imgs) >= 3:
+        return {"images": tuple(imgs)}
+    return None
 
 
 def _rank_raising(points: list, images: list, k: int) -> list:
@@ -653,11 +624,10 @@ def classify_plane_image(f: MapHandle, plane: Plane, cfg: ProbeConfig) -> PlaneI
         except MapEvalError as exc:
             raise ProbeEvaluationError(row.name, {"plane": plane, "p": point}, exc) from exc
     rank = affine_rank(images)
-    violation = row.violation(f)
     if rank > 2:
         base = _rank_raising(points, images, 4)
         inputs = {"plane": plane, **{f"p{i}": p for i, p in enumerate(base)}}
-        witness = row.witness(inputs, violation(inputs))
+        witness = row.witness(inputs, row.violation(f, inputs))
         return PlaneImage(None, None, CheckOutcome(row.name, False, len(points), witness))
     shape = ("point", "line", "plane")[rank]
     injective = None
@@ -670,7 +640,7 @@ def classify_plane_image(f: MapHandle, plane: Plane, cfg: ProbeConfig) -> PlaneI
                           **{f"w{i}": w for i, w in enumerate(anchors)}}
                 witness = row.witness(
                     inputs,
-                    violation(inputs),
+                    row.violation(f, inputs),
                     "a map spreading a plane onto a plane is one-to-one on it",
                 )
                 outcome = CheckOutcome(row.name, False, len(points), witness)
@@ -689,22 +659,19 @@ def _span_line(points) -> Line:
     return line_through(base, other)
 
 
-def _violation_parallelism(f: MapHandle):
-    def violation(inp):
-        line0: Line = inp["line"]
-        offset: Vector = inp["offset"]
-        params = inp["params"]
-        line1 = Line(line0.origin + offset, line0.direction)
-        _, imgs0 = _line_points_images(f, line0, params)
-        _, imgs1 = _line_points_images(f, line1, params)
-        if affine_rank(imgs0) != 1 or affine_rank(imgs1) != 1:
-            return _SKIP
-        m0, m1 = _span_line(imgs0), _span_line(imgs1)
-        if lines_parallel(m0, m1):
-            return None
-        return {"image line 0": m0, "image line 1": m1}
-
-    return violation
+def _violation_parallelism(f: MapHandle, inp: dict):
+    line0: Line = inp["line"]
+    offset: Vector = inp["offset"]
+    params = inp["params"]
+    line1 = Line(line0.origin + offset, line0.direction)
+    _, imgs0 = _line_points_images(f, line0, params)
+    _, imgs1 = _line_points_images(f, line1, params)
+    if affine_rank(imgs0) != 1 or affine_rank(imgs1) != 1:
+        return _SKIP
+    m0, m1 = _span_line(imgs0), _span_line(imgs1)
+    if lines_parallel(m0, m1):
+        return None
+    return {"image line 0": m0, "image line 1": m1}
 
 
 def check_parallelism_preservation(f: MapHandle, cfg: ProbeConfig) -> CheckOutcome:

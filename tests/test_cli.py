@@ -2,6 +2,7 @@ import contextlib
 import functools
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -16,6 +17,8 @@ IDENTITY = "map id : 2 -> 2 { y0 = x0; y1 = x1 }\n"
 TRANSLATE = "map translate : 2 -> 2 { y0 = x0 + 1; y1 = x1 + 1 }\n"
 MULTI = IDENTITY + "map double : 1 -> 1 { y0 = 2*x0 }\n"
 BAD = "map bad : 1 -> 1 { y0 = x3 }\n"
+DEMO_IDENTITY = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "demos", "identity.map")
 HOLE = "map hole : 2 -> 2 { y0 = x0 * (x0 - 1) / (x0 - 1); y1 = x1 }\n"
 
 
@@ -101,8 +104,18 @@ class TestFailureModes:
     def test_unknown_map_name_exits_1(self, mapfile, capsys):
         assert run(["classify", mapfile("m.map", MULTI), "--map", "nope"]) == 1
 
-    def test_scalar_check_on_vector_map_exits_1(self, mapfile, capsys):
-        assert run(["check", "scalar-mult", mapfile("id.map", IDENTITY)]) == 1
+    def test_scalar_check_on_vector_map_exits_1(self, capsys):
+        for check in ("scalar-mult", "scalar-monotone"):
+            assert run(["check", check, DEMO_IDENTITY]) == 1
+            assert capsys.readouterr().err == "colline: scalar check needs a 1->1 map, got 2->2\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "phi-consistency", DEMO_IDENTITY], ["classify", DEMO_IDENTITY],
+    ], ids=["phi-consistency", "classify"])
+    @pytest.mark.parametrize("probes", ["1" + "0" * 400, "1000001"], ids=["huge", "bound+1"])
+    def test_probe_count_above_bound_exits_1(self, argv, probes, capsys):
+        assert run(argv + ["--probes", probes]) == 1
+        assert capsys.readouterr().err == "colline: probe count must be at most 1000000\n"
 
     def test_scalar_monotone_eval_error_names_the_probe(self, mapfile, capsys):
         path = mapfile("inv.map", "map inv : 1 -> 1 { y0 = 1/x0 }\n")

@@ -483,3 +483,89 @@ class TestParserFuzz:
                 eval_map(spec, vec("1/2", -3))
             except MapEvalError:
                 pass
+
+
+_FACTOR_EXPECTED = ("rational literal", "variable x<i>", "'-'", "'('", "'if'")
+_HEAD = "map f : 1 -> 1 { "
+
+
+class TestLexerGolden:
+    @pytest.mark.parametrize("text, line, col, message, expected", [
+        (_HEAD + "y0 = x0 # c", 1, 26, "found end of input", ("'}'",)),
+        (_HEAD + "y0 = x0\t# c\n", 2, 1, "found end of input", ("'}'",)),
+        ("map f : 1 -> 1 {\r\n y0 = x0 +\r\n", 3, 1, "found end of input", _FACTOR_EXPECTED),
+        (_HEAD + "y0 = x0\x0b }", 1, 25, "unexpected character '\\x0b'", ()),
+        (_HEAD + "y0 = x0\x0c }", 1, 25, "unexpected character '\\x0c'", ()),
+        ("map f : 1 -> 1 { # é ü\n   y0 = x0 + x0 + x0 +\tx9 }", 2, 24,
+         "variable index 9 out of range", ()),
+        (_HEAD + "y0 = x0 } junk", 1, 28, "found extra input after the first map definition",
+         ("end of input",)),
+        ("", 1, 1, "found end of input", ("'map'",)),
+        ("   \n  # only", 2, 3, "found end of input", ("'map'",)),
+    ], ids=["comment-ends-text", "tab-then-comment", "crlf-after-plus", "vertical-tab",
+            "form-feed", "non-ascii-comment", "trailing-junk", "empty", "blank-and-comment"])
+    def test_error_position(self, text, line, col, message, expected):
+        with pytest.raises(MapParseError) as err:
+            parse_map(text)
+        assert (err.value.line, err.value.col) == (line, col)
+        assert (err.value.message, err.value.expected) == (message, expected)
+
+
+def _reference_tokenize(text: str):
+    """The per-character lexer the regex lexer replaced: (kind, text, line, col)."""
+    digits = frozenset("0123456789")
+    name_chars = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_") | digits
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line, col, i = line + 1, 1, i + 1
+            continue
+        if ch in " \t\r":
+            i, col = i + 1, col + 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        start_col = col
+        if text[i : i + 2] in ("->", "<="):
+            yield "punct", text[i : i + 2], line, start_col
+            i, col = i + 2, col + 2
+            continue
+        for kind, chars in (("int", digits), ("name", name_chars)):
+            if ch in chars:
+                j = i
+                while j < n and text[j] in chars:
+                    j += 1
+                yield kind, text[i:j], line, start_col
+                col += j - i
+                i = j
+                break
+        else:
+            if ch not in ":{};=+-*/()":
+                raise MapParseError(f"unexpected character {ch!r}", line, start_col)
+            yield "punct", ch, line, start_col
+            i, col = i + 1, col + 1
+    yield "eof", "", line, col
+
+
+_LEX_PIECES = _FUZZ_TOKENS + (
+    " ", "\t", "\r", "\n", "\r\n", "# c", "# é ü", "#", "$", "²", "٣", "é", "\x0b", "12", "_a",
+)
+
+
+class TestLexerOracle:
+    @given(st.lists(st.sampled_from(_LEX_PIECES), max_size=40).map("".join))
+    @settings(max_examples=400, deadline=None)
+    def test_tokens_match_the_per_character_lexer(self, text):
+        def positions(tokenize):
+            try:
+                return list(tokenize(text))
+            except MapParseError as exc:
+                return (exc.message, exc.line, exc.col)
+
+        new = positions(lambda t: [(tok.kind, tok.text, *dsl._position(t, tok.pos))
+                                   for tok in dsl._tokenize(t)])
+        assert new == positions(_reference_tokenize)

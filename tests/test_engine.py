@@ -287,8 +287,7 @@ class TestPhiPipeline:
                 vec(4): vec(18),  # should be 8
             }
         )
-        violation = _violation_phi_add_mult(table)
-        values = violation({"a": a, "r": Fraction(2), "s": Fraction(2)})
+        values = _violation_phi_add_mult(table, {"a": a, "r": Fraction(2), "s": Fraction(2)})
         assert values == {"phi(r*s)": Fraction(9), "phi(r)*phi(s)": Fraction(4)}
 
     def test_corrupted_dsl_map_fails_end_to_end(self):

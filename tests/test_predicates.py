@@ -9,6 +9,7 @@ from colline.errors import DimensionMismatch, ProbeEvaluationError
 from colline.field import Vector, identity_matrix
 from colline.geometry import Line, Plane, in_interval
 from colline.predicates import (
+    MAX_PROBES,
     CheckOutcome,
     ProbeConfig,
     Witness,
@@ -126,9 +127,8 @@ class TestLineImage:
     def test_parabola_explicit_witness(self):
         # the x-axis with parameters 0, 1, 2 maps to non-collinear points
         f = dsl("map parabola : 1 -> 2 { y0 = x0; y1 = x0 * x0 }")
-        violation = _violation_line_image(f)
-        values = violation(
-            {"line": Line(vec(0), vec(1)), "params": (Fraction(0), Fraction(1), Fraction(2))}
+        values = _violation_line_image(
+            f, {"line": Line(vec(0), vec(1)), "params": (Fraction(0), Fraction(1), Fraction(2))}
         )
         assert values is not None
         assert values["images"] == (vec(0, 0), vec(1, 1), vec(2, 4))
@@ -143,8 +143,8 @@ class TestLineInjectivity:
 
     def test_cubic_collision(self):
         f = dsl("map cube : 1 -> 1 { y0 = x0 * x0 * x0 - x0 }")
-        violation = _violation_line_injectivity(f)
-        values = violation(
+        values = _violation_line_injectivity(
+            f,
             {
                 "line": Line(vec(0), vec(1)),
                 "params": (Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(3)),
@@ -172,9 +172,8 @@ class TestRatioPreservation:
 
     def test_lemma23_explicit_midpoint_violation(self):
         f = lemma23_default()
-        violation = _violation_ratio(f)
-        values = violation(
-            {"a": vec(-1, 0), "b": vec(1, 0), "r": Fraction(1), "s": Fraction(1)}
+        values = _violation_ratio(
+            f, {"a": vec(-1, 0), "b": vec(1, 0), "r": Fraction(1), "s": Fraction(1)}
         )
         assert values is not None
         assert values["f(c)"] == vec(0, 0)
@@ -250,8 +249,21 @@ class TestScalarChecks:
         assert (inputs["r"], inputs["s"]) == (1, 1)
 
     def test_requires_scalar_map(self):
-        with pytest.raises(DimensionMismatch):
-            check_scalar_multiplicative(make_linear(identity_matrix(2)), CFG)
+        for check in (check_scalar_multiplicative, check_scalar_monotone):
+            with pytest.raises(DimensionMismatch, match="needs a 1->1 map, got 2->2"):
+                check(make_linear(identity_matrix(2)), CFG)
+
+    @pytest.mark.parametrize("check, body", [
+        (check_scalar_multiplicative, "2*x0"),
+        (check_scalar_monotone, "if x0 <= 0 then x0 else -x0"),
+    ], ids=["multiplicative", "monotone"])
+    def test_scalar_witness_revalidates_on_1_to_1_maps_only(self, check, body):
+        h = dsl(f"map h : 1 -> 1 {{ y0 = {body} }}")
+        witness = check(h, CFG).witness
+        assert revalidate_witness(h, witness)
+        # the first output of this 1 -> 2 map still violates, but it is no scalar map
+        assert not revalidate_witness(dsl(f"map w : 1 -> 2 {{ y0 = {body}; y1 = 0 }}"), witness)
+        assert not revalidate_witness(make_linear(identity_matrix(2)), witness)
 
     def test_monotone_increasing_and_decreasing_pass(self):
         assert check_scalar_monotone(make_linear([[3]]), CFG).passed
@@ -392,6 +404,9 @@ class TestOutcomeMechanics:
             ProbeConfig(params_per_line=2)
         with pytest.raises(ValueError):
             ProbeConfig(coordinate_range=0)
+        assert ProbeConfig(count=MAX_PROBES).count == 10**6  # builds no probe
+        with pytest.raises(ValueError, match="probe count must be at most 1000000"):
+            ProbeConfig(count=MAX_PROBES + 1)
 
     def test_witness_tampering_detected(self):
         f = lemma23_default()
