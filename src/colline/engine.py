@@ -43,7 +43,6 @@ from .predicates import (
     _Sampler,
     _SKIP,
     _scalar_sweep,
-    _unit_then_sampled_pairs,
     check_additivity,
     check_betweenness,
     check_homogeneity,
@@ -110,9 +109,6 @@ class PhiTable:
 
     def is_identity(self) -> bool:
         return all(val == key for key, val in self.entries)
-
-    def is_zero(self) -> bool:
-        return all(val == 0 for _, val in self.entries)
 
     def validate(self, f: MapHandle) -> list[str]:
         failures = []
@@ -709,36 +705,6 @@ def _violation_certificate(f: MapHandle, inp: dict):
     return None
 
 
-# -- collapsed-summand scenario ------------------------------------------------------
-
-
-def _violation_lemma32(f: MapHandle, inp: dict):
-    a, b = inp["a"], inp["b"]
-    if a.is_zero() or b.is_zero():
-        return _SKIP
-    fa, fb = f(a), f(b)
-    if not fa.is_zero() or fb.is_zero():
-        return _SKIP
-    fab = f(a + b)
-    if fab != fb:
-        return {"f(a+b)": fab, "f(b)": fb}
-    return None
-
-
-def lemma32_check(f: MapHandle, a: Vector, b: Vector) -> CheckOutcome:
-    """With f(a) = 0 and f(b) ≠ 0, the sum must satisfy f(a+b) = f(b)."""
-    if a.is_zero():
-        raise PreconditionError("lemma32_check needs a != 0")
-    if b.is_zero():
-        raise PreconditionError("lemma32_check needs b != 0")
-    fa, fb = f(a), f(b)
-    if not fa.is_zero():
-        raise PreconditionError("lemma32_check needs f(a) = 0")
-    if fb.is_zero():
-        raise PreconditionError("lemma32_check needs f(b) != 0")
-    return run_check(CHECKS["lemma32"], f, stream=lambda f, cfg: [{"a": a, "b": b}])
-
-
 # -- scalar dichotomy -----------------------------------------------------------------
 
 
@@ -782,81 +748,6 @@ def scalar_dichotomy(h: MapHandle, cfg: ProbeConfig) -> DichotomyResult:
         row = CHECKS["scalar-dichotomy"]
         witness = row.shrunk_witness(h, {"r": r})
     return DichotomyResult("fail", witness, checks)
-
-
-# -- scale-function pipeline -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PhiPipelineResult:
-    branch: str  # "zero-image" | "checked"
-    outcome: CheckOutcome
-    phi: Optional[PhiTable]
-    dichotomy: Optional[str]  # "zero" | "identity" | "mixed" | None
-
-
-def _violation_phi_add_mult(f: MapHandle, inp: dict):
-    a, r, s = inp["a"], inp["r"], inp["s"]
-    fa = f(a)
-    if fa.is_zero():
-        return _SKIP
-    fra, fsa = f(r * a), f(s * a)
-    frpsa, frsa = f((r + s) * a), f((r * s) * a)
-    phis = [collinearity_scalar(img, fa) for img in (fra, fsa, frpsa, frsa)]
-    if any(p is None for p in phis):
-        return {"f(a)": fa, "off-ray image": next(img for img, p in
-                zip((fra, fsa, frpsa, frsa), phis) if p is None)}
-    phi_r, phi_s, phi_rps, phi_rs = phis
-    if frsa != phi_r * fsa or phi_rs != phi_r * phi_s:
-        return {"phi(r*s)": phi_rs, "phi(r)*phi(s)": phi_r * phi_s}
-    if frpsa != fra + fsa or phi_rps != phi_r + phi_s:
-        return {"f((r+s)*a)": frpsa, "f(r*a)+f(s*a)": fra + fsa}
-    return None
-
-
-def phi_dichotomy_pipeline(f: MapHandle, cfg: ProbeConfig) -> PhiPipelineResult:
-    """For an additive map, extract the scale function at one anchor and check
-    it is additive and multiplicative through f-evaluations, then read the
-    zero-or-identity dichotomy off the collected table.
-
-    Callers are expected to have checked additivity already.
-    """
-    sampler = _Sampler(cfg)
-    anchor = None
-    scanned = 0
-
-    def anchor_candidates():
-        for i in range(f.m):
-            yield Vector.basis(f.m, i)
-        for _ in range(cfg.count):
-            yield sampler.vector(f.m)
-
-    for cand in anchor_candidates():
-        scanned += 1
-        if not f(cand).is_zero():
-            anchor = cand
-            break
-    row = CHECKS["phi-add-mult"]
-    if anchor is None:
-        return PhiPipelineResult(
-            "zero-image", CheckOutcome(row.name, True, scanned, None, 0), None, None
-        )
-
-    probes = [
-        {"a": anchor, "r": r, "s": s} for r, s in _unit_then_sampled_pairs(sampler, cfg.count)
-    ]
-    outcome = run_check(row, f, stream=lambda f, cfg: probes)
-    if not outcome.passed:
-        return PhiPipelineResult("checked", outcome, None, None)
-    keys = (k for p in probes for k in (p["r"], p["s"], p["r"] + p["s"], p["r"] * p["s"]))
-    phi = _phi_table(f, anchor, keys)
-    if phi.is_zero():
-        dichotomy = "zero"
-    elif phi.is_identity():
-        dichotomy = "identity"
-    else:
-        dichotomy = "mixed"
-    return PhiPipelineResult("checked", outcome, phi, dichotomy)
 
 
 # -- affine reduction -----------------------------------------------------------------
@@ -937,11 +828,8 @@ CHECKS.update((row.name, row) for row in (
           _violation_phi_consistency),
     # a certificate witness states the failing fact as its equation
     Check("certificate", "the line constellation re-validates", _violation_certificate),
-    Check("lemma32", "f(a+b) = f(b) = f(a) + f(b)", _violation_lemma32),
     Check("scalar-dichotomy", "h(r) = 0 for all r, or h(r) = r for all r",
           _violation_scalar_dichotomy),
-    Check("phi-add-mult", "phi is additive and multiplicative along the anchor ray",
-          _violation_phi_add_mult),
     Check("affine-reconstruction", "g(x) = f(x) + g(0) for the shift-reduced f",
           _violation_affine_reconstruction),
 ))

@@ -1,5 +1,5 @@
 """Built-in map constructors: linear, affine, warped-ray ("lemma23"),
-DSL-backed, finite probe tables, and compositions.
+DSL-backed, and compositions.
 
 Every handle evaluates exactly.  Handles that are affine by construction (or
 provably affine by DSL normalization) expose their (A, b) form through
@@ -11,10 +11,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import mul
-from typing import Mapping, Optional
+from typing import Optional
 
 from .dsl import Expr, MapSpec, eval_map, parse_map, render_expr, symbolic_affine_form
-from .errors import ConstructionError, DimensionMismatch, MapEvalError
+from .errors import ConstructionError, DimensionMismatch
 from .field import (
     Matrix,
     Vector,
@@ -32,8 +32,6 @@ from . import dsl as _dsl
 
 class MapHandle:
     """A vector map ℚ^m → ℚ^n with exact evaluation."""
-
-    kind = "abstract"
 
     def __init__(self, m: int, n: int, name: str):
         self.m = m
@@ -67,8 +65,6 @@ def _int_rows(a: Matrix) -> tuple[list[list[int]], int]:
 
 
 class LinearMap(MapHandle):
-    kind = "linear"
-
     def __init__(self, a: Matrix, name: str = "linear"):
         a = matrix(a)
         super().__init__(m=len(a[0]), n=len(a), name=name)
@@ -88,8 +84,6 @@ class LinearMap(MapHandle):
 
 
 class AffineMap(MapHandle):
-    kind = "affine"
-
     def __init__(self, a: Matrix, b: Vector, name: str = "affine"):
         a = matrix(a)
         if len(a) != b.dim:
@@ -143,8 +137,6 @@ class Lemma23Map(MapHandle):
     injective on lines with moving image, yet is not additive.
     """
 
-    kind = "lemma23"
-
     def __init__(self, m: int, n: int, psi: Expr, e0_index: int, d0: Vector, name: str = "lemma23"):
         if d0.is_zero():
             raise ConstructionError("lemma23 output direction d0 must be nonzero")
@@ -177,8 +169,6 @@ class Lemma23Map(MapHandle):
 
 
 class DslMap(MapHandle):
-    kind = "dsl"
-
     def __init__(self, spec: MapSpec):
         super().__init__(m=spec.m, n=spec.n, name=spec.name)
         self.spec = spec
@@ -193,41 +183,7 @@ class DslMap(MapHandle):
         return {"kind": "dsl", "text": _dsl.render_map(self.spec)}
 
 
-class TableMap(MapHandle):
-    """Finite input→output table with values only at its entries; anywhere
-    else evaluation raises MapEvalError, as a DSL division by zero does."""
-
-    kind = "table"
-
-    def __init__(self, entries: Mapping[Vector, Vector], name: str = "table"):
-        if not entries:
-            raise ConstructionError("table map needs at least one entry")
-        items = list(entries.items())
-        m = items[0][0].dim
-        n = items[0][1].dim
-        for k, v in items:
-            if k.dim != m or v.dim != n:
-                raise DimensionMismatch("inconsistent dims in table entries")
-        super().__init__(m=m, n=n, name=name)
-        self.entries = dict(items)
-
-    def __call__(self, x: Vector) -> Vector:
-        self._check_input(x)
-        try:
-            return self.entries[x]
-        except KeyError:
-            raise MapEvalError(f"map {self.name}: input {x} outside table domain") from None
-
-    def source(self):
-        return {
-            "kind": "table",
-            "entries": [[format_vector(k), format_vector(v)] for k, v in self.entries.items()],
-        }
-
-
 class ComposeMap(MapHandle):
-    kind = "compose"
-
     def __init__(self, outer: MapHandle, inner: MapHandle, name: str | None = None):
         if inner.n != outer.m:
             raise DimensionMismatch(
@@ -273,10 +229,6 @@ def make_dsl(spec: MapSpec) -> MapHandle:
     return DslMap(spec)
 
 
-def make_table(entries: Mapping[Vector, Vector], name: str = "table") -> MapHandle:
-    return TableMap(entries, name=name)
-
-
 def compose(outer: MapHandle, inner: MapHandle, name: str | None = None) -> MapHandle:
     return ComposeMap(outer, inner, name=name)
 
@@ -316,10 +268,6 @@ def from_source(obj: dict) -> MapHandle:
         return make_lemma23(obj["m"], obj["n"], psi, obj["e0"], parse_vector(obj["d0"]))
     if kind == "dsl":
         return make_dsl(parse_map(obj["text"]))
-    if kind == "table":
-        return make_table(
-            {parse_vector(k): parse_vector(v) for k, v in obj["entries"]}
-        )
     if kind == "compose":
         return compose(from_source(obj["outer"]), from_source(obj["inner"]))
     raise ConstructionError(f"unknown map source kind {kind!r}")

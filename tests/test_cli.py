@@ -299,6 +299,20 @@ class TestDeterminismAndRevalidation:
         assert run(["--revalidate", str(dest)]) == 2
         assert "colline: revalidation failed: " in capsys.readouterr().err
 
+    def test_revalidate_refuses_a_table_source(self, mapfile, tmp_path, capsys):
+        # finite-table maps are not a source kind: no command or builtin spec builds one
+        dest = tmp_path / "table.json"
+        assert run(["check", "zero", mapfile("id.map", IDENTITY), "--out", str(dest)]) == 0
+        report = json.loads(dest.read_text())
+        report["map"]["source"] = {"kind": "table", "entries": [["(0, 0)", "(0, 0)"]]}
+        dest.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert run(["--revalidate", str(dest)]) == 2
+        assert capsys.readouterr().err == (
+            "colline: revalidation failed: map reconstruction failed:"
+            " unknown map source kind 'table'\n"
+        )
+
     def test_revalidate_non_report_payload_exits_1(self, tmp_path, capsys):
         dest = tmp_path / "r.json"
         dest.write_text("[1]")

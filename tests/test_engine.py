@@ -14,12 +14,9 @@ from colline.engine import (
     extract_phi,
     find_affine_witnesses,
     homogeneity_certificate,
-    lemma32_check,
     phi_consistency,
-    phi_dichotomy_pipeline,
     scalar_dichotomy,
     shift_reduce,
-    _violation_phi_add_mult,
 )
 from colline.serialize import CERTIFICATE, PHI_TABLE
 from colline.zoo import (
@@ -28,7 +25,6 @@ from colline.zoo import (
     make_dsl,
     make_lemma23,
     make_linear,
-    make_table,
 )
 
 CFG = ProbeConfig(seed=0, count=150)
@@ -189,11 +185,26 @@ class TestAdditivityCertificate:
         assert cert.validate(f) == []
 
     def test_lemma32_dispatch(self):
-        f = make_linear([[1, 0, 0], [0, 1, 0]])
+        projection = make_linear([[1, 0, 0], [0, 1, 0]])
         ind = (vec(1, 0, 0), vec(0, 1, 0))
-        cert = additivity_certificate(f, vec(0, 0, 1), vec(1, 0, 0), ind)
-        assert cert.kind == "lemma32"
-        assert cert.validate(f) == []
+        cases = [
+            (projection, vec(0, 0, 1), vec(1, 0, 0), ind),
+            # the warped ray sends (0, 1) to 0 and (1, 0) off it
+            (lemma23_default(), vec(0, 1), vec(1, 0), None),
+        ]
+        for f, a, b, pair in cases:
+            cert = additivity_certificate(f, a, b, pair)
+            assert cert.kind == "lemma32"
+            assert cert.validate(f) == []
+
+    def test_lemma32_refutes_with_a_witness_that_rechecks(self):
+        # f(a) = 0 and f(b) = (1, 0), but f(a+b) = (2, 0)
+        f = dsl("map g : 2 -> 2 { y0 = x1 + x0 * x1; y1 = 0 }")
+        with pytest.raises(ViolationError) as err:
+            additivity_certificate(f, vec(1, 0), vec(0, 1))
+        assert str(err.value) == "equation fails: f(a+b) = f(b)"
+        assert err.value.witness.check == "certificate"
+        assert revalidate_witness(f, err.value.witness)
 
     def test_trivial_zero_summand(self):
         f = make_linear(identity_matrix(2))
@@ -224,25 +235,6 @@ class TestAdditivityCertificate:
         assert CERTIFICATE.decode(obj).validate(f) != []
 
 
-class TestLemma32Check:
-    def test_row_projection(self):
-        f = make_linear([[0, 1]])
-        assert lemma32_check(f, vec(1, 0), vec(0, 1)).passed
-
-    def test_lemma23_scenario(self):
-        f = lemma23_default()
-        out = lemma32_check(f, vec(0, 1), vec(1, 0))
-        assert out.passed
-        assert f(vec(1, 1)) == vec(0, 2)
-
-    def test_precondition_names_failing_clause(self):
-        f = make_linear([[0, 1]])
-        with pytest.raises(PreconditionError, match="f\\(a\\) = 0"):
-            lemma32_check(f, vec(0, 1), vec(1, 0))
-        with pytest.raises(PreconditionError, match="a != 0"):
-            lemma32_check(f, Vector.zero(2), vec(0, 1))
-
-
 class TestScalarDichotomy:
     def test_identity_and_zero(self):
         assert scalar_dichotomy(make_linear([[1]]), CFG).kind == "identity"
@@ -262,43 +254,6 @@ class TestScalarDichotomy:
         by_name = {o.check: o for o in result.checks}
         assert not by_name["scalar-multiplicative"].passed
         assert by_name["additivity"].passed
-
-
-class TestPhiPipeline:
-    def test_linear_gives_identity_dichotomy(self):
-        res = phi_dichotomy_pipeline(make_linear([[3, 0], [0, 3]]), CFG)
-        assert res.branch == "checked"
-        assert res.outcome.passed
-        assert res.dichotomy == "identity"
-        assert res.phi.validate(make_linear([[3, 0], [0, 3]])) == []
-
-    def test_zero_image_branch(self):
-        res = phi_dichotomy_pipeline(make_linear([[0, 0], [0, 0]]), CFG)
-        assert res.branch == "zero-image"
-
-    def test_corrupted_table_multiplicativity_witness(self):
-        # agrees with doubling except one corrupted entry four steps out
-        a = vec(1)
-        table = make_table(
-            {
-                Vector.zero(1): Vector.zero(1),
-                a: vec(2),
-                vec(2): vec(4),
-                vec(4): vec(18),  # should be 8
-            }
-        )
-        values = _violation_phi_add_mult(table, {"a": a, "r": Fraction(2), "s": Fraction(2)})
-        assert values == {"phi(r*s)": Fraction(9), "phi(r)*phi(s)": Fraction(4)}
-
-    def test_corrupted_dsl_map_fails_end_to_end(self):
-        bump = dsl(
-            "map bump : 1 -> 1 {"
-            " y0 = if x0 <= 4 then (if 4 <= x0 then 18 else 2*x0) else 2*x0 }"
-        )
-        res = phi_dichotomy_pipeline(bump, ProbeConfig(seed=0, count=400))
-        assert res.branch == "checked"
-        assert not res.outcome.passed
-        assert revalidate_witness(bump, res.outcome.witness)
 
 
 class TestAffineReduce:
@@ -396,12 +351,10 @@ class TestClassify:
     def test_division_error_folds_to_inconclusive(self):
         c = classify_map(dsl("map inv : 1 -> 1 { y0 = 1 / x0 }"), CFG)
         assert c.verdict == "inconclusive"
-        assert any("evaluation failed" in r for r in c.reasons)
-
-    def test_table_map_with_origin_gap_stays_inconclusive(self):
-        t = make_table({vec(1, 1): vec(1, 1), vec(2, 0): vec(2, 0)})
-        c = classify_map(t, CFG)
-        assert c.verdict in ("inconclusive", "non_linear")
+        assert c.reasons == (
+            "probe evaluation failed during zero-fixed:"
+            " map inv: division by zero in output y0 at input (0)",
+        )
 
     def test_composed_handles_use_structural_form(self):
         g = compose(make_linear([[1, 1], [0, 1]]), make_affine(identity_matrix(2), vec(1, 0)))
@@ -425,15 +378,6 @@ class TestClassifyEvaluationErrors:
         assert c.reasons == (
             "map evaluation failed: map hole: division by zero in output y0 at input (1, 0)",
         )
-
-    def test_table_miss_is_a_probe_evaluation_failure(self):
-        # a table has values only at its entries, like a map dividing by zero
-        t = make_table({vec(0, 0): vec(0, 0), vec(1, 0): vec(1, 0), vec(0, 1): vec(0, 1)})
-        c = classify_map(t, CFG)
-        assert c.verdict == "inconclusive"
-        (reason,) = c.reasons
-        assert reason.startswith("probe evaluation failed during line-image: map table: input ")
-        assert reason.endswith(" outside table domain")
 
 
 class TestCrossModuleInvariants:

@@ -31,7 +31,7 @@ from colline.predicates import (
     revalidate_witness,
 )
 from colline.serialize import OUTCOME
-from colline.zoo import make_affine, make_dsl, make_lemma23, make_linear, make_table
+from colline.zoo import make_affine, make_dsl, make_lemma23, make_linear
 
 CFG = ProbeConfig(seed=0, count=200)
 
@@ -383,19 +383,17 @@ class TestOutcomeMechanics:
         assert clone == out
         assert revalidate_witness(f, clone.witness)
 
-    def test_table_miss_raises_probe_evaluation_error(self):
-        t = make_table({vec(1): vec(1), vec(2): vec(2)})
-        with pytest.raises(ProbeEvaluationError) as err:
-            check_additivity(t, CFG)
-        assert err.value.check == "additivity"
-        assert set(err.value.inputs) == {"a", "b"}
-        assert "outside table domain" in str(err.value)
-
     def test_eval_error_propagates_with_probe(self):
         f = dsl("map inv : 1 -> 1 { y0 = 1 / x0 }")
-        with pytest.raises(ProbeEvaluationError) as err:
-            check_homogeneity(f, CFG)
-        assert err.value.inputs
+        cases = [
+            (check_homogeneity, "homogeneity", {"a", "c"}),
+            (check_additivity, "additivity", {"a", "b"}),
+        ]
+        for check, name, input_names in cases:
+            with pytest.raises(ProbeEvaluationError) as err:
+                check(f, CFG)
+            assert err.value.check == name
+            assert set(err.value.inputs) == input_names
 
     def test_probe_config_validation(self):
         with pytest.raises(ValueError):
