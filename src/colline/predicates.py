@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from math import gcd
 from typing import Callable, Iterable, Optional
 
 from .errors import (
@@ -25,13 +25,15 @@ from .errors import (
     MapEvalError,
     ProbeEvaluationError,
 )
-from .field import Vector, affine_rank, from_pairs, linearly_independent
+from .field import Vector, affine_rank, from_reduced_pairs, linearly_independent
 from .geometry import Line, Plane, divides_in_ratio, in_interval, line_through, lines_parallel
 from .zoo import MapHandle
 
 
 #: Largest probe count accepted; a larger stream would not end in reasonable time.
 MAX_PROBES = 10**6
+#: Largest number of parameters per sampled line; each one is a point to evaluate.
+MAX_PARAMS_PER_LINE = 10**4
 
 
 @dataclass(frozen=True)
@@ -52,6 +54,8 @@ class ProbeConfig:
             raise ValueError("coordinate range must be positive")
         if self.params_per_line < 3:
             raise ValueError("params_per_line must be at least 3")
+        if self.params_per_line > MAX_PARAMS_PER_LINE:
+            raise ValueError(f"params_per_line must be at most {MAX_PARAMS_PER_LINE}")
 
 
 @dataclass(frozen=True)
@@ -79,17 +83,43 @@ class CheckOutcome:
         return "pass" if self.passed else "fail"
 
 
+#: The parameters every sampled line starts with, before its drawn ones.
+_FIXED_PARAMS = (Fraction(0), Fraction(1), Fraction(-1))
+
+
 class _Sampler:
-    """Seeded probe generator; scalars are p/q with |p| ≤ R, 1 ≤ q ≤ R."""
+    """Seeded probe generator; scalars are p/q with |p| ≤ R, 1 ≤ q ≤ R.
+
+    Stream contract: every draw equals what ``random.Random(seed).randint``
+    gives on the same seed, call for call; a scalar is ``randint(-R, R)``
+    over ``randint(1, R)``.  The draws skip ``randint`` but make its
+    ``getrandbits`` calls: ``randint(a, b)`` is a + r, where r is the first
+    ``getrandbits(k)`` below n = b − a + 1 and k = n.bit_length().
+    """
 
     def __init__(self, cfg: ProbeConfig):
         self.rng = random.Random(cfg.seed)
-        self.range = cfg.coordinate_range
+        self.range = r = cfg.coordinate_range
+        self._bits = self.rng.getrandbits
+        # (k, n) of the numerator range [-R, R] and the denominator range [1, R]
+        self._num = ((2 * r + 1).bit_length(), 2 * r + 1)
+        self._den = (r.bit_length(), r)
+
+    def _pair(self) -> tuple[int, int]:
+        """(p, q) as ``randint(-R, R), randint(1, R)`` would draw them."""
+        bits = self._bits
+        k, n = self._num
+        p = bits(k)
+        while p >= n:
+            p = bits(k)
+        k, n = self._den
+        q = bits(k)
+        while q >= n:
+            q = bits(k)
+        return p - self.range, q + 1
 
     def scalar(self) -> Fraction:
-        return Fraction(
-            self.rng.randint(-self.range, self.range), self.rng.randint(1, self.range)
-        )
+        return Fraction(*self._pair())
 
     def nonzero_scalar(self) -> Fraction:
         while True:
@@ -98,9 +128,12 @@ class _Sampler:
                 return s
 
     def vector(self, dim: int) -> Vector:
-        # the same randint calls, in the same order, as dim calls of scalar()
-        randint, r = self.rng.randint, self.range
-        return from_pairs([(randint(-r, r), randint(1, r)) for _ in range(dim)])
+        pair, pairs = self._pair, []
+        for _ in range(dim):
+            p, q = pair()
+            g = gcd(p, q)
+            pairs.append((p // g, q // g))
+        return from_reduced_pairs(pairs)
 
     def nonzero_vector(self, dim: int) -> Vector:
         while True:
@@ -112,12 +145,21 @@ class _Sampler:
         return Line(self.vector(dim), self.nonzero_vector(dim))
 
     def params(self, k: int) -> tuple[Fraction, ...]:
-        fixed = (Fraction(0), Fraction(1), Fraction(-1))
-        return fixed + tuple(self.scalar() for _ in range(k - 3))
+        pair = self._pair
+        return _FIXED_PARAMS + tuple(Fraction(*pair()) for _ in range(k - 3))
+
+    def _below(self, n: int) -> int:
+        """The r of ``randint(a, a + n - 1)``: the first draw below n."""
+        bits, k = self._bits, n.bit_length()
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        return r
 
     def unit_interval(self) -> Fraction:
-        q = self.rng.randint(2, max(2, self.range))
-        return Fraction(self.rng.randint(1, q - 1), q)
+        # randint(2, max(2, R)), then randint(1, q - 1)
+        q = 2 + self._below(max(2, self.range) - 1)
+        return Fraction(1 + self._below(q - 1), q)
 
 
 _SKIP = object()
@@ -327,13 +369,16 @@ def _violation_line_image(f: MapHandle, inp: dict):
     _, imgs = _line_points_images(f, line, params)
     if affine_rank(imgs) <= 1:
         return None
-    for i, j, k in combinations(range(len(imgs)), 3):
-        if affine_rank([imgs[i], imgs[j], imgs[k]]) == 2:
-            return {
-                "witness params": (params[i], params[j], params[k]),
-                "images": (imgs[i], imgs[j], imgs[k]),
-            }
-    return None
+    # the lexicographically first independent triple is (0, j, k): every image
+    # before j equals imgs[0], so one off the line through imgs[0], imgs[j] comes later
+    a = imgs[0]
+    j = next(j for j, b in enumerate(imgs) if b != a)
+    b = imgs[j]
+    k = next(k for k in range(j + 1, len(imgs)) if affine_rank([a, b, imgs[k]]) == 2)
+    return {
+        "witness params": (params[0], params[j], params[k]),
+        "images": (a, b, imgs[k]),
+    }
 
 
 def check_line_image(f: MapHandle, cfg: ProbeConfig) -> CheckOutcome:
@@ -351,13 +396,17 @@ def _violation_line_injectivity(f: MapHandle, inp: dict):
     _, imgs = _line_points_images(f, line, params)
     if affine_rank(imgs) != 1:
         return _SKIP
-    for i, j in combinations(range(len(imgs)), 2):
-        if params[i] != params[j] and imgs[i] == imgs[j]:
-            return {
-                "t0": params[i],
-                "t1": params[j],
-                "common image": imgs[i],
-            }
+    groups: dict[Vector, list[int]] = {}
+    for i, img in enumerate(imgs):
+        groups.setdefault(img, []).append(i)
+    # groups run in order of their first index; within one, the lexicographically
+    # first colliding pair is that index and the first later one with another param
+    for img, group in groups.items():
+        if len(group) > 1:
+            t0 = params[group[0]]
+            for j in group[1:]:
+                if params[j] != t0:
+                    return {"t0": t0, "t1": params[j], "common image": img}
     return None
 
 

@@ -117,6 +117,12 @@ class TestFailureModes:
         assert run(argv + ["--probes", probes]) == 1
         assert capsys.readouterr().err == "colline: probe count must be at most 1000000\n"
 
+    def test_params_per_line_above_bound_exits_1(self, capsys):
+        # rejected before any probe is drawn; the bound is what keeps a run finite
+        assert run(["check", "line-injectivity", DEMO_IDENTITY,
+                    "--params-per-line", "1000000000"]) == 1
+        assert capsys.readouterr().err == "colline: params_per_line must be at most 10000\n"
+
     def test_scalar_monotone_eval_error_names_the_probe(self, mapfile, capsys):
         path = mapfile("inv.map", "map inv : 1 -> 1 { y0 = 1/x0 }\n")
         assert run(["check", "scalar-monotone", path]) == 1

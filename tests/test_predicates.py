@@ -1,18 +1,24 @@
+import random
 import signal
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colline.dsl import parse_map
 from colline.errors import DimensionMismatch, ProbeEvaluationError
-from colline.field import Vector, identity_matrix
+from colline.field import Vector, affine_rank, from_pairs, identity_matrix
 from colline.geometry import Line, Plane, in_interval
 from colline.predicates import (
+    _SKIP,
+    MAX_PARAMS_PER_LINE,
     MAX_PROBES,
     CheckOutcome,
     ProbeConfig,
     Witness,
+    _Sampler,
     _violation_line_image,
     _violation_line_injectivity,
     _violation_ratio,
@@ -154,6 +160,147 @@ class TestLineInjectivity:
         assert values["common image"] == vec(0)
         out = check_line_injectivity(f, CFG)
         assert_sound_failure(f, out)
+
+
+def _scan_line_image(params, imgs):
+    """The line-image scan as a search over every triple (the reference)."""
+    if affine_rank(imgs) <= 1:
+        return None
+    for i, j, k in combinations(range(len(imgs)), 3):
+        if affine_rank([imgs[i], imgs[j], imgs[k]]) == 2:
+            return {
+                "witness params": (params[i], params[j], params[k]),
+                "images": (imgs[i], imgs[j], imgs[k]),
+            }
+    return None
+
+
+def _scan_line_injectivity(params, imgs):
+    """The line-injectivity scan as a search over every pair (the reference)."""
+    if affine_rank(imgs) != 1:
+        return _SKIP
+    for i, j in combinations(range(len(imgs)), 2):
+        if params[i] != params[j] and imgs[i] == imgs[j]:
+            return {"t0": params[i], "t1": params[j], "common image": imgs[i]}
+    return None
+
+
+class _Table:
+    """A map of the x-axis given by a table of its values at integer points."""
+
+    m, n = 1, 2
+
+    def __init__(self, values: dict):
+        self.values = values
+
+    def __call__(self, x: Vector) -> Vector:
+        return self.values[x.coords[0]]
+
+
+_GRID = [vec(a, b) for a in range(3) for b in range(3)]
+
+
+class TestLineScans:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_scans_return_the_witness_of_the_exhaustive_search(self, data):
+        # few param values and few image points, so params and images repeat
+        values = data.draw(st.lists(st.integers(-2, 2), min_size=3, max_size=12))
+        points = data.draw(st.lists(st.sampled_from(_GRID), min_size=5, max_size=5))
+        f = _Table({Fraction(v): points[v + 2] for v in range(-2, 3)})
+        params = tuple(Fraction(v) for v in values)
+        imgs = [f(vec(v)) for v in values]
+        inputs = {"line": Line(vec(0), vec(1)), "params": params}
+        assert _violation_line_image(f, inputs) == _scan_line_image(params, imgs)
+        assert _violation_line_injectivity(f, inputs) == _scan_line_injectivity(params, imgs)
+
+    def _bounded(self, violation, f, params):
+        signal.signal(signal.SIGALRM, _timeout)
+        signal.alarm(20)
+        try:
+            return violation(f, {"line": Line(vec(0), vec(1)), "params": params})
+        finally:
+            signal.alarm(0)
+
+    def test_injectivity_at_ten_thousand_params(self):
+        # t ↦ t² is one-to-one on 1..9999; only the last param, −9999, collides
+        f = dsl("map square : 1 -> 1 { y0 = x0 * x0 }")
+        params = tuple(Fraction(t) for t in range(1, 10_000)) + (Fraction(-9999),)
+        assert len(params) == 10_000
+        values = self._bounded(_violation_line_injectivity, f, params)
+        assert values == {"t0": 9999, "t1": -9999, "common image": vec(9999 * 9999)}
+
+    def test_line_image_at_ten_thousand_params(self):
+        # every image is the origin but the last two, so the first triple is (0, 9998, 9999)
+        f = dsl("map parabola : 1 -> 2 { y0 = x0; y1 = x0 * x0 }")
+        params = (Fraction(0),) * 9998 + (Fraction(1), Fraction(2))
+        values = self._bounded(_violation_line_image, f, params)
+        assert values["witness params"] == (0, 1, 2)
+        assert values["images"] == (vec(0, 0), vec(1, 1), vec(2, 4))
+
+
+class _RandintSampler:
+    """The probe sampler written on ``random.Random.randint``: the reference
+    for the stream contract of ``_Sampler``."""
+
+    def __init__(self, seed, r):
+        self.rng, self.range = random.Random(seed), r
+
+    def scalar(self):
+        return Fraction(self.rng.randint(-self.range, self.range), self.rng.randint(1, self.range))
+
+    def nonzero_scalar(self):
+        while True:
+            s = self.scalar()
+            if s != 0:
+                return s
+
+    def vector(self, dim):
+        randint, r = self.rng.randint, self.range
+        return from_pairs([(randint(-r, r), randint(1, r)) for _ in range(dim)])
+
+    def nonzero_vector(self, dim):
+        while True:
+            v = self.vector(dim)
+            if not v.is_zero():
+                return v
+
+    def line(self, dim):
+        return Line(self.vector(dim), self.nonzero_vector(dim))
+
+    def params(self, k):
+        fixed = (Fraction(0), Fraction(1), Fraction(-1))
+        return fixed + tuple(self.scalar() for _ in range(k - 3))
+
+    def unit_interval(self):
+        q = self.rng.randint(2, max(2, self.range))
+        return Fraction(self.rng.randint(1, q - 1), q)
+
+
+def _storage(value):
+    if isinstance(value, Vector):
+        return (value.nums, value.den)
+    if isinstance(value, Line):
+        return (_storage(value.origin), _storage(value.direction))
+    return value
+
+
+class TestSamplerStream:
+    CALLS = [("scalar",), ("nonzero_scalar",), ("vector", 1), ("vector", 3),
+             ("nonzero_vector", 2), ("line", 2), ("params", 7), ("unit_interval",)]
+
+    # R = 1 still spends getrandbits(1) draws on the denominator; k > 32 spans words
+    @pytest.mark.parametrize("coordinate_range", [1, 2, 3, 12, 2**31, 2**40 + 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2026])
+    def test_every_draw_equals_randint_on_the_same_seed(self, seed, coordinate_range):
+        sampler = _Sampler(ProbeConfig(seed=seed, coordinate_range=coordinate_range))
+        reference = _RandintSampler(seed, coordinate_range)
+        for _ in range(40):
+            for name, *args in self.CALLS:
+                got = getattr(sampler, name)(*args)
+                want = getattr(reference, name)(*args)
+                assert got == want and _storage(got) == _storage(want), (name, args)
+        assert sampler.rng.getstate() == reference.rng.getstate()
 
 
 class TestRatioPreservation:
@@ -405,6 +552,9 @@ class TestOutcomeMechanics:
         assert ProbeConfig(count=MAX_PROBES).count == 10**6  # builds no probe
         with pytest.raises(ValueError, match="probe count must be at most 1000000"):
             ProbeConfig(count=MAX_PROBES + 1)
+        assert ProbeConfig(params_per_line=MAX_PARAMS_PER_LINE).params_per_line == 10**4
+        with pytest.raises(ValueError, match="params_per_line must be at most 10000"):
+            ProbeConfig(params_per_line=MAX_PARAMS_PER_LINE + 1)
 
     def test_witness_tampering_detected(self):
         f = lemma23_default()
