@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from colline.errors import DegenerateGeometry, PreconditionError
@@ -203,6 +203,7 @@ class TestParallel:
         assert line_intersection(l0, l1) is None
 
     @given(vec2, vec2, vec2)
+    @example(Vector.of(0, 0), Vector.of(0, -1), Vector.of(0, 0))
     @settings(max_examples=60)
     def test_parallel_postulate(self, o, d, p):
         # the line through p with the same direction is the only parallel
@@ -211,10 +212,12 @@ class TestParallel:
         l = Line(o, d)
         through_p = Line(p, d)
         assert lines_parallel(l, through_p)
-        # any other direction through p crosses l inside their common plane
-        other = Line(p, Vector((d.coords[1] + 1, d.coords[0])))
-        if not linearly_independent(d, other.direction):
+        # any other direction through p crosses l inside their common plane;
+        # d = (0, -1) makes this one zero, which no line may carry
+        e = Vector((d.coords[1] + 1, d.coords[0]))
+        if not linearly_independent(d, e):
             return
+        other = Line(p, e)
         if containing_plane(l, other) is not None:
             assert not lines_parallel(l, other)
 
