@@ -46,8 +46,8 @@ from .predicates import (
     check_additivity,
     check_betweenness,
     check_homogeneity,
-    check_line_image,
-    check_line_injectivity,
+    check_line_image,  # not called here; bench/test_bench.py patches this binding
+    check_lines,
     check_parallelism_preservation,
     check_ratio_preservation,
     check_scalar_monotone,
@@ -891,8 +891,7 @@ _MOVED_ORIGIN_ORDER = (
 def _classify_empirical(h: MapHandle, cfg: ProbeConfig, depth: int = 0) -> Classification:
     outcomes = [
         check_zero_fixed(h),
-        check_line_image(h, cfg),
-        check_line_injectivity(h, cfg),
+        *check_lines(h, cfg),
         check_parallelism_preservation(h, cfg),
         check_ratio_preservation(h, cfg),
         check_betweenness(h, cfg, "cor43"),

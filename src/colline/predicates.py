@@ -7,12 +7,15 @@ fully determined by the ProbeConfig, so identical (map, config) pairs yield
 identical outcomes, including witness identity.
 
 Witnesses are minimized by repeatedly halving coordinate numerators while
-the violation persists, which keeps regression fixtures readable.
+the violation persists (at most 64 times per scalar), which keeps regression
+fixtures readable.  ``classify`` draws each line probe once for both line
+rows (``check_lines``).
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -34,6 +37,8 @@ from .zoo import MapHandle
 MAX_PROBES = 10**6
 #: Largest number of parameters per sampled line; each one is a point to evaluate.
 MAX_PARAMS_PER_LINE = 10**4
+#: Largest count × params_per_line: the points one line check may evaluate.
+MAX_LINE_POINTS = MAX_PROBES * 5
 
 
 @dataclass(frozen=True)
@@ -56,6 +61,8 @@ class ProbeConfig:
             raise ValueError("params_per_line must be at least 3")
         if self.params_per_line > MAX_PARAMS_PER_LINE:
             raise ValueError(f"params_per_line must be at most {MAX_PARAMS_PER_LINE}")
+        if self.count * self.params_per_line > MAX_LINE_POINTS:
+            raise ValueError(f"probe count * params_per_line must be at most {MAX_LINE_POINTS}")
 
 
 @dataclass(frozen=True)
@@ -194,13 +201,20 @@ def _rebuild(val, scalars: list):
     return tuple(scalars)
 
 
+#: Most halvings of one witness scalar; a numerator of at most 12 needs four.
+_MAX_HALVINGS = 64
+
+
 def _shrink(violation, f: MapHandle, inputs: dict) -> dict:
     """Halve witness numerators while ``violation(f, inputs)`` persists."""
+    halvings = Counter()
     changed = True
     while changed:
         changed = False
         for name in list(inputs):
             for i in range(len(_scalars(inputs[name]))):
+                if halvings[name, i] == _MAX_HALVINGS:
+                    continue
                 scalars = list(_scalars(inputs[name]))
                 cur = scalars[i]
                 if cur.numerator == 0:
@@ -216,6 +230,7 @@ def _shrink(violation, f: MapHandle, inputs: dict) -> dict:
                     continue
                 if isinstance(result, dict):
                     inputs = cand_inputs
+                    halvings[name, i] += 1
                     changed = True
     return inputs
 
@@ -355,19 +370,19 @@ def check_zero_fixed(f: MapHandle) -> CheckOutcome:
 # -- line image and injectivity -----------------------------------------------
 
 
-def _line_points_images(f: MapHandle, line: Line, params):
-    pts = [line.point_at(t) for t in params]
-    return pts, [f(p) for p in pts]
-
-
 def _draw_line(f: MapHandle, cfg: ProbeConfig, s: _Sampler) -> dict:
     return {"line": s.line(f.m), "params": s.params(cfg.params_per_line)}
 
 
-def _violation_line_image(f: MapHandle, inp: dict):
-    line, params = inp["line"], inp["params"]
-    _, imgs = _line_points_images(f, line, params)
-    if affine_rank(imgs) <= 1:
+def _judged_line(f: MapHandle, inp: dict) -> tuple:
+    """(params, images, affine rank of the images): all a line judge reads."""
+    params, line = inp["params"], inp["line"]
+    imgs = [f(line.point_at(t)) for t in params]
+    return params, imgs, affine_rank(imgs)
+
+
+def _judge_line_image(params, imgs, rank: int):
+    if rank <= 1:
         return None
     # the lexicographically first independent triple is (0, j, k): every image
     # before j equals imgs[0], so one off the line through imgs[0], imgs[j] comes later
@@ -381,6 +396,10 @@ def _violation_line_image(f: MapHandle, inp: dict):
     }
 
 
+def _violation_line_image(f: MapHandle, inp: dict):
+    return _judge_line_image(*_judged_line(f, inp))
+
+
 def check_line_image(f: MapHandle, cfg: ProbeConfig) -> CheckOutcome:
     """Fail iff three sampled images of one line are affinely independent.
 
@@ -391,10 +410,8 @@ def check_line_image(f: MapHandle, cfg: ProbeConfig) -> CheckOutcome:
     return run_check(CHECKS["line-image"], f, cfg)
 
 
-def _violation_line_injectivity(f: MapHandle, inp: dict):
-    line, params = inp["line"], inp["params"]
-    _, imgs = _line_points_images(f, line, params)
-    if affine_rank(imgs) != 1:
+def _judge_line_injectivity(params, imgs, rank: int):
+    if rank != 1:
         return _SKIP
     groups: dict[Vector, list[int]] = {}
     for i, img in enumerate(imgs):
@@ -410,8 +427,39 @@ def _violation_line_injectivity(f: MapHandle, inp: dict):
     return None
 
 
+def _violation_line_injectivity(f: MapHandle, inp: dict):
+    return _judge_line_injectivity(*_judged_line(f, inp))
+
+
 def check_line_injectivity(f: MapHandle, cfg: ProbeConfig) -> CheckOutcome:
     return run_check(CHECKS["line-injectivity"], f, cfg)
+
+
+def check_lines(f: MapHandle, cfg: ProbeConfig) -> tuple[CheckOutcome, CheckOutcome]:
+    """``line-image`` and ``line-injectivity`` from one pass over the lines both
+    draw: each line's images are judged by every row not yet failed, and an
+    evaluation error names the first such row, as two ``run_check`` calls do."""
+    judges = {"line-image": _judge_line_image, "line-injectivity": _judge_line_injectivity}
+    counts = {name: [0, 0] for name in judges}  # name -> [probes, skipped]
+    witnesses, live = {}, list(judges)
+    for inputs in _drawn(_draw_line)(f, cfg):
+        try:
+            judged = _judged_line(f, inputs)
+        except MapEvalError as exc:
+            raise ProbeEvaluationError(live[0], inputs, exc) from exc
+        for name in live:
+            result = judges[name](*judged)
+            if result is _SKIP:
+                counts[name][1] += 1
+                continue
+            counts[name][0] += 1
+            if result is not None:
+                witnesses[name] = CHECKS[name].shrunk_witness(f, inputs)
+        live = [name for name in live if name not in witnesses]
+        if not live:
+            break
+    return tuple(CheckOutcome(name, name not in witnesses, probes, witnesses.get(name), skipped)
+                 for name, (probes, skipped) in counts.items())
 
 
 # -- ratio preservation ---------------------------------------------------------
@@ -713,8 +761,8 @@ def _violation_parallelism(f: MapHandle, inp: dict):
     offset: Vector = inp["offset"]
     params = inp["params"]
     line1 = Line(line0.origin + offset, line0.direction)
-    _, imgs0 = _line_points_images(f, line0, params)
-    _, imgs1 = _line_points_images(f, line1, params)
+    imgs0 = [f(line0.point_at(t)) for t in params]
+    imgs1 = [f(line1.point_at(t)) for t in params]
     if affine_rank(imgs0) != 1 or affine_rank(imgs1) != 1:
         return _SKIP
     m0, m1 = _span_line(imgs0), _span_line(imgs1)

@@ -25,6 +25,7 @@ from colline.predicates import (
     check_additivity,
     check_line_image,
     check_line_injectivity,
+    check_lines,
     check_parallelism_preservation,
     check_ratio_preservation,
     check_zero_fixed,
@@ -84,8 +85,8 @@ def test_criterion_1_line_and_ratio_suite_on_random_linear_maps():
         m, n = rng.randint(1, 4), rng.randint(1, 4)
         f = make_linear(_rand_matrix(rng, n, m))
         cfg = ProbeConfig(seed=i, count=500)
-        assert check_line_image(f, cfg).passed
-        assert check_line_injectivity(f, cfg).passed
+        image, injectivity = check_lines(f, cfg)
+        assert image.passed and injectivity.passed
         assert check_ratio_preservation(f, cfg).passed
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"suite took {elapsed:.1f}s, budget is 60s"

@@ -3,6 +3,7 @@ import functools
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -12,13 +13,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from colline.cli import run
+from colline.dsl import parse_map_file
+from colline.predicates import revalidate_witness
+from colline.serialize import OUTCOME
+from colline.zoo import make_dsl
 
 IDENTITY = "map id : 2 -> 2 { y0 = x0; y1 = x1 }\n"
 TRANSLATE = "map translate : 2 -> 2 { y0 = x0 + 1; y1 = x1 + 1 }\n"
 MULTI = IDENTITY + "map double : 1 -> 1 { y0 = 2*x0 }\n"
 BAD = "map bad : 1 -> 1 { y0 = x3 }\n"
-DEMO_IDENTITY = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                             "demos", "identity.map")
+DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos")
+DEMO_IDENTITY = os.path.join(DEMOS, "identity.map")
 HOLE = "map hole : 2 -> 2 { y0 = x0 * (x0 - 1) / (x0 - 1); y1 = x1 }\n"
 
 
@@ -122,6 +127,34 @@ class TestFailureModes:
         assert run(["check", "line-injectivity", DEMO_IDENTITY,
                     "--params-per-line", "1000000000"]) == 1
         assert capsys.readouterr().err == "colline: params_per_line must be at most 10000\n"
+
+    def test_probes_times_params_per_line_above_bound_exits_1(self, capsys):
+        # each flag is within its own cap; together they would evaluate 10^10 points
+        assert run(["check", "line-injectivity", DEMO_IDENTITY, "--probes", "1000000",
+                    "--params-per-line", "10000"]) == 1
+        assert capsys.readouterr().err == (
+            "colline: probe count * params_per_line must be at most 5000000\n")
+
+    def test_witness_at_a_huge_range_shrinks_in_bounded_time(self, tmp_path, capsys):
+        # a scalar of 10^300 would halve about 1,000 times; the shrinker stops at 64
+        jump2 = os.path.join(DEMOS, "jump2.map")
+        dest = tmp_path / "r.json"
+
+        def timeout(signum, frame):
+            raise TimeoutError("did not return")
+
+        signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(20)
+        try:
+            code = run(["check", "line-image", jump2, "--range", str(10**300),
+                        "--out", str(dest)])
+        finally:
+            signal.alarm(0)
+        assert code == 0
+        outcome = OUTCOME.decode(json.loads(dest.read_text())["outcomes"][0])
+        with open(jump2) as fh:
+            handle = make_dsl(parse_map_file(fh.read())[0])
+        assert not outcome.passed and revalidate_witness(handle, outcome.witness)
 
     def test_scalar_monotone_eval_error_names_the_probe(self, mapfile, capsys):
         path = mapfile("inv.map", "map inv : 1 -> 1 { y0 = 1/x0 }\n")

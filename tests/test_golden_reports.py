@@ -7,7 +7,7 @@ field and the ``wall time:`` text line are zeroed, and the hash must equal
 the one stored in ``tests/data/golden_reports.json``.
 
 A refactor must leave every hash unchanged. A change that alters the probe
-streams on purpose (ROADMAP item 4: the table-driven sampler) changes the
+streams on purpose (another sampler or another draw order) changes the
 reports too; it regenerates the file with
 
     PYTHONPATH=src python tests/test_golden_reports.py --write

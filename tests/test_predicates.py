@@ -7,18 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colline.dsl import parse_map
+from colline.dsl import MapSpec, parse_map, render_map
 from colline.errors import DimensionMismatch, ProbeEvaluationError
 from colline.field import Vector, affine_rank, from_pairs, identity_matrix
 from colline.geometry import Line, Plane, in_interval
 from colline.predicates import (
     _SKIP,
+    MAX_LINE_POINTS,
     MAX_PARAMS_PER_LINE,
     MAX_PROBES,
     CheckOutcome,
     ProbeConfig,
     Witness,
     _Sampler,
+    _shrink,
     _violation_line_image,
     _violation_line_injectivity,
     _violation_ratio,
@@ -27,6 +29,7 @@ from colline.predicates import (
     check_homogeneity,
     check_line_image,
     check_line_injectivity,
+    check_lines,
     check_parallelism_preservation,
     check_ratio_preservation,
     check_scalar_monotone,
@@ -38,6 +41,7 @@ from colline.predicates import (
 )
 from colline.serialize import OUTCOME
 from colline.zoo import make_affine, make_dsl, make_lemma23, make_linear
+from test_dsl import _expr_strategy
 
 CFG = ProbeConfig(seed=0, count=200)
 
@@ -160,6 +164,64 @@ class TestLineInjectivity:
         assert values["common image"] == vec(0)
         out = check_line_injectivity(f, CFG)
         assert_sound_failure(f, out)
+
+
+def _outcomes_or_error(check):
+    """The outcomes ``check()`` returns, or the (check, probe) its
+    ProbeEvaluationError names."""
+    try:
+        return check()
+    except ProbeEvaluationError as exc:
+        return exc.check, exc.inputs
+
+
+class TestCheckLines:
+    """The one-pass driver gives what two run_check calls give, field for field."""
+
+    @staticmethod
+    def _both(f, cfg):
+        fused = _outcomes_or_error(lambda: check_lines(f, cfg))
+        separate = _outcomes_or_error(
+            lambda: (check_line_image(f, cfg), check_line_injectivity(f, cfg)))
+        assert fused == separate
+        return fused
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_random_maps_match_the_separate_checks(self, data):
+        m = data.draw(st.integers(1, 2))
+        outputs = data.draw(st.lists(_expr_strategy(m), min_size=1, max_size=2))
+        f = dsl(render_map(MapSpec("r", m, len(outputs), tuple(outputs))))
+        cfg = ProbeConfig(
+            seed=data.draw(st.integers(0, 1000)),
+            count=data.draw(st.integers(1, 25)),
+            coordinate_range=data.draw(st.integers(1, 12)),
+            params_per_line=data.draw(st.integers(3, 7)),
+        )
+        self._both(f, cfg)
+
+    def test_image_fails_where_injectivity_passes(self):
+        image, injectivity = self._both(
+            dsl("map cube : 2 -> 2 { y0 = x0; y1 = x1 * x1 * x1 }"), CFG)
+        assert not image.passed and injectivity.passed and injectivity.probes > 0
+
+    def test_injectivity_fails_where_image_passes(self):
+        image, injectivity = self._both(dsl("map square : 1 -> 1 { y0 = x0 * x0 }"), CFG)
+        assert image.passed and image.probes == CFG.count and not injectivity.passed
+
+    def test_error_while_both_rows_judge_names_line_image(self):
+        # 1/x is one-to-one and every image of a 1-dim map is collinear
+        check, _ = self._both(dsl("map inverse : 1 -> 1 { y0 = 1/x0 }"), CFG)
+        assert check == "line-image"
+
+    def test_error_after_line_image_failed_names_line_injectivity(self):
+        # three points of a hyperbola are never collinear, so line-image fails at
+        # the first probe; at seed 1 a later line passes through 0
+        f = dsl("map hyperbola : 1 -> 2 { y0 = x0; y1 = 1/x0 }")
+        cfg = ProbeConfig(seed=1, count=50)
+        check, _ = self._both(f, cfg)
+        assert check == "line-injectivity"
+        assert not check_line_image(f, cfg).passed
 
 
 def _scan_line_image(params, imgs):
@@ -555,6 +617,20 @@ class TestOutcomeMechanics:
         assert ProbeConfig(params_per_line=MAX_PARAMS_PER_LINE).params_per_line == 10**4
         with pytest.raises(ValueError, match="params_per_line must be at most 10000"):
             ProbeConfig(params_per_line=MAX_PARAMS_PER_LINE + 1)
+        assert ProbeConfig(count=MAX_LINE_POINTS // 10, params_per_line=10).count == 500_000
+        with pytest.raises(ValueError,
+                           match=r"probe count \* params_per_line must be at most 5000000"):
+            ProbeConfig(count=MAX_PROBES, params_per_line=6)
+
+    def test_shrinker_halves_one_scalar_at_most_64_times(self):
+        calls = []
+
+        def violation(f, inputs):  # holds whatever the inputs
+            calls.append(inputs)
+            return {}
+
+        assert _shrink(violation, None, {"c": Fraction(2**200, 3)}) == {"c": Fraction(2**136, 3)}
+        assert len(calls) == 64
 
     def test_witness_tampering_detected(self):
         f = lemma23_default()
