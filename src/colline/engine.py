@@ -29,7 +29,6 @@ from .field import (
     collinearity_scalar,
     format_scalar,
     format_vector,
-    identity_matrix,
     linearly_independent,
 )
 from .geometry import Line, line_through, lines_parallel, crossing_line
@@ -56,7 +55,7 @@ from .predicates import (
     find_independence_witness,
     run_check,
 )
-from .zoo import MapHandle, compose, make_affine
+from .zoo import MapHandle
 
 
 # -- scale-function extraction ---------------------------------------------------
@@ -753,28 +752,34 @@ def scalar_dichotomy(h: MapHandle, cfg: ProbeConfig) -> DichotomyResult:
 # -- affine reduction -----------------------------------------------------------------
 
 
+class _ShiftReduced(MapHandle):
+    def __init__(self, g: MapHandle, a_star: Vector):
+        super().__init__(m=g.m, n=g.n, name=f"reduced({g.name})")
+        self.g, self.a_star, self.ga = g, a_star, g(a_star)  # an a* of the wrong dim raises here
+
+    def __call__(self, x: Vector) -> Vector:
+        return self.g(x + self.a_star) - self.ga
+
+
 def shift_reduce(g: MapHandle, a_star: Vector) -> MapHandle:
-    """The handle x ↦ g(x + a*) − g(a*), which fixes the origin by construction."""
-    ga = g(a_star)
-    shift = make_affine(identity_matrix(g.m), a_star, name="shift")
-    unshift = make_affine(identity_matrix(g.n), -ga, name="unshift")
-    return compose(unshift, compose(g, shift), name=f"reduced({g.name})")
+    """The handle x ↦ g(x + a*) − g(a*), which fixes the origin by construction.
+
+    It shifts g's images by a constant, which no row that compares images only
+    with one another can see; at a* = 0 it also probes g's own points."""
+    return _ShiftReduced(g, a_star)
 
 
 def affine_reduce(g: MapHandle, witnesses: tuple[Vector, Vector, Vector]) -> MapHandle:
-    """Shift g to fix the origin: x ↦ g(x + a*) − g(a*).
-
-    Requires the witness differences g(a0*) − g(a*) and g(a1*) − g(a*) to be
-    linearly independent, so the reduced map keeps an independent image pair
-    at a0* − a* and a1* − a*.
-    """
+    """``shift_reduce`` at a*, given witness differences g(a0*) − g(a*) and
+    g(a1*) − g(a*) that are linearly independent: they are the reduced map's
+    images of a0* − a* and a1* − a*."""
     a_star, a0, a1 = witnesses
-    ga = g(a_star)
-    if not linearly_independent(g(a0) - ga, g(a1) - ga):
+    reduced = shift_reduce(g, a_star)
+    if not linearly_independent(reduced(a0 - a_star), reduced(a1 - a_star)):
         raise PreconditionError(
             "affine_reduce needs witnesses with independent shifted images"
         )
-    return shift_reduce(g, a_star)
+    return reduced
 
 
 def _violation_affine_reconstruction(g: MapHandle, inp: dict):
@@ -888,13 +893,21 @@ _MOVED_ORIGIN_ORDER = (
 )
 
 
-def _classify_empirical(h: MapHandle, cfg: ProbeConfig, depth: int = 0) -> Classification:
+def _geometric_outcomes(h: MapHandle, cfg: ProbeConfig) -> list[CheckOutcome]:
+    return [*check_lines(h, cfg), check_parallelism_preservation(h, cfg),
+            check_ratio_preservation(h, cfg), check_betweenness(h, cfg, "cor43")]
+
+
+def _classify_empirical(h: MapHandle, cfg: ProbeConfig, depth: int = 0,
+                        geometric: Optional[list[CheckOutcome]] = None) -> Classification:
+    """Classify h from probes; its shift reduction is classified at depth 1.
+
+    A constant added to h changes no outcome of ``_geometric_outcomes``, and the
+    reduction at a* = 0, x ↦ h(x) − h(0), probes the points h passed, so it gets
+    h's outcomes as ``geometric``. ``zero-fixed`` still runs first, so errors name the same row."""
     outcomes = [
         check_zero_fixed(h),
-        *check_lines(h, cfg),
-        check_parallelism_preservation(h, cfg),
-        check_ratio_preservation(h, cfg),
-        check_betweenness(h, cfg, "cor43"),
+        *(geometric or _geometric_outcomes(h, cfg)),
         check_betweenness(h, cfg, "prop44"),
         check_additivity(h, cfg),
         check_homogeneity(h, cfg),
@@ -993,7 +1006,8 @@ def _classify_empirical(h: MapHandle, cfg: ProbeConfig, depth: int = 0) -> Class
             affine_base=a_star,
         )
     reduced = affine_reduce(h, witnesses)
-    sub = _classify_empirical(reduced, cfg, depth=depth + 1)
+    reused = outcomes[1:6] if a_star.is_zero() else None  # the _MOVED_ORIGIN_ORDER rows
+    sub = _classify_empirical(reduced, cfg, depth=depth + 1, geometric=reused)
     outcomes.extend(
         dataclasses.replace(o, check=f"reduced:{o.check}") for o in sub.outcomes
     )

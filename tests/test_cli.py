@@ -305,6 +305,28 @@ class TestDeterminismAndRevalidation:
         assert json.loads(dest.read_text())["outcomes"][0]["verdict"] == "fail"
         assert run(["--revalidate", str(dest)]) == 0
 
+    @pytest.mark.parametrize("base, error", [
+        ("(0, 0, 0)", "DimensionMismatch: map translate takes dim 2, got 3"),
+        ("(1)", "DimensionMismatch: map translate takes dim 2, got 1"),
+        ("garbage", "ValueError: not a vector: 'garbage' (expected (s1, ..., sn))"),
+        (5, "AttributeError: 'int' object has no attribute 'strip'"),
+    ])
+    def test_revalidate_tampered_affine_base_is_malformed(
+        self, base, error, mapfile, tmp_path, capsys
+    ):
+        dest = tmp_path / "t.json"
+        argv = ["classify", "--no-symbolic", mapfile("t.map", TRANSLATE), "--probes", "60"]
+        assert run(argv + ["--out", str(dest)]) == 0
+        report = json.loads(dest.read_text())
+        assert report["classification"]["affine_base"] == "(0, 0)"
+        report["classification"]["affine_base"] = base
+        dest.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert run(["--revalidate", str(dest)]) == 2
+        assert capsys.readouterr().err == (
+            f"colline: revalidation failed: stored data is malformed ({error})\n"
+        )
+
     def test_revalidate_missing_file_exits_1(self, capsys):
         assert run(["--revalidate", "/nonexistent.json"]) == 1
 

@@ -1,11 +1,23 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from colline import engine
 from colline.dsl import parse_map
 from colline.errors import PreconditionError, ProbeEvaluationError, ViolationError
 from colline.field import Vector, identity_matrix
-from colline.predicates import ProbeConfig, revalidate_witness, _Sampler
+from colline.predicates import (
+    ProbeConfig,
+    check_betweenness,
+    check_lines,
+    check_parallelism_preservation,
+    check_ratio_preservation,
+    revalidate_witness,
+    _Sampler,
+)
 from colline.engine import (
     additivity_certificate,
     affine_reduce,
@@ -20,6 +32,7 @@ from colline.engine import (
 )
 from colline.serialize import CERTIFICATE, PHI_TABLE
 from colline.zoo import (
+    MapHandle,
     compose,
     make_affine,
     make_dsl,
@@ -300,6 +313,128 @@ class TestAffineReduce:
         f = affine_reduce(g, found)
         assert f(Vector.zero(2)).is_zero()
         assert find_affine_witnesses(make_affine([[1, 0], [1, 0]], vec(1, 1)), CFG) is None
+
+
+class _CountingMap(MapHandle):
+    """Wraps a handle and records every point it is evaluated at."""
+
+    def __init__(self, g):
+        super().__init__(g.m, g.n, g.name)
+        self.g, self.points = g, []
+
+    def __call__(self, x):
+        self.points.append(x)
+        return self.g(x)
+
+
+class TestShiftReduceHandle:
+    MAPS = {
+        "linear": make_linear([[1, 2], [3, 4]]),
+        "affine": make_affine([[1, -1], [Fraction(1, 2), 3]], vec(5, -7)),
+        "dsl": make_dsl(parse_map(
+            "map warp : 2 -> 2 { y0 = if x0 <= 1 then x0 * x1 else x0 + 5; y1 = x1 / 3 + 1 }"
+        )),
+        "lemma23": lemma23_default(),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(MAPS))
+    def test_equals_the_shifted_map_on_random_points(self, kind):
+        g = self.MAPS[kind]
+        for a_star in [Vector.zero(2)] + probe_vectors(2, 4, seed=7):
+            f = shift_reduce(g, a_star)
+            assert f.name == f"reduced({g.name})"
+            assert (f.m, f.n) == (g.m, g.n)
+            assert f(Vector.zero(2)).is_zero()
+            for x in probe_vectors(2, 40):
+                assert f(x) == g(x + a_star) - g(a_star)
+
+    def test_evaluates_g_at_a_star_once_when_built(self):
+        g = _CountingMap(self.MAPS["dsl"])
+        a_star = vec(2, Fraction(-1, 3))
+        f = shift_reduce(g, a_star)
+        assert g.points == [a_star]
+        xs = probe_vectors(2, 5)
+        for x in xs:
+            f(x)
+        assert g.points == [a_star] + [x + a_star for x in xs]
+
+
+def _affine_case(a, offset, as_dsl):
+    if not as_dsl:
+        return make_affine(a, offset)
+    rows = [
+        " + ".join(f"({c})*x{j}" for j, c in enumerate(row)) + f" + ({offset.coords[i]})"
+        for i, row in enumerate(a)
+    ]
+    n, m = len(a), len(a[0])
+    body = "; ".join(f"y{i} = {row}" for i, row in enumerate(rows))
+    return dsl(f"map h : {m} -> {n} {{ {body} }}")
+
+
+@st.composite
+def _affine_maps(draw):
+    m, n = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    entry = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    a = [[draw(entry) for _ in range(m)] for _ in range(n)]
+    offset = Vector(draw(st.lists(entry, min_size=n, max_size=n)))
+    if offset.is_zero():
+        offset = Vector.basis(n, 0)
+    return _affine_case(a, offset, draw(st.booleans()))
+
+
+class TestReusedGeometricOutcomes:
+    ROWS = ("line-image", "line-injectivity", "parallelism-preservation",
+            "ratio-preservation", "betweenness-cor43")
+
+    @settings(max_examples=25, deadline=None)
+    @given(h=_affine_maps(), seed=st.integers(0, 2**16), count=st.integers(1, 12),
+           params=st.integers(3, 5))
+    def test_reused_outcomes_equal_a_fresh_run_on_the_reduction(self, h, seed, count, params):
+        cfg = ProbeConfig(seed=seed, count=count, params_per_line=params)
+        cls = classify_map(h, cfg, use_symbolic=False)
+        if cls.affine_base is None:  # linear part of rank < 2: no reduction
+            assert cls.verdict == "inconclusive"
+            return
+        assert cls.affine_base.is_zero()
+        reduced = shift_reduce(h, cls.affine_base)
+        fresh = [*check_lines(reduced, cfg), check_parallelism_preservation(reduced, cfg),
+                 check_ratio_preservation(reduced, cfg), check_betweenness(reduced, cfg, "cor43")]
+        by_name = {o.check: o for o in cls.outcomes}
+        assert [o.check for o in fresh] == list(self.ROWS)
+        for outcome in fresh:
+            name = f"reduced:{outcome.check}"
+            assert by_name[name] == dataclasses.replace(outcome, check=name)
+
+    def _count_line_passes(self, monkeypatch):
+        calls = []
+
+        def counting(f, cfg):
+            calls.append(f.name)
+            return check_lines(f, cfg)
+
+        monkeypatch.setattr(engine, "check_lines", counting)
+        return calls
+
+    def test_lines_run_once_when_a_star_is_zero(self, monkeypatch):
+        calls = self._count_line_passes(monkeypatch)
+        g = make_affine([[1, 2], [3, 4]], vec(1, -1))
+        c = classify_map(g, CFG, use_symbolic=False)
+        assert c.verdict == "empirically_affine" and c.affine_base.is_zero()
+        assert calls == ["affine"]
+
+    def test_lines_run_again_when_a_star_is_not_zero(self, monkeypatch):
+        calls = self._count_line_passes(monkeypatch)
+        a_star = vec(2, -1)
+        monkeypatch.setattr(
+            engine, "find_affine_witnesses",
+            lambda g, cfg: (a_star, a_star + vec(1, 0), a_star + vec(0, 1)),
+        )
+        g = make_affine([[1, 2], [3, 4]], vec(1, -1))
+        c = classify_map(g, CFG, use_symbolic=False)
+        assert c.verdict == "empirically_affine" and c.affine_base == a_star
+        assert calls == ["affine", "reduced(affine)"]
+        assert all(o.passed for o in c.outcomes if o.check.startswith("reduced:")
+                   and o.check.removeprefix("reduced:") in self.ROWS)
 
 
 class TestClassify:
