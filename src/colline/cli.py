@@ -65,7 +65,19 @@ _CHECKS = {
 _CERT_KINDS = ("homogeneity", "additivity")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse with usage errors on exit code 1; exit code 2 means an
+    internal invariant violation here. Subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: nothing in it depends on the
+    environment (``COLLINE_SEED`` is read in ``_resolve_seed``)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--probes", type=int, default=500, help="probe budget per check")
     common.add_argument(
@@ -85,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_inputs(p):
         p.add_argument("inputs", nargs="*", help=".map files")
 
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="colline",
         description="exact-rational verification laboratory for linear/affine structure of vector maps",
     )

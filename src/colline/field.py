@@ -30,12 +30,18 @@ ONE = Fraction(1)
 _SCALAR_RE = re.compile(r"^[+-]?\d+(?:/0*[1-9]\d*)?$")
 
 
-def parse_scalar(text: str) -> Fraction:
-    """Parse the ``p/q`` or ``p`` text form (optional leading sign)."""
+def _scalar_pair(text: str) -> tuple[int, int]:
+    """(p, q), q > 0 and not yet reduced, for the ``p/q`` or ``p`` text form."""
     t = text.strip()
     if not _SCALAR_RE.match(t):
         raise ValueError(f"not a rational scalar: {text!r} (expected p or p/q, q > 0)")
-    return Fraction(t)
+    p, _, q = t.partition("/")
+    return int(p), int(q) if q else 1
+
+
+def parse_scalar(text: str) -> Fraction:
+    """Parse the ``p/q`` or ``p`` text form (optional leading sign)."""
+    return Fraction(*_scalar_pair(text))
 
 
 def format_scalar(s: Fraction) -> str:
@@ -189,11 +195,11 @@ def format_vector(v: Vector) -> str:
 
 
 def parse_vector(text: str) -> Vector:
+    """Parse the ``(s1, ..., sn)`` text form straight into integer pairs."""
     t = text.strip()
     if not (t.startswith("(") and t.endswith(")")):
         raise ValueError(f"not a vector: {text!r} (expected (s1, ..., sn))")
-    parts = t[1:-1].split(",")
-    return Vector(parse_scalar(p) for p in parts)
+    return from_pairs([_scalar_pair(part) for part in t[1:-1].split(",")])
 
 
 # -- integer rank and collinearity ----------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from colline import cli
 from colline.cli import run
 from colline.dsl import parse_map_file
 from colline.predicates import revalidate_witness
@@ -24,6 +25,7 @@ MULTI = IDENTITY + "map double : 1 -> 1 { y0 = 2*x0 }\n"
 BAD = "map bad : 1 -> 1 { y0 = x3 }\n"
 DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos")
 DEMO_IDENTITY = os.path.join(DEMOS, "identity.map")
+DEMO_TRANSLATE = os.path.join(DEMOS, "translate.map")
 HOLE = "map hole : 2 -> 2 { y0 = x0 * (x0 - 1) / (x0 - 1); y1 = x1 }\n"
 
 
@@ -185,6 +187,66 @@ class TestFailureModes:
         path = mapfile("deep.map", "map d : 1 -> 1 { y0 = " + body + " }\n")
         assert run(["classify", path, "--probes", "20"] + flags) == 1
         assert "deeper than 200 levels" in capsys.readouterr().err
+
+
+class TestUsageErrors:
+    """argparse rejections exit 1 like every other usage error; 2 stays
+    reserved for internal invariant violations."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["check", "nosuch", DEMO_IDENTITY],
+         "colline check: error: argument name: invalid choice: 'nosuch'"),
+        (["classify", "--probes", "abc", DEMO_IDENTITY],
+         "colline classify: error: argument --probes: invalid int value: 'abc'"),
+        (["bogus"], "colline: error: argument command: invalid choice: 'bogus'"),
+        (["classify", "--nope"], "colline: error: unrecognized arguments: --nope"),
+    ], ids=["check-choice", "classify-int", "command", "unknown-flag"])
+    def test_usage_error_exits_1(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: colline")
+        assert message in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]], ids=["top", "check"])
+    def test_help_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: colline")
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_reuse_leaks_no_state(self, tmp_path, monkeypatch):
+        runs = [
+            (["classify", DEMO_IDENTITY, "--no-symbolic", "--seed", "5", "--probes", "40"], None),
+            (["check", "zero", DEMO_TRANSLATE], None),
+            (["classify", DEMO_TRANSLATE, "--probes", "40"], "7"),
+        ]
+        dest = tmp_path / "r.json"
+
+        def reports():
+            out = []
+            for argv, env_seed in runs:
+                if env_seed is None:
+                    monkeypatch.delenv("COLLINE_SEED", raising=False)
+                else:
+                    monkeypatch.setenv("COLLINE_SEED", env_seed)
+                assert run(argv + ["--out", str(dest)]) == 0
+                report = json.loads(dest.read_text())
+                del report["wall_time_ms"]
+                out.append(report)
+            return out
+
+        reused = reports()
+        # the undecorated function makes a new parser for every run
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        assert reused == reports()
+        assert [r["config"]["seed"] for r in reused] == [5, 0, 7]
 
 
 class TestCheckCommand:

@@ -1,8 +1,9 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from colline.errors import DimensionMismatch, PreconditionError
@@ -83,6 +84,70 @@ class TestScalarText:
         t = (s + Fraction(1, 3)) * Fraction(-7, 5) - s / Fraction(9, 2)
         assert t.denominator > 0
         assert math.gcd(abs(t.numerator), t.denominator) == 1
+
+
+SCALAR_MESSAGE = "not a rational scalar: {!r} (expected p or p/q, q > 0)"
+_blanks = st.sampled_from(["", " ", "  ", "\t"])
+
+
+@st.composite
+def scalar_texts(draw):
+    """Text in the accepted grammar: a sign, leading zeros, p/q not reduced, blanks."""
+    k = draw(st.integers(1, 60))  # a common factor of p and q
+    text = draw(st.sampled_from(["", "+", "-"]))
+    text += "0" * draw(st.integers(0, 2)) + str(k * draw(st.integers(0, 10**6)))
+    if draw(st.booleans()):
+        text += "/" + "0" * draw(st.integers(0, 2)) + str(k * draw(st.integers(1, 10**6)))
+    return draw(_blanks) + text + draw(_blanks)
+
+
+class TestTextParsersAgainstFraction:
+    """parse_scalar and parse_vector convert the text with int(); Fraction(str)
+    is the oracle for what they accept and return."""
+
+    @given(st.lists(scalar_texts(), min_size=1, max_size=MAX_DIM), _blanks, _blanks)
+    @example(["-0", "0/007", " +012/0036 "], "", " ")
+    def test_accepted_grammar_matches_fraction(self, parts, before, after):
+        got = parse_vector(f"{before}({','.join(parts)}){after}")
+        expected = Vector(Fraction(t) for t in parts)
+        assert (got.nums, got.den) == (expected.nums, expected.den)
+        for t in parts:
+            s = parse_scalar(t)
+            assert type(s) is Fraction and s == Fraction(t)
+
+    @pytest.mark.parametrize("bad", ["1/0", "1.5", "1_0", "", "(1,)", "(1 2)", "1/2/3"])
+    def test_scalar_rejections_keep_their_message(self, bad):
+        with pytest.raises(ValueError) as exc:
+            parse_scalar(bad)
+        assert str(exc.value) == SCALAR_MESSAGE.format(bad)
+
+    @pytest.mark.parametrize("text, part", [
+        ("(1/0)", "1/0"), ("(1.5)", "1.5"), ("(1_0)", "1_0"), ("()", ""),
+        ("(1,)", ""), ("(1 2)", "1 2"), ("(1/2/3)", "1/2/3"), ("( 1, 2/ 3)", " 2/ 3"),
+    ])
+    def test_vector_rejections_name_the_coordinate(self, text, part):
+        with pytest.raises(ValueError) as exc:
+            parse_vector(text)
+        assert str(exc.value) == SCALAR_MESSAGE.format(part)
+
+    @pytest.mark.parametrize("bad", ["", "1", "(1, 2", "1, 2)"])
+    def test_vector_needs_parentheses(self, bad):
+        with pytest.raises(ValueError) as exc:
+            parse_vector(bad)
+        assert str(exc.value) == f"not a vector: {bad!r} (expected (s1, ..., sn))"
+
+    def test_too_many_coordinates(self):
+        with pytest.raises(DimensionMismatch):
+            parse_vector("(" + ", ".join(["1"] * (MAX_DIM + 1)) + ")")
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this Python has no limit on int() digits")
+    def test_huge_numerator_is_a_value_error(self):
+        digits = "7" * 5000  # beyond int()'s default limit on decimal digits
+        with pytest.raises(ValueError):
+            parse_scalar(digits)
+        with pytest.raises(ValueError):
+            parse_vector(f"({digits}, 1)")
 
 
 class TestVector:
