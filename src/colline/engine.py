@@ -757,8 +757,9 @@ class _ShiftReduced(MapHandle):
         super().__init__(m=g.m, n=g.n, name=f"reduced({g.name})")
         self.g, self.a_star, self.ga = g, a_star, g(a_star)  # an a* of the wrong dim raises here
 
-    def __call__(self, x: Vector) -> Vector:
-        return self.g(x + self.a_star) - self.ga
+    def at(self, nums, den):
+        a = self.a_star  # x + a* over den·a*.den
+        return self.g.at([p * a.den + q * den for p, q in zip(nums, a.nums)], den * a.den) - self.ga
 
 
 def shift_reduce(g: MapHandle, a_star: Vector) -> MapHandle:

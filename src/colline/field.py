@@ -80,7 +80,7 @@ class Vector:
 
     @classmethod
     def zero(cls, dim: int) -> "Vector":
-        return cls([ZERO] * dim)
+        return from_ints([0] * dim, 1)
 
     @classmethod
     def basis(cls, dim: int, index: int) -> "Vector":
@@ -246,8 +246,8 @@ def linearly_independent(v: Vector, w: Vector) -> bool:
     return _int_rank([v.nums, w.nums]) == 2
 
 
-def affine_rank(points: Sequence[Vector]) -> int:
-    """Rank of {p_i − p_0}: 0 for a repeated point, 1 collinear, 2 coplanar, ..."""
+def _diff_rows(points: Sequence[Vector]) -> list[list[int]]:
+    """Integer rows of p_i − p_0 (i ≥ 1), each scaled by a positive factor."""
     if not points:
         raise PreconditionError("affine_rank of empty point set")
     p0 = points[0]
@@ -262,7 +262,12 @@ def affine_rank(points: Sequence[Vector]) -> int:
         g = _gcd(di, d0)
         mi, m0 = d0 // g, di // g
         rows.append([a * mi - b * m0 for a, b in zip(ni, n0)])
-    return _int_rank(rows)
+    return rows
+
+
+def affine_rank(points: Sequence[Vector]) -> int:
+    """Rank of {p_i − p_0}: 0 for a repeated point, 1 collinear, 2 coplanar, ..."""
+    return _int_rank(_diff_rows(points))
 
 
 def collinearity_scalar(v: Vector, w: Vector) -> Optional[Fraction]:

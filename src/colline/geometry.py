@@ -45,12 +45,16 @@ class Line:
     def dim(self) -> int:
         return self.origin.dim
 
-    def point_at(self, t) -> Vector:
+    def point_row(self, t) -> tuple[list[int], int]:
+        """(row, den), den > 0 and not reduced, with origin + t·direction = row/den."""
         p, q = _ratio(t)
         o, d = self.origin, self.direction
         # o + (p/q)·d over the denominator o.den·d.den·q
         mo, md = d.den * q, o.den * p
-        return from_ints([a * mo + b * md for a, b in zip(o.nums, d.nums)], o.den * mo)
+        return [a * mo + b * md for a, b in zip(o.nums, d.nums)], o.den * mo
+
+    def point_at(self, t) -> Vector:
+        return from_ints(*self.point_row(t))
 
     def contains(self, p: Vector) -> bool:
         """Exact membership: p − origin must be a multiple of direction."""
@@ -130,12 +134,20 @@ def in_interval(a: Vector, b: Vector, c: Vector, kind: str = "closed") -> bool:
         raise ValueError(f"interval kind must be 'closed' or 'open', got {kind!r}")
     if a == b:
         return kind == "closed" and c == a
-    t = collinearity_scalar(c - a, b - a)
-    if t is None:
+    an, ad = a.nums, a.den
+    if not len(an) == len(b.nums) == len(c.nums):
+        raise DimensionMismatch(f"dimension mismatch: {a.dim}, {b.dim}, {c.dim}")
+    # u = (c − a)·c.den·a.den and v = (b − a)·b.den·a.den as integer rows
+    u = [x * ad - y * c.den for x, y in zip(c.nums, an)]
+    v = [x * ad - y * b.den for x, y in zip(b.nums, an)]
+    j = next(i for i, x in enumerate(v) if x)
+    uj, vj = u[j], v[j]
+    if any(x * vj != uj * y for x, y in zip(u, v)):
         return False
-    if kind == "closed":
-        return 0 <= t <= 1
-    return 0 < t < 1
+    # c − a = t·(b − a) with t = uj·b.den / (vj·c.den)
+    p, q = uj * b.den, vj * c.den
+    p, q = (p, q) if q > 0 else (-p, -q)
+    return 0 <= p <= q if kind == "closed" else 0 < p < q
 
 
 def lines_parallel(l0: Line, l1: Line) -> bool:

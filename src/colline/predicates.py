@@ -28,8 +28,9 @@ from .errors import (
     MapEvalError,
     ProbeEvaluationError,
 )
-from .field import Vector, affine_rank, from_reduced_pairs, linearly_independent
-from .geometry import Line, Plane, divides_in_ratio, in_interval, line_through, lines_parallel
+from .field import (Vector, _diff_rows, _int_rank, affine_rank, from_reduced_pairs,
+                    linearly_independent)
+from .geometry import Line, Plane, divides_in_ratio, in_interval, line_through
 from .zoo import MapHandle
 
 
@@ -374,10 +375,15 @@ def _draw_line(f: MapHandle, cfg: ProbeConfig, s: _Sampler) -> dict:
     return {"line": s.line(f.m), "params": s.params(cfg.params_per_line)}
 
 
+def _line_images(f: MapHandle, line: Line, params) -> list[Vector]:
+    """The images of the line's points at params, each handed to ``f.at`` as its integer row."""
+    return [f.at(*line.point_row(t)) for t in params]
+
+
 def _judged_line(f: MapHandle, inp: dict) -> tuple:
     """(params, images, affine rank of the images): all a line judge reads."""
-    params, line = inp["params"], inp["line"]
-    imgs = [f(line.point_at(t)) for t in params]
+    params = inp["params"]
+    imgs = _line_images(f, inp["line"], params)
     return params, imgs, affine_rank(imgs)
 
 
@@ -761,14 +767,14 @@ def _violation_parallelism(f: MapHandle, inp: dict):
     offset: Vector = inp["offset"]
     params = inp["params"]
     line1 = Line(line0.origin + offset, line0.direction)
-    imgs0 = [f(line0.point_at(t)) for t in params]
-    imgs1 = [f(line1.point_at(t)) for t in params]
-    if affine_rank(imgs0) != 1 or affine_rank(imgs1) != 1:
+    imgs0, imgs1 = _line_images(f, line0, params), _line_images(f, line1, params)
+    rows0, rows1 = _diff_rows(imgs0), _diff_rows(imgs1)
+    if _int_rank(rows0) != 1 or _int_rank(rows1) != 1:
         return _SKIP
-    m0, m1 = _span_line(imgs0), _span_line(imgs1)
-    if lines_parallel(m0, m1):
+    # the first nonzero row of each is a multiple of its _span_line's direction
+    if _int_rank([next(r for r in rows if any(r)) for rows in (rows0, rows1)]) == 1:
         return None
-    return {"image line 0": m0, "image line 1": m1}
+    return {"image line 0": _span_line(imgs0), "image line 1": _span_line(imgs1)}
 
 
 def check_parallelism_preservation(f: MapHandle, cfg: ProbeConfig) -> CheckOutcome:

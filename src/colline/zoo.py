@@ -20,6 +20,7 @@ from .field import (
     Vector,
     format_vector,
     from_ints,
+    from_pairs,
     mat_mul,
     mat_vec,
     matrix,
@@ -39,7 +40,13 @@ class MapHandle:
         self.name = name
 
     def __call__(self, x: Vector) -> Vector:
-        raise NotImplementedError
+        self._check_input(x)
+        return self.at(x.nums, x.den)
+
+    def at(self, nums, den: int) -> Vector:
+        """The image of the point nums/den (m integers, den > 0, not necessarily
+        in lowest terms).  A handle overrides ``at`` or ``__call__``, or both."""
+        return self(from_ints(nums, den))
 
     def affine_form(self) -> Optional[tuple[Matrix, Vector]]:
         """(A, b) with self(x) = A·x + b when structurally known, else None."""
@@ -71,10 +78,10 @@ class LinearMap(MapHandle):
         self.a = a
         self._rows, self._den = _int_rows(a)
 
-    def __call__(self, x: Vector) -> Vector:
-        self._check_input(x)
-        xn = x.nums
-        return from_ints([sum(map(mul, row, xn)) for row in self._rows], self._den * x.den)
+    __call__ = MapHandle.__call__  # bound per class, so each kind can be traced apart
+
+    def at(self, nums, den):
+        return from_ints([sum(map(mul, row, nums)) for row in self._rows], self._den * den)
 
     def affine_form(self):
         return self.a, Vector.zero(self.n)
@@ -98,12 +105,12 @@ class AffineMap(MapHandle):
         self._offsets = [c * (den // g) for c in b.nums]
         self._den = den // g * b.den
 
-    def __call__(self, x: Vector) -> Vector:
-        self._check_input(x)
-        xn, xd = x.nums, x.den
+    __call__ = MapHandle.__call__
+
+    def at(self, nums, den):
         return from_ints(
-            [sum(map(mul, row, xn)) + off * xd for row, off in zip(self._rows, self._offsets)],
-            self._den * xd,
+            [sum(map(mul, row, nums)) + off * den for row, off in zip(self._rows, self._offsets)],
+            self._den * den,
         )
 
     def affine_form(self):
@@ -175,6 +182,15 @@ class DslMap(MapHandle):
 
     def __call__(self, x: Vector) -> Vector:
         return eval_map(self.spec, x)
+
+    def at(self, nums, den):
+        if (run := self.spec.compiled) is not None:
+            try:
+                return from_pairs(run(nums, den))
+            except ZeroDivisionError:  # raised by the generated code only
+                pass
+        # eval_map compiles the spec, or raises MapEvalError naming the point
+        return eval_map(self.spec, from_ints(nums, den))
 
     def affine_form(self):
         return symbolic_affine_form(self.spec)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from colline.errors import DegenerateGeometry, PreconditionError
-from colline.field import Vector, linearly_independent
+from colline.errors import DegenerateGeometry, DimensionMismatch, PreconditionError
+from colline.field import Vector, collinearity_scalar, linearly_independent
 from colline.geometry import (
     Crossing,
     Line,
@@ -160,6 +160,46 @@ class TestIntervals:
     def test_kind_validated(self):
         with pytest.raises(ValueError):
             in_interval(vec(0, 0), vec(1, 0), vec(0, 0), "half")
+
+    @staticmethod
+    def reference(a, b, c, kind):
+        """in_interval as it was decided on Vector differences and a Fraction."""
+        if a == b:
+            return kind == "closed" and c == a
+        t = collinearity_scalar(c - a, b - a)
+        if t is None:
+            return False
+        return 0 <= t <= 1 if kind == "closed" else 0 < t < 1
+
+    @staticmethod
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except DimensionMismatch:
+            return DimensionMismatch
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_reference(self, data):
+        dim = data.draw(st.integers(1, 4))
+        point = st.lists(rationals, min_size=dim, max_size=dim).map(Vector)
+        a = data.draw(point)
+        b = data.draw(st.one_of(st.just(a), point))
+        t = data.draw(st.sampled_from([0, 1, Fraction(1, 2), -1, 2]) | rationals)
+        c = data.draw(st.sampled_from([a, b, a + t * (b - a)]) | point)
+        for kind in ("closed", "open"):
+            assert in_interval(a, b, c, kind) == self.reference(a, b, c, kind)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_mixed_dimensions_match_the_reference(self, data):
+        a, b, c = (data.draw(st.lists(rationals, min_size=1, max_size=4).map(Vector))
+                   for _ in range(3))
+        if data.draw(st.booleans()):
+            b = a
+        for kind in ("closed", "open"):
+            got = self.outcome(in_interval, a, b, c, kind)
+            assert got == self.outcome(self.reference, a, b, c, kind)
 
 
 class TestParallel:

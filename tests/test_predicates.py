@@ -40,7 +40,7 @@ from colline.predicates import (
     revalidate_witness,
 )
 from colline.serialize import OUTCOME
-from colline.zoo import make_affine, make_dsl, make_lemma23, make_linear
+from colline.zoo import MapHandle, make_affine, make_dsl, make_lemma23, make_linear
 from test_dsl import _expr_strategy
 
 CFG = ProbeConfig(seed=0, count=200)
@@ -247,12 +247,11 @@ def _scan_line_injectivity(params, imgs):
     return None
 
 
-class _Table:
+class _Table(MapHandle):
     """A map of the x-axis given by a table of its values at integer points."""
 
-    m, n = 1, 2
-
     def __init__(self, values: dict):
+        super().__init__(m=1, n=2, name="table")
         self.values = values
 
     def __call__(self, x: Vector) -> Vector:
@@ -570,6 +569,27 @@ class TestParallelismPreservation:
         out = check_parallelism_preservation(f, CFG)
         assert out.passed
         assert out.skipped > 0
+
+    # (probes, skipped) and the two witness lines, each as (origin, direction),
+    # taken from the implementation that built every sampled point as a Vector
+    SQ_FAILS = {
+        0: ((1, 0), (("0", "0"), ("1/6", "0")), (("0", "0"), ("1/6", "1/12"))),
+        1: ((1, 18), (("0", "0"), ("1/11", "0")), (("0", "0"), ("1/11", "-1/11"))),
+        2: ((1, 21), (("0", "0"), ("1/7", "0")), (("0", "0"), ("1/7", "-1/7"))),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(SQ_FAILS))
+    def test_product_map_fails_with_the_recorded_witness(self, seed):
+        f = dsl("map sq : 2 -> 2 { y0 = x0; y1 = x0 * x1 }")
+        out = check_parallelism_preservation(f, ProbeConfig(seed=seed, count=200))
+        counts, line0, line1 = self.SQ_FAILS[seed]
+        assert not out.passed
+        assert (out.probes, out.skipped) == counts
+        values = dict(out.witness.values)
+        assert list(values) == ["image line 0", "image line 1"]
+        for got, (origin, direction) in zip(values.values(), (line0, line1)):
+            assert (got.origin, got.direction) == (vec(*origin), vec(*direction))
+        assert revalidate_witness(f, out.witness)
 
 
 class TestOutcomeMechanics:

@@ -1,10 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colline.dsl import parse_map
-from colline.errors import ConstructionError, DimensionMismatch
-from colline.field import Vector, identity_matrix, mat_mul, mat_vec
+from colline.engine import shift_reduce
+from colline.errors import ConstructionError, DimensionMismatch, MapEvalError
+from colline.field import Vector, from_ints, identity_matrix, mat_mul, mat_vec
 from colline.predicates import ProbeConfig, _Sampler
 from colline.zoo import (
     compose,
@@ -182,3 +185,44 @@ class TestSourceRoundTrip:
             probes = probe_vectors(handle.m, 20)
             for x in probes:
                 assert clone(x) == handle(x)
+
+
+class TestIntegerEntryPoint:
+    """``f.at(nums, den)`` is ``f`` at the point nums/den, also when the pair
+    is not in lowest terms, and fails at a zero divisor as ``f`` does."""
+
+    WARP = make_dsl(parse_map(
+        "map warp : 2 -> 2 { y0 = if x0 <= 1 then x0 * x1 else x0 + 5; y1 = x1 / (x0 - 1) + 1 }"
+    ))
+    LINEAR = make_linear([[1, 2], [Fraction(-1, 3), 4]])
+    AFFINE = make_affine([[1, -1], [Fraction(1, 2), 3]], vec(5, Fraction(-7, 2)))
+    MAPS = {
+        "linear": LINEAR,
+        "affine": AFFINE,
+        "lemma23": make_lemma23(2, 2, None, 0, vec(0, 1)),
+        "dsl": WARP,
+        "compose": compose(WARP, AFFINE),
+        "shift_reduce": shift_reduce(WARP, vec(2, Fraction(-1, 3))),
+        "shift_reduce at 0": shift_reduce(LINEAR, Vector.zero(2)),
+    }
+
+    @staticmethod
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except MapEvalError as exc:
+            return str(exc), exc.output_index, exc.at
+
+    @pytest.mark.parametrize("kind", sorted(MAPS))
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_at_equals_the_call_at_the_point(self, kind, data):
+        f = self.MAPS[kind]
+        den = data.draw(st.integers(1, 12))
+        # x0 = 1 and x0 = -1 are the zero divisors of warp and of its shift by (2, -1/3)
+        x0 = data.draw(st.sampled_from([den, -den]) | st.integers(-12, 12))
+        nums = [x0, data.draw(st.integers(-12, 12))]
+        k = data.draw(st.integers(2, 6))
+        want = self.outcome(f, from_ints(nums, den))
+        assert self.outcome(f.at, [k * a for a in nums], k * den) == want
+        assert self.outcome(f.at, nums, den) == want
