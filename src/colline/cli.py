@@ -290,17 +290,22 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(payload, args) -> None:
+def _emit(payload, args) -> int:
     if args.format == "json":
         text = json.dumps(payload, indent=2) + "\n"
     else:
         reports = payload if isinstance(payload, list) else [payload]
         text = "".join(_render_text(r) for r in reports)
-    if args.out:
+    if not args.out:
+        sys.stdout.write(text)
+        return 0
+    try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"colline: cannot write report {args.out}: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def _recheck_report(report: dict) -> list[str]:
@@ -347,7 +352,7 @@ def _revalidate(path: str) -> int:
         print(f"colline: cannot load report {path}: {exc}", file=sys.stderr)
         return 1
     reports = payload if isinstance(payload, list) else [payload]
-    if not all(isinstance(report, dict) for report in reports):
+    if not reports or not all(isinstance(report, dict) for report in reports):
         print(f"colline: cannot load report {path}: not a report object or a list of them",
               file=sys.stderr)
         return 1
@@ -389,8 +394,7 @@ def run(argv: Optional[list[str]] = None) -> int:
     except (CollineError, OSError, ValueError) as exc:
         print(f"colline: {exc}", file=sys.stderr)
         return 1
-    _emit(reports[0] if len(reports) == 1 else reports, args)
-    return 0
+    return _emit(reports[0] if len(reports) == 1 else reports, args)
 
 
 def main() -> None:

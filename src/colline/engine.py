@@ -11,6 +11,7 @@ without re-running the construction.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,9 +39,11 @@ from .predicates import (
     CheckOutcome,
     ProbeConfig,
     Witness,
+    _basis_then_sampled_pairs,
     _drawn,
     _Sampler,
     _SKIP,
+    _scalar_eval,
     _scalar_sweep,
     check_additivity,
     check_betweenness,
@@ -278,30 +281,21 @@ class Certificate:
             # distinct domain lines sharing the point pin the intersection to
             # exactly that point; image lines may legitimately coincide (maps
             # with dependent images send several lines into one).
-            for i in range(len(names)):
-                for j in range(i + 1, len(names)):
-                    c1, c2 = by_name.get(names[i]), by_name.get(names[j])
-                    if c1 is None or c2 is None:
-                        continue
-                    if c1.line == c2.line:
-                        failures.append(f"{names[i]} and {names[j]} are the same line")
+            for n1, n2 in itertools.combinations(names, 2):
+                c1, c2 = by_name.get(n1), by_name.get(n2)
+                if c1 is not None and c2 is not None and c1.line == c2.line:
+                    failures.append(f"{n1} and {n2} are the same line")
         for fact in self.parallels:
-            for i in range(len(fact.lines)):
-                for j in range(i + 1, len(fact.lines)):
-                    c1, c2 = by_name.get(fact.lines[i]), by_name.get(fact.lines[j])
-                    if c1 is None or c2 is None:
-                        failures.append("unknown line in parallel fact")
-                        continue
-                    if not lines_parallel(c1.line, c2.line):
-                        failures.append(
-                            f"{fact.lines[i]} and {fact.lines[j]} are not parallel"
-                        )
-                    if c1.image is not None and c2.image is not None:
-                        if not lines_parallel(c1.image, c2.image):
-                            failures.append(
-                                f"images of {fact.lines[i]} and {fact.lines[j]}"
-                                " are not parallel"
-                            )
+            for n1, n2 in itertools.combinations(fact.lines, 2):
+                c1, c2 = by_name.get(n1), by_name.get(n2)
+                if c1 is None or c2 is None:
+                    failures.append("unknown line in parallel fact")
+                    continue
+                if not lines_parallel(c1.line, c2.line):
+                    failures.append(f"{n1} and {n2} are not parallel")
+                if c1.image is not None and c2.image is not None:
+                    if not lines_parallel(c1.image, c2.image):
+                        failures.append(f"images of {n1} and {n2} are not parallel")
         for eq in self.equations:
             if eq.lhs != eq.rhs:
                 failures.append(f"equation fails: {eq.label}")
@@ -330,11 +324,10 @@ class _CertBuilder:
         self.construction_inputs = construction_inputs
         self._evals: dict[Vector, Vector] = {}
         self._labels: dict[Vector, str] = {}
-        self._lines: list[dict] = []
+        self._lines: list[CertLine] = []
         self._point_facts: dict[Vector, list[str]] = {}
         self._parallel_pairs: list[tuple[str, str]] = []
-        self._equations: list[Equation] = []
-        self._eq_labels: set[str] = set()
+        self._equations: dict[str, Equation] = {}
         self.note = ""
 
     def eval(self, p: Vector) -> Vector:
@@ -358,21 +351,18 @@ class _CertBuilder:
             raise self.violation(f"degenerate construction line through {p} twice")
         line = line_through(p, q)
         fp, fq = self.eval(p), self.eval(q)
-        for entry in self._lines:
-            if entry["line"] == line:
-                image = entry["image"]
-                if image is not None:
+        for i, cl in enumerate(self._lines):
+            if cl.line == line:
+                if cl.image is not None:
                     for pt, img in ((p, fp), (q, fq)):
-                        if not image.contains(img):
+                        if not cl.image.contains(img):
                             raise self.violation(
-                                f"map sends {self.label(pt)} off the image line of"
-                                f" {entry['name']}"
+                                f"map sends {self.label(pt)} off the image line of {cl.name}"
                             )
-                entry["anchors"].append(p)
-                entry["anchors"].append(q)
-                entry["anchor_images"].append(fp)
-                entry["anchor_images"].append(fq)
-                return entry["name"]
+                self._lines[i] = dataclasses.replace(
+                    cl, anchors=cl.anchors + (p, q), anchor_images=cl.anchor_images + (fp, fq)
+                )
+                return cl.name
         image = None
         if with_image:
             if fp == fq:
@@ -382,15 +372,7 @@ class _CertBuilder:
                 )
             image = line_through(fp, fq)
         name = f"L{len(self._lines)}"
-        self._lines.append(
-            {
-                "name": name,
-                "line": line,
-                "image": image,
-                "anchors": [p, q],
-                "anchor_images": [fp, fq],
-            }
-        )
+        self._lines.append(CertLine(name, line, image, (p, q), (fp, fq)))
         return name
 
     def point_fact(self, names: list[str], point: Vector) -> None:
@@ -404,10 +386,7 @@ class _CertBuilder:
         self._parallel_pairs.append((name1, name2))
 
     def equation(self, label: str, lhs, rhs) -> None:
-        if label in self._eq_labels:
-            return
-        self._eq_labels.add(label)
-        self._equations.append(Equation(label, lhs, rhs))
+        self._equations.setdefault(label, Equation(label, lhs, rhs))
 
     def _merge_parallel_groups(self) -> list[ParallelFact]:
         parent: dict[str, str] = {}
@@ -423,7 +402,7 @@ class _CertBuilder:
             if n1 != n2:
                 parent[find(n1)] = find(n2)
         groups: dict[str, list[str]] = {}
-        order = [entry["name"] for entry in self._lines]
+        order = [cl.name for cl in self._lines]
         for n1, n2 in self._parallel_pairs:
             for n in (n1, n2):
                 root = find(n)
@@ -437,17 +416,7 @@ class _CertBuilder:
         return facts
 
     def seal(self) -> Certificate:
-        lines = tuple(
-            CertLine(
-                entry["name"],
-                entry["line"],
-                entry["image"],
-                tuple(entry["anchors"]),
-                tuple(entry["anchor_images"]),
-            )
-            for entry in self._lines
-        )
-        order = [entry["name"] for entry in self._lines]
+        order = [cl.name for cl in self._lines]
         intersections = tuple(
             PointFact(tuple(sorted(names, key=order.index)), point, self.eval(point))
             for point, names in self._point_facts.items()
@@ -458,11 +427,11 @@ class _CertBuilder:
         )
         cert = Certificate(
             kind=self.kind,
-            lines=lines,
+            lines=tuple(self._lines),
             intersections=intersections,
             parallels=tuple(self._merge_parallel_groups()),
             points=points,
-            equations=tuple(self._equations),
+            equations=tuple(self._equations.values()),
             conclusion=self.conclusion,
             holds=True,
             note=self.note,
@@ -716,7 +685,7 @@ class DichotomyResult:
 
 def _violation_scalar_dichotomy(f: MapHandle, inp: dict):
     r = inp["r"]
-    val = f(Vector((r,))).coords[0]
+    val = _scalar_eval(f, r)
     if val != 0 and val != r:
         return {"h(r)": val}
     return None
@@ -810,17 +779,9 @@ def find_affine_witnesses(
     bases = [Vector.zero(g.m)]
     for _ in range(8):
         bases.append(sampler.vector(g.m))
-
-    def pairs():
-        for i in range(g.m):
-            for j in range(i + 1, g.m):
-                yield Vector.basis(g.m, i), Vector.basis(g.m, j)
-        for _ in range(max(1, cfg.count // max(1, len(bases)))):
-            yield sampler.vector(g.m), sampler.vector(g.m)
-
     for a_star in bases:
         ga = g(a_star)
-        for x, y in pairs():
+        for x, y in _basis_then_sampled_pairs(sampler, g.m, max(1, cfg.count // len(bases))):
             if linearly_independent(g(x) - ga, g(y) - ga):
                 return a_star, x, y
     return None

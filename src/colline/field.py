@@ -71,7 +71,9 @@ class Vector:
     __slots__ = ("nums", "den")
 
     def __init__(self, coords: Iterable[Fraction]):
-        _over_lcm(self, [_ratio(c) for c in coords])
+        v = from_pairs([_ratio(c) for c in coords])
+        _set(self, "nums", v.nums)
+        _set(self, "den", v.den)
 
     @classmethod
     def of(cls, *values) -> "Vector":
@@ -164,24 +166,6 @@ def from_pairs(pairs: Sequence[tuple[int, int]]) -> Vector:
     """The vector (p0/q0, p1/q1, ...) from integer pairs with q > 0."""
     den = math.lcm(*[q for _, q in pairs])
     return from_ints([p * (den // q) for p, q in pairs], den)
-
-
-def _over_lcm(v: Vector, pairs: Sequence[tuple[int, int]]) -> Vector:
-    n = len(pairs)
-    if not 1 <= n <= MAX_DIM:
-        raise DimensionMismatch(f"vector dimension {n} outside 1..{MAX_DIM}")
-    den = math.lcm(*[q for _, q in pairs])
-    # each p/q is in lowest terms, so over their lcm no prime of den
-    # divides the numerator of the coordinate carrying its highest power
-    _set(v, "nums", tuple(p * (den // q) for p, q in pairs))
-    _set(v, "den", den)
-    return v
-
-
-def from_reduced_pairs(pairs: Sequence[tuple[int, int]]) -> Vector:
-    """The vector (p0/q0, p1/q1, ...) from pairs in lowest terms with q > 0;
-    unlike ``from_pairs`` it takes no second gcd."""
-    return _over_lcm(_new(Vector), pairs)
 
 
 def format_vector(v: Vector) -> str:

@@ -18,7 +18,6 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Callable, Iterable, Optional
 
 from .errors import (
@@ -28,8 +27,7 @@ from .errors import (
     MapEvalError,
     ProbeEvaluationError,
 )
-from .field import (Vector, _diff_rows, _int_rank, affine_rank, from_reduced_pairs,
-                    linearly_independent)
+from .field import Vector, _diff_rows, _int_rank, affine_rank, from_pairs, linearly_independent
 from .geometry import Line, Plane, divides_in_ratio, in_interval, line_through
 from .zoo import MapHandle
 
@@ -136,12 +134,8 @@ class _Sampler:
                 return s
 
     def vector(self, dim: int) -> Vector:
-        pair, pairs = self._pair, []
-        for _ in range(dim):
-            p, q = pair()
-            g = gcd(p, q)
-            pairs.append((p // g, q // g))
-        return from_reduced_pairs(pairs)
+        pair = self._pair
+        return from_pairs([pair() for _ in range(dim)])
 
     def nonzero_vector(self, dim: int) -> Vector:
         while True:
@@ -302,6 +296,16 @@ def _drawn(draw) -> Callable:
         return (draw(f, cfg, sampler) for _ in range(cfg.count))
 
     return stream
+
+
+def _basis_then_sampled_pairs(sampler: _Sampler, m: int, count: int):
+    """Every pair (e_i, e_j), i < j, of the standard basis of Q^m, then count
+    sampled vector pairs."""
+    for i in range(m):
+        for j in range(i + 1, m):
+            yield Vector.basis(m, i), Vector.basis(m, j)
+    for _ in range(count):
+        yield sampler.vector(m), sampler.vector(m)
 
 
 def _unit_then_sampled_pairs(sampler: _Sampler, count: int):
@@ -471,14 +475,6 @@ def check_lines(f: MapHandle, cfg: ProbeConfig) -> tuple[CheckOutcome, CheckOutc
 # -- ratio preservation ---------------------------------------------------------
 
 
-def _draw_ratio(f: MapHandle, cfg: ProbeConfig, s: _Sampler) -> Optional[dict]:
-    a, b = s.vector(f.m), s.vector(f.m)
-    r, t = s.scalar(), s.scalar()
-    if a == b or r + t == 0:
-        return None
-    return {"a": a, "b": b, "r": r, "s": t}
-
-
 def _violation_ratio(f: MapHandle, inp: dict):
     a, b, r, s = inp["a"], inp["b"], inp["r"], inp["s"]
     if a == b or r + s == 0:
@@ -507,16 +503,7 @@ def find_independence_witness(f: MapHandle, cfg: ProbeConfig) -> Optional[tuple[
     The stream starts with all standard-basis pairs (deterministic anchors
     for full-rank maps), then random pairs.  None after cfg.count probes.
     """
-    sampler = _Sampler(cfg)
-
-    def candidates():
-        for i in range(f.m):
-            for j in range(i + 1, f.m):
-                yield Vector.basis(f.m, i), Vector.basis(f.m, j)
-        for _ in range(cfg.count):
-            yield sampler.vector(f.m), sampler.vector(f.m)
-
-    for a0, a1 in candidates():
+    for a0, a1 in _basis_then_sampled_pairs(_Sampler(cfg), f.m, cfg.count):
         if linearly_independent(f(a0), f(a1)):
             return a0, a1
     return None
@@ -801,7 +788,9 @@ CHECKS: dict[str, Check] = {row.name: row for row in (
           _violation_line_injectivity, _drawn(_draw_line)),
     Check("ratio-preservation",
           "f(c) divides f(a),f(b) in the same ratio as c divides a,b",
-          _violation_ratio, _drawn(_draw_ratio)),
+          _violation_ratio,
+          _drawn(lambda f, cfg, s: {"a": s.vector(f.m), "b": s.vector(f.m),
+                                    "r": s.scalar(), "s": s.scalar()})),
     Check("betweenness-cor43",
           "g(c) stays strictly between g(a) and g(b), unless all three collapse",
           _violation_betweenness_cor43, _drawn(_draw_cor43)),

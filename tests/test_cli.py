@@ -158,6 +158,12 @@ class TestFailureModes:
             handle = make_dsl(parse_map_file(fh.read())[0])
         assert not outcome.passed and revalidate_witness(handle, outcome.witness)
 
+    @pytest.mark.parametrize("dest", ["missing/dir/r.json", "."], ids=["missing-dir", "directory"])
+    def test_unwritable_out_exits_1(self, dest, tmp_path, capsys):
+        out = str(tmp_path / dest)
+        assert run(["classify", DEMO_IDENTITY, "--probes", "20", "--out", out]) == 1
+        assert capsys.readouterr().err.startswith(f"colline: cannot write report {out}: ")
+
     def test_scalar_monotone_eval_error_names_the_probe(self, mapfile, capsys):
         path = mapfile("inv.map", "map inv : 1 -> 1 { y0 = 1/x0 }\n")
         assert run(["check", "scalar-monotone", path]) == 1
@@ -438,9 +444,10 @@ class TestDeterminismAndRevalidation:
 
     def test_revalidate_non_report_payload_exits_1(self, tmp_path, capsys):
         dest = tmp_path / "r.json"
-        dest.write_text("[1]")
-        assert run(["--revalidate", str(dest)]) == 1
-        assert "not a report object" in capsys.readouterr().err
+        for content in ("[1]", "[]"):  # an empty list holds no report to re-check
+            dest.write_text(content)
+            assert run(["--revalidate", str(dest)]) == 1
+            assert "not a report object" in capsys.readouterr().err
 
     def test_env_seed_overrides_default_only(self, mapfile, tmp_path, capsys, monkeypatch):
         path = mapfile("t.map", TRANSLATE)

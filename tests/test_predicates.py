@@ -13,12 +13,14 @@ from colline.field import Vector, affine_rank, from_pairs, identity_matrix
 from colline.geometry import Line, Plane, in_interval
 from colline.predicates import (
     _SKIP,
+    CHECKS,
     MAX_LINE_POINTS,
     MAX_PARAMS_PER_LINE,
     MAX_PROBES,
     CheckOutcome,
     ProbeConfig,
     Witness,
+    _drawn,
     _Sampler,
     _shrink,
     _violation_line_image,
@@ -38,6 +40,7 @@ from colline.predicates import (
     classify_plane_image,
     find_independence_witness,
     revalidate_witness,
+    run_check,
 )
 from colline.serialize import OUTCOME
 from colline.zoo import MapHandle, make_affine, make_dsl, make_lemma23, make_linear
@@ -364,7 +367,33 @@ class TestSamplerStream:
         assert sampler.rng.getstate() == reference.rng.getstate()
 
 
+def _filtered_ratio_draw(f, cfg, s):
+    """Reference ratio stream: the degenerate draws (a = b or r + s = 0) come
+    out as None, before any evaluation."""
+    a, b = s.vector(f.m), s.vector(f.m)
+    r, t = s.scalar(), s.scalar()
+    if a == b or r + t == 0:
+        return None
+    return {"a": a, "b": b, "r": r, "s": t}
+
+
 class TestRatioPreservation:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_degenerate_draws_skip_as_in_a_filtering_stream(self, data):
+        # at coordinate ranges 1-3, a = b and r + s = 0 are frequent draws
+        m = data.draw(st.integers(1, 2))
+        outputs = data.draw(st.lists(_expr_strategy(m), min_size=1, max_size=2))
+        f = dsl(render_map(MapSpec("r", m, len(outputs), tuple(outputs))))
+        cfg = ProbeConfig(
+            seed=data.draw(st.integers(0, 1000)),
+            count=data.draw(st.integers(1, 25)),
+            coordinate_range=data.draw(st.integers(1, 3)),
+        )
+        row = CHECKS["ratio-preservation"]
+        assert _outcomes_or_error(lambda: check_ratio_preservation(f, cfg)) == (
+            _outcomes_or_error(lambda: run_check(row, f, cfg, _drawn(_filtered_ratio_draw))))
+
     def test_linear_passes(self):
         assert check_ratio_preservation(make_linear([[1, 2], [3, 4]]), CFG).passed
 
