@@ -352,7 +352,8 @@ def _revalidate(path: str) -> int:
         print(f"colline: cannot load report {path}: {exc}", file=sys.stderr)
         return 1
     reports = payload if isinstance(payload, list) else [payload]
-    if not reports or not all(isinstance(report, dict) for report in reports):
+    if not reports or not all(isinstance(r, dict) and isinstance(r.get("map"), dict)
+                              and "source" in r["map"] for r in reports):
         print(f"colline: cannot load report {path}: not a report object or a list of them",
               file=sys.stderr)
         return 1

@@ -85,13 +85,12 @@ def extract_phi(f: MapHandle, a: Vector, r) -> Fraction:
 
 
 def _violation_phi_extract(f: MapHandle, inp: dict):
-    a, r = inp["a"], inp["r"]
-    fa = f(a)
-    if fa.is_zero():
+    try:
+        extract_phi(f, inp["a"], inp["r"])
+    except PreconditionError:
         return _SKIP
-    fra = f(r * a)
-    if collinearity_scalar(fra, fa) is None:
-        return {"f(a)": fa, "f(r*a)": fra}
+    except ViolationError as exc:
+        return dict(exc.witness.values)
     return None
 
 
@@ -252,11 +251,9 @@ class Certificate:
     holds: bool
     note: str = ""
 
-    def validate(self, f: Optional[MapHandle] = None) -> list[str]:
-        """Re-check every stored fact; empty list means the certificate holds.
-
-        With a map handle, stored evaluations are also re-run.
-        """
+    def validate(self, f: MapHandle) -> list[str]:
+        """Re-check every stored fact and re-run every stored evaluation on f;
+        an empty list means the certificate holds."""
         failures: list[str] = []
         by_name = {cl.name: cl for cl in self.lines}
         for cl in self.lines:
@@ -299,10 +296,9 @@ class Certificate:
         for eq in self.equations:
             if eq.lhs != eq.rhs:
                 failures.append(f"equation fails: {eq.label}")
-        if f is not None:
-            for label, inp, img in self.points:
-                if f(inp) != img:
-                    failures.append(f"stored evaluation of {label} is stale")
+        for label, inp, img in self.points:
+            if f(inp) != img:
+                failures.append(f"stored evaluation of {label} is stale")
         if not self.holds:
             failures.append("certificate is marked as not holding")
         return failures

@@ -295,23 +295,6 @@ def identity_matrix(n: int) -> Matrix:
     )
 
 
-def mat_vec(a: Matrix, v: Vector) -> Vector:
-    if len(a[0]) != v.dim:
-        raise DimensionMismatch(f"matrix width {len(a[0])} vs vector dim {v.dim}")
-    return Vector(
-        sum((x * c for x, c in zip(row, v.coords)), ZERO) for row in a
-    )
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if len(a[0]) != len(b):
-        raise DimensionMismatch(f"matrix shapes {len(a)}x{len(a[0])} vs {len(b)}x{len(b[0])}")
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(len(b))), ZERO) for j in range(len(b[0])))
-        for i in range(len(a))
-    )
-
-
 def matrix_rank(a: Matrix) -> int:
     return _int_rank([Vector(row).nums for row in a])
 

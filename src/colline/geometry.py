@@ -17,7 +17,6 @@ from .field import (
     format_vector,
     from_ints,
     linearly_independent,
-    affine_rank,
     _int_rank,
     _ratio,
 )
@@ -115,25 +114,10 @@ def divides_in_ratio(a: Vector, b: Vector, r, s) -> Vector:
     )
 
 
-def ratio_of(a: Vector, b: Vector, c: Vector) -> Optional[tuple[Fraction, Fraction]]:
-    """Return (t, 1−t) with c = t·(b−a) + a, or None when c is off line a‾b."""
+def in_interval(a: Vector, b: Vector, c: Vector) -> bool:
+    """Exact membership of c in the open interval between a and b (empty for a = b)."""
     if a == b:
-        raise PreconditionError("ratio_of needs a ≠ b")
-    t = collinearity_scalar(c - a, b - a)
-    if t is None:
-        return None
-    return t, 1 - t
-
-
-def in_interval(a: Vector, b: Vector, c: Vector, kind: str = "closed") -> bool:
-    """Exact membership of c in the closed or open interval between a and b.
-
-    For a = b the closed interval is {a} and the open interval is empty.
-    """
-    if kind not in ("closed", "open"):
-        raise ValueError(f"interval kind must be 'closed' or 'open', got {kind!r}")
-    if a == b:
-        return kind == "closed" and c == a
+        return False
     an, ad = a.nums, a.den
     if not len(an) == len(b.nums) == len(c.nums):
         raise DimensionMismatch(f"dimension mismatch: {a.dim}, {b.dim}, {c.dim}")
@@ -147,7 +131,7 @@ def in_interval(a: Vector, b: Vector, c: Vector, kind: str = "closed") -> bool:
     # c − a = t·(b − a) with t = uj·b.den / (vj·c.den)
     p, q = uj * b.den, vj * c.den
     p, q = (p, q) if q > 0 else (-p, -q)
-    return 0 <= p <= q if kind == "closed" else 0 < p < q
+    return 0 < p < q
 
 
 def lines_parallel(l0: Line, l1: Line) -> bool:
@@ -252,13 +236,6 @@ class Plane:
 
     def __repr__(self) -> str:
         return f"Plane({self.origin!r}, {self.dir1!r}, {self.dir2!r})"
-
-
-def plane_through(a: Vector, b: Vector, c: Vector) -> Plane:
-    """The plane containing three points of affine rank 2."""
-    if affine_rank([a, b, c]) != 2:
-        raise DegenerateGeometry("plane_through needs three points of affine rank 2")
-    return Plane(a, b - a, c - a)
 
 
 def containing_plane(l0: Line, l1: Line) -> Optional[Plane]:

@@ -522,12 +522,12 @@ def _draw_cor43(f: MapHandle, cfg: ProbeConfig, s: _Sampler) -> Optional[dict]:
 
 def _violation_betweenness_cor43(f: MapHandle, inp: dict):
     a, b, c = inp["a"], inp["b"], inp["c"]
-    if a == b or not in_interval(a, b, c, "open"):
+    if a == b or not in_interval(a, b, c):
         return _SKIP
     ga, gb, gc = f(a), f(b), f(c)
     if ga == gb == gc:
         return None
-    if in_interval(ga, gb, gc, "open"):
+    if in_interval(ga, gb, gc):
         return None
     return {"g(a)": ga, "g(b)": gb, "g(c)": gc}
 
@@ -540,12 +540,12 @@ def _draw_prop44(f: MapHandle, cfg: ProbeConfig, s: _Sampler) -> dict:
 def _violation_betweenness_prop44(f: MapHandle, inp: dict):
     a, c = inp["a"], inp["c"]
     zero_in = Vector.zero(f.m)
-    if a.is_zero() or not in_interval(a, zero_in, c, "open"):
+    if a.is_zero() or not in_interval(a, zero_in, c):
         return _SKIP
     fa, fc = f(a), f(c)
     if fa.is_zero() and fc.is_zero():
         return None
-    if in_interval(fa, Vector.zero(f.n), fc, "open"):
+    if in_interval(fa, Vector.zero(f.n), fc):
         return None
     return {"f(a)": fa, "f(c)": fc}
 

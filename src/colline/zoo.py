@@ -1,5 +1,5 @@
-"""Built-in map constructors: linear, affine, warped-ray ("lemma23"),
-DSL-backed, and compositions.
+"""Built-in map constructors: linear, affine, warped-ray ("lemma23") and
+DSL-backed.
 
 Every handle evaluates exactly.  Handles that are affine by construction (or
 provably affine by DSL normalization) expose their (A, b) form through
@@ -21,8 +21,6 @@ from .field import (
     format_vector,
     from_ints,
     from_pairs,
-    mat_mul,
-    mat_vec,
     matrix,
     parse_matrix,
     parse_vector,
@@ -40,13 +38,14 @@ class MapHandle:
         self.name = name
 
     def __call__(self, x: Vector) -> Vector:
-        self._check_input(x)
+        if x.dim != self.m:
+            raise DimensionMismatch(f"map {self.name} takes dim {self.m}, got {x.dim}")
         return self.at(x.nums, x.den)
 
     def at(self, nums, den: int) -> Vector:
         """The image of the point nums/den (m integers, den > 0, not necessarily
-        in lowest terms).  A handle overrides ``at`` or ``__call__``, or both."""
-        return self(from_ints(nums, den))
+        in lowest terms); the one evaluation method every handle implements."""
+        raise NotImplementedError
 
     def affine_form(self) -> Optional[tuple[Matrix, Vector]]:
         """(A, b) with self(x) = A·x + b when structurally known, else None."""
@@ -55,10 +54,6 @@ class MapHandle:
     def source(self) -> dict:
         """Serializable description sufficient to reconstruct the handle."""
         raise NotImplementedError
-
-    def _check_input(self, x: Vector) -> None:
-        if x.dim != self.m:
-            raise DimensionMismatch(f"map {self.name} takes dim {self.m}, got {x.dim}")
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name}: {self.m}->{self.n}>"
@@ -158,9 +153,10 @@ class Lemma23Map(MapHandle):
         self.e0_index = e0_index
         self.d0 = d0
 
-    def __call__(self, x: Vector) -> Vector:
-        self._check_input(x)
-        t = eval_map(self.psi_spec, from_ints((x.nums[self.e0_index],), x.den))
+    __call__ = MapHandle.__call__
+
+    def at(self, nums, den):
+        t = eval_map(self.psi_spec, from_ints((nums[self.e0_index],), den))
         d0 = self.d0
         return from_ints([t.nums[0] * c for c in d0.nums], t.den * d0.den)
 
@@ -180,8 +176,7 @@ class DslMap(MapHandle):
         super().__init__(m=spec.m, n=spec.n, name=spec.name)
         self.spec = spec
 
-    def __call__(self, x: Vector) -> Vector:
-        return eval_map(self.spec, x)
+    __call__ = MapHandle.__call__
 
     def at(self, nums, den):
         if (run := self.spec.compiled) is not None:
@@ -200,6 +195,9 @@ class DslMap(MapHandle):
 
 
 class ComposeMap(MapHandle):
+    """outer ∘ inner.  No command, builtin spec or source kind builds one; the
+    class stays only for the ``zoo.eval.compose`` span of ``bench/tracer.py``."""
+
     def __init__(self, outer: MapHandle, inner: MapHandle, name: str | None = None):
         if inner.n != outer.m:
             raise DimensionMismatch(
@@ -209,20 +207,10 @@ class ComposeMap(MapHandle):
         self.outer = outer
         self.inner = inner
 
-    def __call__(self, x: Vector) -> Vector:
-        return self.outer(self.inner(x))
+    __call__ = MapHandle.__call__
 
-    def affine_form(self):
-        fo = self.outer.affine_form()
-        fi = self.inner.affine_form()
-        if fo is None or fi is None:
-            return None
-        ao, bo = fo
-        ai, bi = fi
-        return mat_mul(ao, ai), mat_vec(ao, bi) + bo
-
-    def source(self):
-        return {"kind": "compose", "outer": self.outer.source(), "inner": self.inner.source()}
+    def at(self, nums, den):
+        return self.outer(self.inner.at(nums, den))
 
 
 # -- constructors (the public zoo surface) ------------------------------------
@@ -243,10 +231,6 @@ def make_lemma23(m: int, n: int, psi: Expr | None, e0_index: int, d0: Vector,
 
 def make_dsl(spec: MapSpec) -> MapHandle:
     return DslMap(spec)
-
-
-def compose(outer: MapHandle, inner: MapHandle, name: str | None = None) -> MapHandle:
-    return ComposeMap(outer, inner, name=name)
 
 
 # -- builtin CLI specs ---------------------------------------------------------
@@ -284,8 +268,6 @@ def from_source(obj: dict) -> MapHandle:
         return make_lemma23(obj["m"], obj["n"], psi, obj["e0"], parse_vector(obj["d0"]))
     if kind == "dsl":
         return make_dsl(parse_map(obj["text"]))
-    if kind == "compose":
-        return compose(from_source(obj["outer"]), from_source(obj["inner"]))
     raise ConstructionError(f"unknown map source kind {kind!r}")
 
 

@@ -65,6 +65,18 @@ class TestClassifyCommand:
         assert cls["verdict"] == "non_linear"
         assert cls["witness"]["check"] == "additivity"
 
+    @pytest.mark.parametrize("flags, verdict", [
+        ([], "exact_affine"), (["--no-symbolic"], "empirically_affine"),
+    ], ids=["symbolic", "no-symbolic"])
+    def test_builtin_affine_report_revalidates(self, flags, verdict, tmp_path, capsys):
+        dest = tmp_path / "a.json"
+        spec = f"affine:{os.path.join(DEMOS, 'shear.matrix')},b=(1, 2)"
+        assert run(["classify", "--builtin", spec, *flags, "--out", str(dest)]) == 0
+        report = json.loads(dest.read_text())
+        assert report["map"]["source"]["kind"] == "affine"
+        assert report["classification"]["verdict"] == verdict
+        assert run(["--revalidate", str(dest)]) == 0
+
     def test_no_symbolic_flag(self, mapfile, capsys):
         code, report = run_json(
             ["classify", mapfile("id.map", IDENTITY), "--probes", "60", "--no-symbolic"],
@@ -429,25 +441,36 @@ class TestDeterminismAndRevalidation:
         assert "colline: revalidation failed: " in capsys.readouterr().err
 
     def test_revalidate_refuses_a_table_source(self, mapfile, tmp_path, capsys):
-        # finite-table maps are not a source kind: no command or builtin spec builds one
+        # finite tables and compositions are not source kinds: no command or
+        # builtin spec builds one, so a hand-made report naming one is refused
+        identity = {"kind": "dsl", "text": IDENTITY}
+        sources = [
+            {"kind": "table", "entries": [["(0, 0)", "(0, 0)"]]},
+            {"kind": "compose", "outer": identity, "inner": identity},
+        ]
         dest = tmp_path / "table.json"
         assert run(["check", "zero", mapfile("id.map", IDENTITY), "--out", str(dest)]) == 0
         report = json.loads(dest.read_text())
-        report["map"]["source"] = {"kind": "table", "entries": [["(0, 0)", "(0, 0)"]]}
-        dest.write_text(json.dumps(report))
-        capsys.readouterr()
-        assert run(["--revalidate", str(dest)]) == 2
-        assert capsys.readouterr().err == (
-            "colline: revalidation failed: map reconstruction failed:"
-            " unknown map source kind 'table'\n"
-        )
+        for source in sources:
+            report["map"]["source"] = source
+            dest.write_text(json.dumps(report))
+            capsys.readouterr()
+            assert run(["--revalidate", str(dest)]) == 2
+            assert capsys.readouterr().err == (
+                "colline: revalidation failed: map reconstruction failed:"
+                f" unknown map source kind {source['kind']!r}\n"
+            )
 
     def test_revalidate_non_report_payload_exits_1(self, tmp_path, capsys):
         dest = tmp_path / "r.json"
-        for content in ("[1]", "[]"):  # an empty list holds no report to re-check
+        # an empty list holds no report to re-check; an object is a report only
+        # when its "map" object holds a "source"
+        for content in ("[1]", "[]", "{}", '{"a": 1}', '{"map": 1}', '[{"map": {}}]'):
             dest.write_text(content)
             assert run(["--revalidate", str(dest)]) == 1
-            assert "not a report object" in capsys.readouterr().err
+            assert capsys.readouterr().err == (
+                f"colline: cannot load report {dest}: not a report object or a list of them\n"
+            )
 
     def test_env_seed_overrides_default_only(self, mapfile, tmp_path, capsys, monkeypatch):
         path = mapfile("t.map", TRANSLATE)

@@ -257,8 +257,8 @@ class _Table(MapHandle):
         super().__init__(m=1, n=2, name="table")
         self.values = values
 
-    def __call__(self, x: Vector) -> Vector:
-        return self.values[x.coords[0]]
+    def at(self, nums, den) -> Vector:
+        return self.values[Fraction(nums[0], den)]
 
 
 _GRID = [vec(a, b) for a in range(3) for b in range(3)]
@@ -434,10 +434,10 @@ def _betweenness_scan_1d(f, grid):
     violations = []
     for a, b, c in product(grid, repeat=3):
         va, vb, vc = vec(a), vec(b), vec(c)
-        if va == vb or not in_interval(va, vb, vc, "open"):
+        if va == vb or not in_interval(va, vb, vc):
             continue
         ga, gb, gc = f(va), f(vb), f(vc)
-        if ga == gb == gc or in_interval(ga, gb, gc, "open"):
+        if ga == gb == gc or in_interval(ga, gb, gc):
             continue
         violations.append((va, vb, vc))
     return violations

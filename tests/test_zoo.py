@@ -7,10 +7,15 @@ from hypothesis import strategies as st
 from colline.dsl import parse_map
 from colline.engine import shift_reduce
 from colline.errors import ConstructionError, DimensionMismatch, MapEvalError
-from colline.field import Vector, from_ints, identity_matrix, mat_mul, mat_vec
+from colline.field import Vector, from_ints, identity_matrix
 from colline.predicates import ProbeConfig, _Sampler
 from colline.zoo import (
-    compose,
+    AffineMap,
+    ComposeMap,
+    DslMap,
+    Lemma23Map,
+    LinearMap,
+    MapHandle,
     default_psi,
     from_source,
     make_affine,
@@ -46,7 +51,7 @@ class TestLinear:
     def test_affine_form(self):
         f = make_linear([[2, 0], [0, 2]])
         a, b = f.affine_form()
-        assert mat_vec(a, vec(1, 1)) == vec(2, 2)
+        assert a == ((2, 0), (0, 2))
         assert b.is_zero()
 
     def test_dim_check(self):
@@ -112,12 +117,11 @@ class TestLemma23:
 
 
 class TestCompose:
+    """``ComposeMap`` evaluation; no source kind or command builds one."""
+
     def test_agrees_with_matrix_product(self):
-        a = [[1, 2], [0, 1]]
-        b = [[2, 0], [1, 1]]
-        lhs = compose(make_linear(a), make_linear(b))
-        rhs = make_linear(mat_mul(tuple(map(tuple, [[Fraction(x) for x in r] for r in a])),
-                                  tuple(map(tuple, [[Fraction(x) for x in r] for r in b]))))
+        lhs = ComposeMap(make_linear([[1, 2], [0, 1]]), make_linear([[2, 0], [1, 1]]))
+        rhs = make_linear([[4, 2], [1, 1]])
         for x in probe_vectors(2, 50):
             assert lhs(x) == rhs(x)
 
@@ -125,26 +129,19 @@ class TestCompose:
         ident = make_linear(identity_matrix(2))
         f = make_affine([[1, 1], [0, 1]], vec(2, 3))
         for x in probe_vectors(2, 50):
-            assert compose(ident, f)(x) == f(x)
+            assert ComposeMap(ident, f)(x) == f(x)
 
     def test_affine_composition_law(self):
-        a, b = [[1, 2], [3, 4]], vec(1, 0)
-        c, d = [[0, 1], [1, 0]], vec(0, 2)
-        g1 = compose(make_affine(a, b), make_affine(c, d))
-        am, cm = make_affine(a, b).affine_form()[0], make_affine(c, d).affine_form()[0]
-        g2 = make_affine(mat_mul(am, cm), mat_vec(am, d) + b)
+        # (A·(C·x + d) + b) = A·C·x + (A·d + b)
+        g1 = ComposeMap(make_affine([[1, 2], [3, 4]], vec(1, 0)),
+                        make_affine([[0, 1], [1, 0]], vec(0, 2)))
+        g2 = make_affine([[2, 1], [4, 3]], vec(5, 8))
         for x in probe_vectors(2, 50):
             assert g1(x) == g2(x)
 
-    def test_composed_affine_form(self):
-        g = compose(make_affine(identity_matrix(2), vec(1, 1)), make_linear([[2, 0], [0, 2]]))
-        a, b = g.affine_form()
-        assert mat_vec(a, vec(1, 0)) == vec(2, 0)
-        assert b == vec(1, 1)
-
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            compose(make_linear([[1, 0]]), make_linear([[1], [2], [3]]))
+            ComposeMap(make_linear([[1, 0]]), make_linear([[1], [2], [3]]))
 
 
 class TestBuiltinSpecs:
@@ -177,7 +174,6 @@ class TestSourceRoundTrip:
             make_affine([[1, 0], [0, 1]], vec(1, -1)),
             make_lemma23(2, 2, None, 0, vec(0, 1)),
             make_dsl(parse_map("map f : 2 -> 1 { y0 = x0 * x1 }")),
-            compose(make_linear([[1, 1]]), make_affine(identity_matrix(2), vec(1, 0))),
         ]
         for handle in handles:
             clone = from_source(handle.source())
@@ -201,7 +197,7 @@ class TestIntegerEntryPoint:
         "affine": AFFINE,
         "lemma23": make_lemma23(2, 2, None, 0, vec(0, 1)),
         "dsl": WARP,
-        "compose": compose(WARP, AFFINE),
+        "compose": ComposeMap(WARP, AFFINE),
         "shift_reduce": shift_reduce(WARP, vec(2, Fraction(-1, 3))),
         "shift_reduce at 0": shift_reduce(LINEAR, Vector.zero(2)),
     }
@@ -226,3 +222,28 @@ class TestIntegerEntryPoint:
         want = self.outcome(f, from_ints(nums, den))
         assert self.outcome(f.at, [k * a for a in nums], k * den) == want
         assert self.outcome(f.at, nums, den) == want
+
+
+class _NoAt(MapHandle):
+    pass
+
+
+class TestEvaluationMethod:
+    """``at`` is the one method a handle implements; calling a handle checks
+    the dimension and then runs ``at``."""
+
+    def test_a_handle_without_at_is_not_implemented(self):
+        with pytest.raises(NotImplementedError):
+            _NoAt(1, 1, "none")(vec(1))
+
+    def test_dsl_map_at_the_wrong_dimension(self):
+        f = make_dsl(parse_map("map warp : 2 -> 1 { y0 = x0 * x1 }"))
+        with pytest.raises(DimensionMismatch, match=r"^map warp takes dim 2, got 3$"):
+            f(vec(1, 2, 3))
+
+    @pytest.mark.parametrize("cls", [LinearMap, AffineMap, Lemma23Map, DslMap, ComposeMap],
+                             ids=lambda cls: cls.__name__)
+    def test_each_kind_binds_the_shared_call(self, cls):
+        # a class-level alias per kind, so each kind's evaluations can be wrapped apart
+        assert vars(cls)["__call__"] is MapHandle.__call__
+        assert "at" in vars(cls)
