@@ -18,7 +18,9 @@ only ``<=`` guards.
 Evaluation is compiled once per spec: the first ``eval_map`` generates one
 Python function over integer (numerator, denominator) pairs and keeps it on
 the spec.  Each affine subtree is folded into one integer dot product by the
-same pass that gives ``symbolic_affine_form`` its (A, b).
+same pass that gives ``symbolic_affine_form`` its (A, b); affine outputs and
+branch arms share one constant multiple of the input's denominator, so such
+outputs come back as one unreduced row with no lcm taken at run time.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Union
 
 from .errors import DimensionMismatch, MapEvalError, MapParseError
-from .field import MAX_DIM, Matrix, Vector, format_scalar, from_pairs
+from .field import MAX_DIM, Matrix, Vector, format_scalar, from_ints, from_pairs
 
 #: Deepest expression tree accepted, counted in nodes from root to leaf, and
 #: most parentheses, signs and conditionals open at once.  Parsing,
@@ -324,6 +326,7 @@ class _Emitter:
         self.m, self.count, self.output, self.depth = m, 0, 0, 1
         self.params = "".join(f"x{i}, " for i in range(m)) + "d"
         self.funcs, self.lines = [], []  # hoisted functions; the body being emitted
+        self.dens: dict[str, int] = {}  # the text of a constant multiple k of d -> k
 
     def name(self) -> str:
         self.count += 1
@@ -332,18 +335,20 @@ class _Emitter:
     def line(self, text: str) -> None:
         self.lines.append(" " * self.depth + text)
 
-    def pair(self, value: tuple, bind: bool = True) -> tuple[str, str]:
-        """A form as one dot product over den*d, bound to a name unless
-        ``bind`` is false; a pair passes through."""
+    def pair(self, value: tuple, bind: bool = True, den: int = 0) -> tuple[str, str]:
+        """A form as one dot product over den*d, den a multiple of the form's own
+        (by default its own, and then a constant is over den alone), bound to a
+        name unless ``bind`` is false; a pair passes through."""
         if len(value) == 2:
             return value
-        coeffs, const, den = value
-        terms = [_mul(_lit(c), f"x{i}") for i, c in enumerate(coeffs) if c]
-        if not terms:
-            return _lit(const), _lit(den)
+        coeffs, const, own = value
+        if not (den or any(coeffs)):
+            return _lit(const), _lit(own)
+        k = (den := den or own) // own
+        terms = [_mul(_lit(k * c), f"x{i}") for i, c in enumerate(coeffs) if c]
         if const:
-            terms.append(_mul(_lit(const), "d"))
-        p = " + ".join(terms).replace("+ -", "- ")
+            terms.append(_mul(_lit(k * const), "d"))
+        p = " + ".join(terms).replace("+ -", "- ") or "0"
         if bind and len(terms) > 1:
             self.line(f"{self.name()} = {p}")
             p = f"t{self.count}"
@@ -388,12 +393,29 @@ class _Emitter:
         if b != e:
             a, c = _mul(a, e), _mul(c, b)
         p, q = self.name(), self.name()
+        arms = []  # (value, index of the line that assigns it)
         for head, arm in ((f"if {a} <= {c}:", expr.then_branch), ("else:", expr.else_branch)):
             self.line(head)
             self.depth += 1
-            self.line("{}, {} = {}, {}".format(p, q, *self.pair(self.visit(arm), False)))
+            arms.append((self.visit(arm), len(self.lines)))
+            self.line("")
             self.depth -= 1
-        return p, q
+        pairs = self.over([v for v, _ in arms]) or [self.pair(v, False) for v, _ in arms]
+        shared = pairs[0][1] == pairs[1][1]  # then q needs no name
+        for (_, at), pair in zip(arms, pairs):
+            self.lines[at] += f"{p} = {pair[0]}" if shared else "{}, {} = {}, {}".format(p, q, *pair)
+        return p, pairs[0][1] if shared else q
+
+    def over(self, values: list) -> Optional[list[tuple[str, str]]]:
+        """The values as pairs over one constant multiple of d, when each is an
+        affine form or a pair over such a multiple; else None."""
+        dens = [v[2] if len(v) == 3 else self.dens.get(v[1]) for v in values]
+        if None in dens:
+            return None
+        den = math.lcm(*dens)
+        self.dens[q := _mul(_lit(den), "d")] = den
+        return [(self.pair(v, False, den)[0] if len(v) == 3 else _mul(_lit(den // k), v[0]), q)
+                for v, k in zip(values, dens)]
 
     def hoist(self, expr: IfLe) -> tuple[str, str]:
         p, q = self.name(), self.name()
@@ -406,16 +428,21 @@ class _Emitter:
 
 
 def _compile(spec: MapSpec) -> Callable:
-    """f(x, d): the (p, q) pair, q > 0, of every output at the point x/d; a
-    zero divisor on the path taken raises ZeroDivisionError(output index)."""
-    emitter, results = _Emitter(spec.m), []
-    for emitter.output, expr in enumerate(spec.outputs):
-        results.append("({}, {}),".format(*emitter.pair(emitter.visit(expr), False)))
+    """f(x, d): the row (nums, den), den > 0 and not reduced, of the outputs at
+    the point x/d; a zero divisor on the path taken raises
+    ZeroDivisionError(output index)."""
+    emitter = _Emitter(spec.m)
+    values = [emitter.visit(expr) for emitter.output, expr in enumerate(spec.outputs)]
+    pairs = emitter.over(values) or [emitter.pair(v, False) for v in values]
+    one = len({q for _, q in pairs}) == 1  # then the outputs share their denominator
+    result = "({},), {}".format(", ".join(p for p, _ in pairs), pairs[0][1]) if one else (
+        " ".join("({}, {}),".format(*pair) for pair in pairs))
     head = f"def f(x, d):\n {emitter.params[:-1]}= x"
-    source = "\n".join(emitter.funcs + [head] + emitter.lines + [" return " + " ".join(results)])
+    source = "\n".join(emitter.funcs + [head] + emitter.lines + [" return " + result])
     namespace: dict = {}
     exec(compile(source, "<colline map>", "exec"), namespace)
-    return namespace["f"]
+    run = namespace["f"]
+    return run if one else lambda x, d: ((v := from_pairs(run(x, d))).nums, v.den)
 
 
 def eval_map(spec: MapSpec, x: Vector) -> Vector:
@@ -425,7 +452,7 @@ def eval_map(spec: MapSpec, x: Vector) -> Vector:
     if spec.compiled is None:
         object.__setattr__(spec, "compiled", _compile(spec))
     try:
-        return from_pairs(spec.compiled(x.nums, x.den))
+        return from_ints(*spec.compiled(x.nums, x.den))
     except ZeroDivisionError as exc:  # raised by the generated code only
         i = exc.args[0]
         message = f"map {spec.name}: division by zero in output y{i} at input {x}"

@@ -27,6 +27,7 @@ from .errors import (
 from .field import (
     Matrix,
     Vector,
+    add_rows,
     collinearity_scalar,
     format_scalar,
     format_vector,
@@ -723,8 +724,9 @@ class _ShiftReduced(MapHandle):
         self.g, self.a_star, self.ga = g, a_star, g(a_star)  # an a* of the wrong dim raises here
 
     def at(self, nums, den):
-        a = self.a_star  # x + a* over den·a*.den
-        return self.g.at([p * a.den + q * den for p, q in zip(nums, a.nums)], den * a.den) - self.ga
+        a, ga = self.a_star, self.ga  # x + a* over den·a*.den
+        image = self.g.at([p * a.den + q * den for p, q in zip(nums, a.nums)], den * a.den)
+        return add_rows(image, (ga.nums, ga.den), -1)
 
 
 def shift_reduce(g: MapHandle, a_star: Vector) -> MapHandle:

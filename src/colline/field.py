@@ -5,7 +5,8 @@ canonical form (positive denominator, gcd(|num|, den) = 1), with exact
 arithmetic.  A vector stores integer numerators over one common denominator
 (``nums``, ``den``), in lowest terms: den > 0 and gcd(*nums, den) = 1, so
 equal vectors have equal storage.  Vector arithmetic, rank, independence
-and collinearity run on those integers (the fraction-free idea of Bareiss,
+and collinearity run on those integers, and map images stay unreduced rows
+(nums, den) until a value is kept (the fraction-free idea of Bareiss,
 Math. Comp. 1968); ``coords`` reads the coordinates back as Fractions.
 """
 
@@ -19,6 +20,8 @@ from typing import Iterable, Optional, Sequence
 from .errors import DimensionMismatch, PreconditionError
 
 Scalar = Fraction
+#: A point as integers over one positive denominator, not necessarily reduced
+Row = tuple[Sequence[int], int]
 
 #: Largest vector dimension accepted by the package.  Elimination cost and
 #: probe sizes are tuned for desk-scale dimensions.
@@ -108,10 +111,7 @@ class Vector:
             raise DimensionMismatch(
                 f"dimension mismatch: {len(self.nums)} vs {len(other.nums)}"
             )
-        d0, d1 = self.den, other.den
-        g = _gcd(d0, d1)
-        m0, m1 = d1 // g, sign * (d0 // g)
-        return from_ints([a * m0 + b * m1 for a, b in zip(self.nums, other.nums)], d0 * m0)
+        return from_ints(*add_rows((self.nums, self.den), (other.nums, other.den), sign))
 
     def __add__(self, other: "Vector") -> "Vector":
         return self._combine(other, 1)
@@ -166,6 +166,14 @@ def from_pairs(pairs: Sequence[tuple[int, int]]) -> Vector:
     """The vector (p0/q0, p1/q1, ...) from integer pairs with q > 0."""
     den = math.lcm(*[q for _, q in pairs])
     return from_ints([p * (den // q) for p, q in pairs], den)
+
+
+def add_rows(r0: Row, r1: Row, sign: int = 1) -> tuple[list[int], int]:
+    """The row of r0 + sign·r1, over the lcm of their denominators and not reduced."""
+    (n0, d0), (n1, d1) = r0, r1
+    g = _gcd(d0, d1)
+    m0, m1 = d1 // g, sign * (d0 // g)
+    return [a * m0 + b * m1 for a, b in zip(n0, n1)], d0 * m0
 
 
 def format_vector(v: Vector) -> str:
@@ -230,16 +238,14 @@ def linearly_independent(v: Vector, w: Vector) -> bool:
     return _int_rank([v.nums, w.nums]) == 2
 
 
-def _diff_rows(points: Sequence[Vector]) -> list[list[int]]:
+def _diff_rows(points: Sequence[Row]) -> list[list[int]]:
     """Integer rows of p_i − p_0 (i ≥ 1), each scaled by a positive factor."""
     if not points:
         raise PreconditionError("affine_rank of empty point set")
-    p0 = points[0]
-    n0, d0 = p0.nums, p0.den
+    n0, d0 = points[0]
     dim = len(n0)
     rows = []
-    for p in points[1:]:
-        ni, di = p.nums, p.den
+    for ni, di in points[1:]:
         if len(ni) != dim:
             raise DimensionMismatch(f"dimension mismatch: {dim} vs {len(ni)}")
         # p_i − p_0 scaled by di·d0/gcd: a nonzero factor, same rank
@@ -251,7 +257,13 @@ def _diff_rows(points: Sequence[Vector]) -> list[list[int]]:
 
 def affine_rank(points: Sequence[Vector]) -> int:
     """Rank of {p_i − p_0}: 0 for a repeated point, 1 collinear, 2 coplanar, ..."""
-    return _int_rank(_diff_rows(points))
+    return _int_rank(_diff_rows([(p.nums, p.den) for p in points]))
+
+
+def same_point(r0: Row, r1: Row) -> bool:
+    """Whether two rows are one point, decided by cross-multiplication."""
+    (n0, d0), (n1, d1) = r0, r1
+    return [a * d1 for a in n0] == [b * d0 for b in n1]
 
 
 def collinearity_scalar(v: Vector, w: Vector) -> Optional[Fraction]:

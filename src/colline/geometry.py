@@ -12,6 +12,7 @@ from typing import NamedTuple, Optional
 
 from .errors import DegenerateGeometry, DimensionMismatch, PreconditionError
 from .field import (
+    Row,
     Vector,
     collinearity_scalar,
     format_vector,
@@ -116,20 +117,25 @@ def divides_in_ratio(a: Vector, b: Vector, r, s) -> Vector:
 
 def in_interval(a: Vector, b: Vector, c: Vector) -> bool:
     """Exact membership of c in the open interval between a and b (empty for a = b)."""
-    if a == b:
+    return a != b and in_interval_rows((a.nums, a.den), (b.nums, b.den), (c.nums, c.den))
+
+
+def in_interval_rows(a: Row, b: Row, c: Row) -> bool:
+    """``in_interval`` for three rows (nums, den)."""
+    (an, ad), (bn, bd), (cn, cd) = a, b, c
+    if not len(an) == len(bn) == len(cn):
+        raise DimensionMismatch(f"dimension mismatch: {len(an)}, {len(bn)}, {len(cn)}")
+    # u = (c − a)·cd·ad and v = (b − a)·bd·ad as integer rows
+    u = [x * ad - y * cd for x, y in zip(cn, an)]
+    v = [x * ad - y * bd for x, y in zip(bn, an)]
+    j = next((i for i, x in enumerate(v) if x), None)
+    if j is None:  # a = b
         return False
-    an, ad = a.nums, a.den
-    if not len(an) == len(b.nums) == len(c.nums):
-        raise DimensionMismatch(f"dimension mismatch: {a.dim}, {b.dim}, {c.dim}")
-    # u = (c − a)·c.den·a.den and v = (b − a)·b.den·a.den as integer rows
-    u = [x * ad - y * c.den for x, y in zip(c.nums, an)]
-    v = [x * ad - y * b.den for x, y in zip(b.nums, an)]
-    j = next(i for i, x in enumerate(v) if x)
     uj, vj = u[j], v[j]
     if any(x * vj != uj * y for x, y in zip(u, v)):
         return False
-    # c − a = t·(b − a) with t = uj·b.den / (vj·c.den)
-    p, q = uj * b.den, vj * c.den
+    # c − a = t·(b − a) with t = uj·bd / (vj·cd)
+    p, q = uj * bd, vj * cd
     p, q = (p, q) if q > 0 else (-p, -q)
     return 0 < p < q
 

@@ -9,7 +9,9 @@ identical outcomes, including witness identity.
 Witnesses are minimized by repeatedly halving coordinate numerators while
 the violation persists (at most 64 times per scalar), which keeps regression
 fixtures readable.  ``classify`` draws each line probe once for both line
-rows (``check_lines``).
+rows (``check_lines``).  Both line rows, parallelism, additivity,
+homogeneity, zero-fixed and both betweenness rows decide on the unreduced
+integer rows ``MapHandle.at`` returns; a Vector is built only for a witness.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Iterable, Optional
 
 from .errors import (
@@ -27,8 +30,9 @@ from .errors import (
     MapEvalError,
     ProbeEvaluationError,
 )
-from .field import Vector, _diff_rows, _int_rank, affine_rank, from_pairs, linearly_independent
-from .geometry import Line, Plane, divides_in_ratio, in_interval, line_through
+from .field import (Row, Vector, _diff_rows, _int_rank, _ratio, add_rows, affine_rank, from_ints,
+                    from_pairs, linearly_independent, same_point)
+from .geometry import Line, Plane, divides_in_ratio, in_interval, in_interval_rows, line_through
 from .zoo import MapHandle
 
 
@@ -335,11 +339,13 @@ def revalidate_witness(f: MapHandle, witness: Witness) -> bool:
 
 
 def _violation_homogeneity(f: MapHandle, inp: dict):
-    a, c = inp["a"], inp["c"]
-    lhs = f(c * a)
-    rhs = c * f(a)
-    if lhs != rhs:
-        return {"f(c*a)": lhs, "c*f(a)": rhs}
+    p, q = _ratio(inp["c"])
+    an, ad = f.row(inp["a"])
+    lhs = f.at([p * x for x in an], q * ad)
+    fn, fd = f.at(an, ad)
+    rhs = [p * x for x in fn], q * fd
+    if not same_point(lhs, rhs):
+        return {"f(c*a)": from_ints(*lhs), "c*f(a)": from_ints(*rhs)}
     return None
 
 
@@ -348,11 +354,11 @@ def check_homogeneity(f: MapHandle, cfg: ProbeConfig) -> CheckOutcome:
 
 
 def _violation_additivity(f: MapHandle, inp: dict):
-    a, b = inp["a"], inp["b"]
-    lhs = f(a + b)
-    rhs = f(a) + f(b)
-    if lhs != rhs:
-        return {"f(a+b)": lhs, "f(a)+f(b)": rhs}
+    a, b = f.row(inp["a"]), f.row(inp["b"])
+    lhs = f.at(*add_rows(a, b))
+    rhs = add_rows(f.at(*a), f.at(*b))
+    if not same_point(lhs, rhs):
+        return {"f(a+b)": from_ints(*lhs), "f(a)+f(b)": from_ints(*rhs)}
     return None
 
 
@@ -361,10 +367,9 @@ def check_additivity(f: MapHandle, cfg: ProbeConfig) -> CheckOutcome:
 
 
 def _violation_zero_fixed(f: MapHandle, inp: dict):
-    x = inp["x"]
-    fx = f(x)
-    if not fx.is_zero():
-        return {"f(0)": fx, "0": Vector.zero(f.n)}
+    fx = f.at(*f.row(inp["x"]))
+    if any(fx[0]):
+        return {"f(0)": from_ints(*fx), "0": Vector.zero(f.n)}
     return None
 
 
@@ -379,31 +384,28 @@ def _draw_line(f: MapHandle, cfg: ProbeConfig, s: _Sampler) -> dict:
     return {"line": s.line(f.m), "params": s.params(cfg.params_per_line)}
 
 
-def _line_images(f: MapHandle, line: Line, params) -> list[Vector]:
-    """The images of the line's points at params, each handed to ``f.at`` as its integer row."""
+def _line_images(f: MapHandle, line: Line, params) -> list[Row]:
+    """The image rows of the line's points at params, handed to ``f.at`` as rows."""
     return [f.at(*line.point_row(t)) for t in params]
 
 
 def _judged_line(f: MapHandle, inp: dict) -> tuple:
-    """(params, images, affine rank of the images): all a line judge reads."""
+    """(params, image rows, their _diff_rows, affine rank): all a line judge reads."""
     params = inp["params"]
     imgs = _line_images(f, inp["line"], params)
-    return params, imgs, affine_rank(imgs)
+    diffs = _diff_rows(imgs)
+    return params, imgs, diffs, _int_rank(diffs)
 
 
-def _judge_line_image(params, imgs, rank: int):
+def _judge_line_image(params, imgs, diffs, rank: int):
     if rank <= 1:
         return None
     # the lexicographically first independent triple is (0, j, k): every image
     # before j equals imgs[0], so one off the line through imgs[0], imgs[j] comes later
-    a = imgs[0]
-    j = next(j for j, b in enumerate(imgs) if b != a)
-    b = imgs[j]
-    k = next(k for k in range(j + 1, len(imgs)) if affine_rank([a, b, imgs[k]]) == 2)
-    return {
-        "witness params": (params[0], params[j], params[k]),
-        "images": (a, b, imgs[k]),
-    }
+    j = next(j for j, d in enumerate(diffs, 1) if any(d))
+    k = next(k for k in range(j + 1, len(imgs)) if _int_rank([diffs[j - 1], diffs[k - 1]]) == 2)
+    return {"witness params": (params[0], params[j], params[k]),
+            "images": tuple(from_ints(*imgs[i]) for i in (0, j, k))}
 
 
 def _violation_line_image(f: MapHandle, inp: dict):
@@ -420,20 +422,23 @@ def check_line_image(f: MapHandle, cfg: ProbeConfig) -> CheckOutcome:
     return run_check(CHECKS["line-image"], f, cfg)
 
 
-def _judge_line_injectivity(params, imgs, rank: int):
+def _judge_line_injectivity(params, imgs, diffs, rank: int):
     if rank != 1:
         return _SKIP
-    groups: dict[Vector, list[int]] = {}
-    for i, img in enumerate(imgs):
-        groups.setdefault(img, []).append(i)
+    # collinear images are equal iff they agree at a coordinate c where their line moves
+    c = next(c for d in diffs for c, x in enumerate(d) if x)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, (nums, den) in enumerate(imgs):
+        g = gcd(nums[c], den)
+        groups.setdefault((nums[c] // g, den // g), []).append(i)
     # groups run in order of their first index; within one, the lexicographically
     # first colliding pair is that index and the first later one with another param
-    for img, group in groups.items():
+    for group in groups.values():
         if len(group) > 1:
             t0 = params[group[0]]
             for j in group[1:]:
                 if params[j] != t0:
-                    return {"t0": t0, "t1": params[j], "common image": img}
+                    return {"t0": t0, "t1": params[j], "common image": from_ints(*imgs[j])}
     return None
 
 
@@ -522,14 +527,12 @@ def _draw_cor43(f: MapHandle, cfg: ProbeConfig, s: _Sampler) -> Optional[dict]:
 
 def _violation_betweenness_cor43(f: MapHandle, inp: dict):
     a, b, c = inp["a"], inp["b"], inp["c"]
-    if a == b or not in_interval(a, b, c):
+    if not in_interval(a, b, c):
         return _SKIP
-    ga, gb, gc = f(a), f(b), f(c)
-    if ga == gb == gc:
+    ga, gb, gc = (f.at(*f.row(x)) for x in (a, b, c))
+    if same_point(ga, gb) and same_point(gb, gc) or in_interval_rows(ga, gb, gc):
         return None
-    if in_interval(ga, gb, gc):
-        return None
-    return {"g(a)": ga, "g(b)": gb, "g(c)": gc}
+    return {"g(a)": from_ints(*ga), "g(b)": from_ints(*gb), "g(c)": from_ints(*gc)}
 
 
 def _draw_prop44(f: MapHandle, cfg: ProbeConfig, s: _Sampler) -> dict:
@@ -539,15 +542,12 @@ def _draw_prop44(f: MapHandle, cfg: ProbeConfig, s: _Sampler) -> dict:
 
 def _violation_betweenness_prop44(f: MapHandle, inp: dict):
     a, c = inp["a"], inp["c"]
-    zero_in = Vector.zero(f.m)
-    if a.is_zero() or not in_interval(a, zero_in, c):
+    if a.is_zero() or not in_interval(a, Vector.zero(f.m), c):
         return _SKIP
-    fa, fc = f(a), f(c)
-    if fa.is_zero() and fc.is_zero():
+    fa, fc = f.at(a.nums, a.den), f.at(c.nums, c.den)  # in_interval checked both dims
+    if not any(fa[0]) and not any(fc[0]) or in_interval_rows(fa, ([0] * f.n, 1), fc):
         return None
-    if in_interval(fa, Vector.zero(f.n), fc):
-        return None
-    return {"f(a)": fa, "f(c)": fc}
+    return {"f(a)": from_ints(*fa), "f(c)": from_ints(*fc)}
 
 
 def check_betweenness(f: MapHandle, cfg: ProbeConfig, variant: str = "cor43") -> CheckOutcome:
@@ -743,10 +743,10 @@ def classify_plane_image(f: MapHandle, plane: Plane, cfg: ProbeConfig) -> PlaneI
 # -- parallelism preservation --------------------------------------------------------
 
 
-def _span_line(points) -> Line:
-    base = points[0]
-    other = next(p for p in points[1:] if p != base)
-    return line_through(base, other)
+def _span_line(imgs, diffs) -> Line:
+    """The line through imgs[0] and the first image apart from it."""
+    i = next(i for i, d in enumerate(diffs, 1) if any(d))
+    return line_through(from_ints(*imgs[0]), from_ints(*imgs[i]))
 
 
 def _violation_parallelism(f: MapHandle, inp: dict):
@@ -761,7 +761,7 @@ def _violation_parallelism(f: MapHandle, inp: dict):
     # the first nonzero row of each is a multiple of its _span_line's direction
     if _int_rank([next(r for r in rows if any(r)) for rows in (rows0, rows1)]) == 1:
         return None
-    return {"image line 0": _span_line(imgs0), "image line 1": _span_line(imgs1)}
+    return {"image line 0": _span_line(imgs0, rows0), "image line 1": _span_line(imgs1, rows1)}
 
 
 def check_parallelism_preservation(f: MapHandle, cfg: ProbeConfig) -> CheckOutcome:

@@ -17,10 +17,10 @@ from .dsl import Expr, MapSpec, eval_map, parse_map, render_expr, symbolic_affin
 from .errors import ConstructionError, DimensionMismatch
 from .field import (
     Matrix,
+    Row,
     Vector,
     format_vector,
     from_ints,
-    from_pairs,
     matrix,
     parse_matrix,
     parse_vector,
@@ -38,13 +38,18 @@ class MapHandle:
         self.name = name
 
     def __call__(self, x: Vector) -> Vector:
+        return from_ints(*self.at(*self.row(x)))
+
+    def row(self, x: Vector) -> Row:
+        """x as the input row (nums, den) of ``at``; another dimension raises."""
         if x.dim != self.m:
             raise DimensionMismatch(f"map {self.name} takes dim {self.m}, got {x.dim}")
-        return self.at(x.nums, x.den)
+        return x.nums, x.den
 
-    def at(self, nums, den: int) -> Vector:
-        """The image of the point nums/den (m integers, den > 0, not necessarily
-        in lowest terms); the one evaluation method every handle implements."""
+    def at(self, nums, den: int) -> Row:
+        """The image of the point nums/den as a row: both are ``Row``s, m and n
+        integers over a positive denominator, neither necessarily in lowest terms.
+        The one evaluation method every handle implements; a call builds the Vector."""
         raise NotImplementedError
 
     def affine_form(self) -> Optional[tuple[Matrix, Vector]]:
@@ -76,7 +81,7 @@ class LinearMap(MapHandle):
     __call__ = MapHandle.__call__  # bound per class, so each kind can be traced apart
 
     def at(self, nums, den):
-        return from_ints([sum(map(mul, row, nums)) for row in self._rows], self._den * den)
+        return [sum(map(mul, row, nums)) for row in self._rows], self._den * den
 
     def affine_form(self):
         return self.a, Vector.zero(self.n)
@@ -103,10 +108,8 @@ class AffineMap(MapHandle):
     __call__ = MapHandle.__call__
 
     def at(self, nums, den):
-        return from_ints(
-            [sum(map(mul, row, nums)) + off * den for row, off in zip(self._rows, self._offsets)],
-            self._den * den,
-        )
+        rows = zip(self._rows, self._offsets)
+        return [sum(map(mul, row, nums)) + off * den for row, off in rows], self._den * den
 
     def affine_form(self):
         return self.a, self.b
@@ -158,7 +161,7 @@ class Lemma23Map(MapHandle):
     def at(self, nums, den):
         t = eval_map(self.psi_spec, from_ints((nums[self.e0_index],), den))
         d0 = self.d0
-        return from_ints([t.nums[0] * c for c in d0.nums], t.den * d0.den)
+        return [t.nums[0] * c for c in d0.nums], t.den * d0.den
 
     def source(self):
         return {
@@ -181,11 +184,12 @@ class DslMap(MapHandle):
     def at(self, nums, den):
         if (run := self.spec.compiled) is not None:
             try:
-                return from_pairs(run(nums, den))
+                return run(nums, den)
             except ZeroDivisionError:  # raised by the generated code only
                 pass
         # eval_map compiles the spec, or raises MapEvalError naming the point
-        return eval_map(self.spec, from_ints(nums, den))
+        v = eval_map(self.spec, from_ints(nums, den))
+        return v.nums, v.den
 
     def affine_form(self):
         return symbolic_affine_form(self.spec)
@@ -210,7 +214,7 @@ class ComposeMap(MapHandle):
     __call__ = MapHandle.__call__
 
     def at(self, nums, den):
-        return self.outer(self.inner.at(nums, den))
+        return self.outer.at(*self.inner.at(nums, den))
 
 
 # -- constructors (the public zoo surface) ------------------------------------
@@ -254,20 +258,25 @@ def _split_top_level(text: str) -> list[str]:
 
 
 def from_source(obj: dict) -> MapHandle:
-    """Rebuild a handle from the serializable description in a report."""
-    kind = obj["kind"]
-    if kind == "linear":
-        return make_linear([[Fraction(c) for c in row] for row in obj["matrix"]])
-    if kind == "affine":
-        return make_affine(
-            [[Fraction(c) for c in row] for row in obj["matrix"]],
-            parse_vector(obj["offset"]),
-        )
-    if kind == "lemma23":
-        psi = parse_map(f"map psi : 1 -> 1 {{ y0 = {obj['psi']} }}").outputs[0]
-        return make_lemma23(obj["m"], obj["n"], psi, obj["e0"], parse_vector(obj["d0"]))
-    if kind == "dsl":
-        return make_dsl(parse_map(obj["text"]))
+    """Rebuild a handle from the serializable description in a report; a
+    missing field raises ConstructionError naming the kind and the field."""
+    if not isinstance(obj, dict):
+        raise ConstructionError(f"map source is not an object but {type(obj).__name__}")
+    try:
+        kind = obj["kind"]
+        if kind == "linear":
+            return make_linear([[Fraction(c) for c in row] for row in obj["matrix"]])
+        if kind == "affine":
+            a = [[Fraction(c) for c in row] for row in obj["matrix"]]
+            return make_affine(a, parse_vector(obj["offset"]))
+        if kind == "lemma23":
+            psi = parse_map(f"map psi : 1 -> 1 {{ y0 = {obj['psi']} }}").outputs[0]
+            return make_lemma23(obj["m"], obj["n"], psi, obj["e0"], parse_vector(obj["d0"]))
+        if kind == "dsl":
+            return make_dsl(parse_map(obj["text"]))
+    except KeyError as exc:
+        of_kind = f" of kind {obj['kind']!r}" if "kind" in obj else ""
+        raise ConstructionError(f"map source{of_kind} has no field {exc}") from None
     raise ConstructionError(f"unknown map source kind {kind!r}")
 
 

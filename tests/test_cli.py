@@ -461,6 +461,28 @@ class TestDeterminismAndRevalidation:
                 f" unknown map source kind {source['kind']!r}\n"
             )
 
+    @pytest.mark.parametrize("source, message", [
+        ({}, "map source has no field 'kind'"),
+        ({"kind": "linear"}, "map source of kind 'linear' has no field 'matrix'"),
+        ({"kind": "affine", "matrix": [["1"]]}, "map source of kind 'affine' has no field 'offset'"),
+        ({"kind": "lemma23", "m": 2, "n": 2, "e0": 0, "d0": "(0, 1)"},
+         "map source of kind 'lemma23' has no field 'psi'"),
+        ({"kind": "dsl"}, "map source of kind 'dsl' has no field 'text'"),
+        (5, "map source is not an object but int"),
+        (["dsl"], "map source is not an object but list"),
+    ], ids=["no-kind", "linear", "affine", "lemma23", "dsl", "int", "list"])
+    def test_revalidate_broken_source_names_the_kind_and_field(
+            self, mapfile, tmp_path, capsys, source, message):
+        dest = tmp_path / "broken.json"
+        assert run(["check", "zero", mapfile("id.map", IDENTITY), "--out", str(dest)]) == 0
+        report = json.loads(dest.read_text())
+        report["map"]["source"] = source
+        dest.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert run(["--revalidate", str(dest)]) == 2
+        assert capsys.readouterr().err == (
+            f"colline: revalidation failed: map reconstruction failed: {message}\n")
+
     def test_revalidate_non_report_payload_exits_1(self, tmp_path, capsys):
         dest = tmp_path / "r.json"
         # an empty list holds no report to re-check; an object is a report only

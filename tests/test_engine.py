@@ -315,7 +315,8 @@ class TestAffineReduce:
 
 
 class _CountingMap(MapHandle):
-    """Wraps a handle and records every point it is evaluated at."""
+    """Wraps a handle and records every point it is evaluated at; ``at``
+    returns the wrapped handle's row."""
 
     def __init__(self, g):
         super().__init__(g.m, g.n, g.name)

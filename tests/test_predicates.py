@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from colline.dsl import MapSpec, parse_map, render_map
-from colline.errors import DimensionMismatch, ProbeEvaluationError
+from colline.errors import DimensionMismatch, MapEvalError, ProbeEvaluationError
 from colline.field import Vector, affine_rank, from_pairs, identity_matrix
-from colline.geometry import Line, Plane, in_interval
+from colline.geometry import Line, Plane, in_interval, line_through, lines_parallel
 from colline.predicates import (
     _SKIP,
     CHECKS,
@@ -257,8 +257,9 @@ class _Table(MapHandle):
         super().__init__(m=1, n=2, name="table")
         self.values = values
 
-    def at(self, nums, den) -> Vector:
-        return self.values[Fraction(nums[0], den)]
+    def at(self, nums, den):
+        v = self.values[Fraction(nums[0], den)]
+        return v.nums, v.den
 
 
 _GRID = [vec(a, b) for a in range(3) for b in range(3)]
@@ -691,3 +692,155 @@ class TestOutcomeMechanics:
             values=out.witness.values,
         )
         assert not revalidate_witness(f, tampered)
+
+
+# -- the rows that decide on integer rows, against their Vector-based bodies ------------
+
+
+def _ref_homogeneity(f, inp):
+    a, c = inp["a"], inp["c"]
+    lhs = f(c * a)
+    rhs = c * f(a)
+    if lhs != rhs:
+        return {"f(c*a)": lhs, "c*f(a)": rhs}
+    return None
+
+
+def _ref_additivity(f, inp):
+    a, b = inp["a"], inp["b"]
+    lhs = f(a + b)
+    rhs = f(a) + f(b)
+    if lhs != rhs:
+        return {"f(a+b)": lhs, "f(a)+f(b)": rhs}
+    return None
+
+
+def _ref_zero_fixed(f, inp):
+    fx = f(inp["x"])
+    if not fx.is_zero():
+        return {"f(0)": fx, "0": Vector.zero(f.n)}
+    return None
+
+
+def _ref_judged_line(f, inp):
+    params = inp["params"]
+    imgs = [f(inp["line"].point_at(t)) for t in params]
+    return params, imgs, affine_rank(imgs)
+
+
+def _ref_line_image(f, inp):
+    params, imgs, rank = _ref_judged_line(f, inp)
+    if rank <= 1:
+        return None
+    a = imgs[0]
+    j = next(j for j, b in enumerate(imgs) if b != a)
+    b = imgs[j]
+    k = next(k for k in range(j + 1, len(imgs)) if affine_rank([a, b, imgs[k]]) == 2)
+    return {"witness params": (params[0], params[j], params[k]), "images": (a, b, imgs[k])}
+
+
+def _ref_line_injectivity(f, inp):
+    params, imgs, rank = _ref_judged_line(f, inp)
+    if rank != 1:
+        return _SKIP
+    groups = {}
+    for i, img in enumerate(imgs):
+        groups.setdefault(img, []).append(i)
+    for img, group in groups.items():
+        if len(group) > 1:
+            t0 = params[group[0]]
+            for j in group[1:]:
+                if params[j] != t0:
+                    return {"t0": t0, "t1": params[j], "common image": img}
+    return None
+
+
+def _ref_parallelism(f, inp):
+    line0, params = inp["line"], inp["params"]
+    line1 = Line(line0.origin + inp["offset"], line0.direction)
+    imgs0, imgs1 = ([f(line.point_at(t)) for t in params] for line in (line0, line1))
+    if affine_rank(imgs0) != 1 or affine_rank(imgs1) != 1:
+        return _SKIP
+    span0, span1 = (line_through(imgs[0], next(p for p in imgs if p != imgs[0]))
+                    for imgs in (imgs0, imgs1))
+    if lines_parallel(span0, span1):
+        return None
+    return {"image line 0": span0, "image line 1": span1}
+
+
+def _ref_betweenness_cor43(f, inp):
+    a, b, c = inp["a"], inp["b"], inp["c"]
+    if a == b or not in_interval(a, b, c):
+        return _SKIP
+    ga, gb, gc = f(a), f(b), f(c)
+    if ga == gb == gc:
+        return None
+    if in_interval(ga, gb, gc):
+        return None
+    return {"g(a)": ga, "g(b)": gb, "g(c)": gc}
+
+
+def _ref_betweenness_prop44(f, inp):
+    a, c = inp["a"], inp["c"]
+    zero_in = Vector.zero(f.m)
+    if a.is_zero() or not in_interval(a, zero_in, c):
+        return _SKIP
+    fa, fc = f(a), f(c)
+    if fa.is_zero() and fc.is_zero():
+        return None
+    if in_interval(fa, Vector.zero(f.n), fc):
+        return None
+    return {"f(a)": fa, "f(c)": fc}
+
+
+def _fields(result):
+    """A violation's result with every Vector and Line as its stored integers."""
+    if not isinstance(result, dict):
+        return result
+    return {name: tuple(map(_storage, value)) if isinstance(value, tuple) else _storage(value)
+            for name, value in result.items()}
+
+
+class TestRowViolations:
+    """Each row that decides on integer rows gives what its Vector-based body
+    gave, field for field: None, _SKIP, the Fail values, or a MapEvalError at
+    the same probe."""
+
+    REFERENCES = {
+        "homogeneity": _ref_homogeneity,
+        "additivity": _ref_additivity,
+        "zero-fixed": _ref_zero_fixed,
+        "line-image": _ref_line_image,
+        "line-injectivity": _ref_line_injectivity,
+        "parallelism-preservation": _ref_parallelism,
+        "betweenness-cor43": _ref_betweenness_cor43,
+        "betweenness-prop44": _ref_betweenness_prop44,
+    }
+
+    @staticmethod
+    def outcome(violation, f, inputs):
+        try:
+            return _fields(violation(f, inputs))
+        except MapEvalError as exc:
+            return str(exc), exc.output_index, exc.at
+
+    @pytest.mark.parametrize("name", sorted(REFERENCES))
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_vector_based_body(self, name, data):
+        m = data.draw(st.integers(1, 2))
+        outputs = data.draw(st.lists(_expr_strategy(m), min_size=1, max_size=2))
+        f = dsl(render_map(MapSpec("r", m, len(outputs), tuple(outputs))))
+        cfg = ProbeConfig(
+            seed=data.draw(st.integers(0, 1000)),
+            count=8,
+            coordinate_range=data.draw(st.integers(1, 4)),
+            params_per_line=data.draw(st.integers(3, 6)),
+        )
+        # zero-fixed also judges points other than 0, as a tampered report holds them
+        stream = (_drawn(lambda f, cfg, s: {"x": s.vector(f.m)}) if name == "zero-fixed"
+                  else CHECKS[name].stream)
+        for inputs in stream(f, cfg):
+            if inputs is not None:
+                assert (self.outcome(CHECKS[name].violation, f, inputs)
+                        == self.outcome(self.REFERENCES[name], f, inputs)), inputs

@@ -184,7 +184,8 @@ class TestSourceRoundTrip:
 
 
 class TestIntegerEntryPoint:
-    """``f.at(nums, den)`` is ``f`` at the point nums/den, also when the pair
+    """``f.at(nums, den)`` is the row (n integers over a positive denominator,
+    not necessarily reduced) of ``f`` at the point nums/den, also when the pair
     is not in lowest terms, and fails at a zero divisor as ``f`` does."""
 
     WARP = make_dsl(parse_map(
@@ -220,8 +221,16 @@ class TestIntegerEntryPoint:
         nums = [x0, data.draw(st.integers(-12, 12))]
         k = data.draw(st.integers(2, 6))
         want = self.outcome(f, from_ints(nums, den))
-        assert self.outcome(f.at, [k * a for a in nums], k * den) == want
-        assert self.outcome(f.at, nums, den) == want
+        assert self.outcome(self.row_vector, f, [k * a for a in nums], k * den) == want
+        assert self.outcome(self.row_vector, f, nums, den) == want
+
+    @staticmethod
+    def row_vector(f, nums, den):
+        """The vector of the row ``f.at(nums, den)``, once its shape is checked."""
+        row, row_den = f.at(nums, den)
+        assert len(row) == f.n and all(type(a) is int for a in row)
+        assert type(row_den) is int and row_den > 0
+        return from_ints(row, row_den)
 
 
 class _NoAt(MapHandle):
