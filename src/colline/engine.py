@@ -31,6 +31,7 @@ from .field import (
     collinearity_scalar,
     format_scalar,
     format_vector,
+    from_ints,
     linearly_independent,
 )
 from .geometry import Line, line_through, lines_parallel, crossing_line
@@ -189,7 +190,7 @@ def phi_consistency(
     rs = list(dict.fromkeys(rs))
     anchors = [a0, a1]
     while len(anchors) < n:
-        anchors.append(sampler.vector(f.m))
+        anchors.append(from_ints(*sampler.vector(f.m)))
 
     def stream(f: MapHandle, cfg: ProbeConfig):
         for a in anchors:
@@ -765,7 +766,7 @@ def check_affine_reconstruction(
     """g(x) must equal the shift-reduced map at x plus g(0), exactly."""
     return run_check(
         CHECKS["affine-reconstruction"], g, cfg,
-        _drawn(lambda g, cfg, s: {"x": s.vector(g.m), "a*": a_star}),
+        _drawn(lambda g, cfg, s: {"x": from_ints(*s.vector(g.m)), "a*": a_star}),
     )
 
 
@@ -776,7 +777,7 @@ def find_affine_witnesses(
     sampler = _Sampler(cfg)
     bases = [Vector.zero(g.m)]
     for _ in range(8):
-        bases.append(sampler.vector(g.m))
+        bases.append(from_ints(*sampler.vector(g.m)))
     for a_star in bases:
         ga = g(a_star)
         for x, y in _basis_then_sampled_pairs(sampler, g.m, max(1, cfg.count // len(bases))):
@@ -836,7 +837,7 @@ def _certificate_pairs(ind: tuple[Vector, Vector], cfg: ProbeConfig, dim: int):
         (a1, -a1),
         (a0 + a1, a0 - a1),
     ]
-    pairs.append((sampler.vector(dim), sampler.vector(dim)))
+    pairs.append((from_ints(*sampler.vector(dim)), from_ints(*sampler.vector(dim))))
     return pairs
 
 

@@ -45,16 +45,9 @@ class Line:
     def dim(self) -> int:
         return self.origin.dim
 
-    def point_row(self, t) -> tuple[list[int], int]:
-        """(row, den), den > 0 and not reduced, with origin + t·direction = row/den."""
-        p, q = _ratio(t)
-        o, d = self.origin, self.direction
-        # o + (p/q)·d over the denominator o.den·d.den·q
-        mo, md = d.den * q, o.den * p
-        return [a * mo + b * md for a, b in zip(o.nums, d.nums)], o.den * mo
-
     def point_at(self, t) -> Vector:
-        return from_ints(*self.point_row(t))
+        o, d = self.origin, self.direction
+        return from_ints(*line_point_row((o.nums, o.den), (d.nums, d.den), *_ratio(t)))
 
     def contains(self, p: Vector) -> bool:
         """Exact membership: p − origin must be a multiple of direction."""
@@ -85,6 +78,14 @@ class Line:
 
     def __str__(self) -> str:
         return format_line(self)
+
+
+def line_point_row(origin: Row, direction: Row, p: int, q: int) -> tuple[list[int], int]:
+    """(row, den), den > 0 and not reduced, with origin + (p/q)·direction = row/den, q > 0."""
+    (on, od), (dn, dd) = origin, direction
+    # o + (p/q)·d over the denominator od·dd·q
+    mo, md = dd * q, od * p
+    return [a * mo + b * md for a, b in zip(on, dn)], od * mo
 
 
 def format_line(line: Line) -> str:

@@ -9,9 +9,10 @@ identical outcomes, including witness identity.
 Witnesses are minimized by repeatedly halving coordinate numerators while
 the violation persists (at most 64 times per scalar), which keeps regression
 fixtures readable.  ``classify`` draws each line probe once for both line
-rows (``check_lines``).  Both line rows, parallelism, additivity,
-homogeneity, zero-fixed and both betweenness rows decide on the unreduced
-integer rows ``MapHandle.at`` returns; a Vector is built only for a witness.
+rows (``check_lines``).  The sampler draws points, lines and line parameters
+as unreduced integer rows and (p, q) pairs, and the rows that draw them
+decide on those and on the rows ``MapHandle.at`` returns.  The Vector, Line
+or Fraction a witness stores is built once, when a probe fails.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, Iterable, Optional
 
 from .errors import (
@@ -31,8 +32,8 @@ from .errors import (
     ProbeEvaluationError,
 )
 from .field import (Row, Vector, _diff_rows, _int_rank, _ratio, add_rows, affine_rank, from_ints,
-                    from_pairs, linearly_independent, same_point)
-from .geometry import Line, Plane, divides_in_ratio, in_interval, in_interval_rows, line_through
+                    linearly_independent, same_point)
+from .geometry import Line, Plane, divides_in_ratio, in_interval_rows, line_point_row, line_through
 from .zoo import MapHandle
 
 
@@ -93,8 +94,23 @@ class CheckOutcome:
         return "pass" if self.passed else "fail"
 
 
+class _PointRow(tuple):
+    """A drawn point (nums, den), over the lcm of its drawn denominators, unreduced."""
+    __slots__ = ()
+
+
+class _LineRows(tuple):
+    """A drawn line as its (origin, direction) ``_PointRow``s, the direction nonzero."""
+    __slots__ = ()
+
+
+class _ParamPairs(tuple):
+    """Drawn line parameters as (p, q) pairs, q > 0, unreduced."""
+    __slots__ = ()
+
+
 #: The parameters every sampled line starts with, before its drawn ones.
-_FIXED_PARAMS = (Fraction(0), Fraction(1), Fraction(-1))
+_FIXED_PARAMS = ((0, 1), (1, 1), (-1, 1))
 
 
 class _Sampler:
@@ -105,6 +121,9 @@ class _Sampler:
     over ``randint(1, R)``.  The draws skip ``randint`` but make its
     ``getrandbits`` calls: ``randint(a, b)`` is a + r, where r is the first
     ``getrandbits(k)`` below n = b − a + 1 and k = n.bit_length().
+
+    Points, lines and line parameters are drawn as unreduced rows and (p, q)
+    pairs (``_canonical_inputs`` builds a witness's values); scalars are Fractions.
     """
 
     def __init__(self, cfg: ProbeConfig):
@@ -137,22 +156,24 @@ class _Sampler:
             if s != 0:
                 return s
 
-    def vector(self, dim: int) -> Vector:
+    def vector(self, dim: int) -> _PointRow:
         pair = self._pair
-        return from_pairs([pair() for _ in range(dim)])
+        pairs = [pair() for _ in range(dim)]
+        den = lcm(*[q for _, q in pairs])
+        return _PointRow(([p * (den // q) for p, q in pairs], den))
 
-    def nonzero_vector(self, dim: int) -> Vector:
+    def nonzero_vector(self, dim: int) -> _PointRow:
         while True:
             v = self.vector(dim)
-            if not v.is_zero():
+            if any(v[0]):
                 return v
 
-    def line(self, dim: int) -> Line:
-        return Line(self.vector(dim), self.nonzero_vector(dim))
+    def line(self, dim: int) -> _LineRows:
+        return _LineRows((self.vector(dim), self.nonzero_vector(dim)))
 
-    def params(self, k: int) -> tuple[Fraction, ...]:
+    def params(self, k: int) -> _ParamPairs:
         pair = self._pair
-        return _FIXED_PARAMS + tuple(Fraction(*pair()) for _ in range(k - 3))
+        return _ParamPairs(_FIXED_PARAMS + tuple(pair() for _ in range(k - 3)))
 
     def _below(self, n: int) -> int:
         """The r of ``randint(a, a + n - 1)``: the first draw below n."""
@@ -162,10 +183,24 @@ class _Sampler:
             r = bits(k)
         return r
 
-    def unit_interval(self) -> Fraction:
-        # randint(2, max(2, R)), then randint(1, q - 1)
+    def unit_interval(self) -> tuple[int, int]:
+        """(p, q) with 0 < p/q < 1: randint(2, max(2, R)), then randint(1, q - 1)."""
         q = 2 + self._below(max(2, self.range) - 1)
-        return Fraction(1 + self._below(q - 1), q)
+        return 1 + self._below(q - 1), q
+
+
+#: The value a witness stores for each kind of drawn input
+_CANONICAL = {
+    _PointRow: lambda row: from_ints(*row),
+    _LineRows: lambda rows: Line(*(from_ints(*row) for row in rows)),
+    _ParamPairs: lambda pairs: tuple(Fraction(p, q) for p, q in pairs),
+}
+
+
+def _canonical_inputs(inputs: dict) -> dict:
+    """The inputs with each drawn one built as the value a witness stores."""
+    return {name: _CANONICAL[type(v)](v) if type(v) in _CANONICAL else v
+            for name, v in inputs.items()}
 
 
 _SKIP = object()
@@ -260,7 +295,7 @@ class Check:
         )
 
     def shrunk_witness(self, f: MapHandle, inputs: dict) -> Witness:
-        inputs = _shrink(self.violation, f, inputs)
+        inputs = _shrink(self.violation, f, _canonical_inputs(inputs))
         return self.witness(inputs, self.violation(f, inputs))
 
 
@@ -269,7 +304,8 @@ def run_check(
 ) -> CheckOutcome:
     """Feed the probes of ``stream(f, cfg)`` (default: the row's stream) to
     the row's violation; the first violated probe is shrunk into the Fail
-    witness, and an evaluation error becomes ProbeEvaluationError."""
+    witness, and an evaluation error becomes ProbeEvaluationError.  Both
+    carry the probe's canonical inputs."""
     violation = row.violation
     probes = 0
     skipped = 0
@@ -280,7 +316,7 @@ def run_check(
         try:
             result = violation(f, inputs)
         except MapEvalError as exc:
-            raise ProbeEvaluationError(row.name, inputs, exc) from exc
+            raise ProbeEvaluationError(row.name, _canonical_inputs(inputs), exc) from exc
         if result is _SKIP:
             skipped += 1
             continue
@@ -309,7 +345,7 @@ def _basis_then_sampled_pairs(sampler: _Sampler, m: int, count: int):
         for j in range(i + 1, m):
             yield Vector.basis(m, i), Vector.basis(m, j)
     for _ in range(count):
-        yield sampler.vector(m), sampler.vector(m)
+        yield from_ints(*sampler.vector(m)), from_ints(*sampler.vector(m))
 
 
 def _unit_then_sampled_pairs(sampler: _Sampler, count: int):
@@ -384,15 +420,27 @@ def _draw_line(f: MapHandle, cfg: ProbeConfig, s: _Sampler) -> dict:
     return {"line": s.line(f.m), "params": s.params(cfg.params_per_line)}
 
 
-def _line_images(f: MapHandle, line: Line, params) -> list[Row]:
-    """The image rows of the line's points at params, handed to ``f.at`` as rows."""
-    return [f.at(*line.point_row(t)) for t in params]
+def _line_images(f: MapHandle, origin: Row, direction: Row, params) -> list[Row]:
+    """The image rows of the line's points at the (p, q) params, handed to ``f.at`` as rows."""
+    at = f.at
+    return [at(*line_point_row(origin, direction, p, q)) for p, q in params]
+
+
+def _line_probe(f: MapHandle, inp: dict) -> tuple[Row, Row, list]:
+    """The (origin, direction) rows, in f's domain, and (p, q) params of a drawn
+    or a stored line probe."""
+    line, params = inp["line"], inp["params"]
+    if type(line) is not _LineRows:
+        line = line.origin, line.direction
+    if type(params) is not _ParamPairs:
+        params = [_ratio(t) for t in params]
+    return f.row(line[0]), f.row(line[1]), params
 
 
 def _judged_line(f: MapHandle, inp: dict) -> tuple:
-    """(params, image rows, their _diff_rows, affine rank): all a line judge reads."""
-    params = inp["params"]
-    imgs = _line_images(f, inp["line"], params)
+    """(param pairs, image rows, their _diff_rows, affine rank): all a line judge reads."""
+    origin, direction, params = _line_probe(f, inp)
+    imgs = _line_images(f, origin, direction, params)
     diffs = _diff_rows(imgs)
     return params, imgs, diffs, _int_rank(diffs)
 
@@ -404,7 +452,7 @@ def _judge_line_image(params, imgs, diffs, rank: int):
     # before j equals imgs[0], so one off the line through imgs[0], imgs[j] comes later
     j = next(j for j, d in enumerate(diffs, 1) if any(d))
     k = next(k for k in range(j + 1, len(imgs)) if _int_rank([diffs[j - 1], diffs[k - 1]]) == 2)
-    return {"witness params": (params[0], params[j], params[k]),
+    return {"witness params": tuple(Fraction(*params[i]) for i in (0, j, k)),
             "images": tuple(from_ints(*imgs[i]) for i in (0, j, k))}
 
 
@@ -435,10 +483,12 @@ def _judge_line_injectivity(params, imgs, diffs, rank: int):
     # first colliding pair is that index and the first later one with another param
     for group in groups.values():
         if len(group) > 1:
-            t0 = params[group[0]]
+            p0, q0 = params[group[0]]
             for j in group[1:]:
-                if params[j] != t0:
-                    return {"t0": t0, "t1": params[j], "common image": from_ints(*imgs[j])}
+                p, q = params[j]
+                if p * q0 != p0 * q:
+                    return {"t0": Fraction(p0, q0), "t1": Fraction(p, q),
+                            "common image": from_ints(*imgs[j])}
     return None
 
 
@@ -461,7 +511,7 @@ def check_lines(f: MapHandle, cfg: ProbeConfig) -> tuple[CheckOutcome, CheckOutc
         try:
             judged = _judged_line(f, inputs)
         except MapEvalError as exc:
-            raise ProbeEvaluationError(live[0], inputs, exc) from exc
+            raise ProbeEvaluationError(live[0], _canonical_inputs(inputs), exc) from exc
         for name in live:
             result = judges[name](*judged)
             if result is _SKIP:
@@ -519,17 +569,20 @@ def find_independence_witness(f: MapHandle, cfg: ProbeConfig) -> Optional[tuple[
 
 def _draw_cor43(f: MapHandle, cfg: ProbeConfig, s: _Sampler) -> Optional[dict]:
     a, b = s.vector(f.m), s.vector(f.m)
-    if a == b:
+    if same_point(a, b):
         return None
-    t = s.unit_interval()
-    return {"a": a, "b": b, "c": a + t * (b - a)}
+    (tp, tq), (an, ad), (bn, bd) = s.unit_interval(), a, b
+    # c = a + t·(b − a) = ((tq − tp)·a + tp·b) / tq, over ad·bd·tq
+    ma, mb = (tq - tp) * bd, tp * ad
+    c = [x * ma + y * mb for x, y in zip(an, bn)]
+    return {"a": a, "b": b, "c": _PointRow((c, ad * bd * tq))}
 
 
 def _violation_betweenness_cor43(f: MapHandle, inp: dict):
-    a, b, c = inp["a"], inp["b"], inp["c"]
-    if not in_interval(a, b, c):
+    ra, rb, rc = (f.row(inp[x]) for x in "abc")
+    if not in_interval_rows(ra, rb, rc):
         return _SKIP
-    ga, gb, gc = (f.at(*f.row(x)) for x in (a, b, c))
+    ga, gb, gc = f.at(*ra), f.at(*rb), f.at(*rc)
     if same_point(ga, gb) and same_point(gb, gc) or in_interval_rows(ga, gb, gc):
         return None
     return {"g(a)": from_ints(*ga), "g(b)": from_ints(*gb), "g(c)": from_ints(*gc)}
@@ -537,14 +590,15 @@ def _violation_betweenness_cor43(f: MapHandle, inp: dict):
 
 def _draw_prop44(f: MapHandle, cfg: ProbeConfig, s: _Sampler) -> dict:
     a = s.nonzero_vector(f.m)
-    return {"a": a, "c": s.unit_interval() * a}
+    p, q = s.unit_interval()
+    return {"a": a, "c": _PointRow(([p * x for x in a[0]], q * a[1]))}
 
 
 def _violation_betweenness_prop44(f: MapHandle, inp: dict):
-    a, c = inp["a"], inp["c"]
-    if a.is_zero() or not in_interval(a, Vector.zero(f.m), c):
+    ra, rc = f.row(inp["a"]), f.row(inp["c"])
+    if not in_interval_rows(ra, ([0] * f.m, 1), rc):  # empty for a = 0
         return _SKIP
-    fa, fc = f.at(a.nums, a.den), f.at(c.nums, c.den)  # in_interval checked both dims
+    fa, fc = f.at(*ra), f.at(*rc)
     if not any(fa[0]) and not any(fc[0]) or in_interval_rows(fa, ([0] * f.n, 1), fc):
         return None
     return {"f(a)": from_ints(*fa), "f(c)": from_ints(*fc)}
@@ -750,11 +804,9 @@ def _span_line(imgs, diffs) -> Line:
 
 
 def _violation_parallelism(f: MapHandle, inp: dict):
-    line0: Line = inp["line"]
-    offset: Vector = inp["offset"]
-    params = inp["params"]
-    line1 = Line(line0.origin + offset, line0.direction)
-    imgs0, imgs1 = _line_images(f, line0, params), _line_images(f, line1, params)
+    origin, direction, params = _line_probe(f, inp)
+    imgs0 = _line_images(f, origin, direction, params)
+    imgs1 = _line_images(f, add_rows(origin, f.row(inp["offset"])), direction, params)
     rows0, rows1 = _diff_rows(imgs0), _diff_rows(imgs1)
     if _int_rank(rows0) != 1 or _int_rank(rows1) != 1:
         return _SKIP
@@ -789,7 +841,8 @@ CHECKS: dict[str, Check] = {row.name: row for row in (
     Check("ratio-preservation",
           "f(c) divides f(a),f(b) in the same ratio as c divides a,b",
           _violation_ratio,
-          _drawn(lambda f, cfg, s: {"a": s.vector(f.m), "b": s.vector(f.m),
+          _drawn(lambda f, cfg, s: {"a": from_ints(*s.vector(f.m)),
+                                    "b": from_ints(*s.vector(f.m)),
                                     "r": s.scalar(), "s": s.scalar()})),
     Check("betweenness-cor43",
           "g(c) stays strictly between g(a) and g(b), unless all three collapse",

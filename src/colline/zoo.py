@@ -40,11 +40,13 @@ class MapHandle:
     def __call__(self, x: Vector) -> Vector:
         return from_ints(*self.at(*self.row(x)))
 
-    def row(self, x: Vector) -> Row:
-        """x as the input row (nums, den) of ``at``; another dimension raises."""
-        if x.dim != self.m:
-            raise DimensionMismatch(f"map {self.name} takes dim {self.m}, got {x.dim}")
-        return x.nums, x.den
+    def row(self, x: Vector | Row) -> Row:
+        """x, a Vector or a Row, as the input row (nums, den) of ``at``; another
+        dimension raises."""
+        nums, den = x if isinstance(x, tuple) else (x.nums, x.den)
+        if len(nums) != self.m:
+            raise DimensionMismatch(f"map {self.name} takes dim {self.m}, got {len(nums)}")
+        return nums, den
 
     def at(self, nums, den: int) -> Row:
         """The image of the point nums/den as a row: both are ``Row``s, m and n
@@ -257,23 +259,36 @@ def _split_top_level(text: str) -> list[str]:
     return [p.strip() for p in parts if p.strip()]
 
 
+def _typed(kind: str, field: str, value, *types: type):
+    """value when its type is one of types (a bool is no int, a float no scalar)."""
+    if type(value) not in types:
+        want = " or ".join(t.__name__ for t in types)
+        raise ConstructionError(f"map source of kind {kind!r} has {type(value).__name__}"
+                                f" in field {field!r}, expected {want}")
+    return value
+
+
 def from_source(obj: dict) -> MapHandle:
     """Rebuild a handle from the serializable description in a report; a
-    missing field raises ConstructionError naming the kind and the field."""
+    missing field or one of the wrong type raises ConstructionError naming
+    the kind and the field."""
     if not isinstance(obj, dict):
         raise ConstructionError(f"map source is not an object but {type(obj).__name__}")
     try:
         kind = obj["kind"]
-        if kind == "linear":
-            return make_linear([[Fraction(c) for c in row] for row in obj["matrix"]])
-        if kind == "affine":
-            a = [[Fraction(c) for c in row] for row in obj["matrix"]]
-            return make_affine(a, parse_vector(obj["offset"]))
+        field = lambda name, *types: _typed(kind, name, obj[name], *types)
+        if kind in ("linear", "affine"):
+            a = [[Fraction(_typed(kind, "matrix", c, str, int))
+                  for c in _typed(kind, "matrix", row, list)] for row in field("matrix", list)]
+            if kind == "linear":
+                return make_linear(a)
+            return make_affine(a, parse_vector(field("offset", str)))
         if kind == "lemma23":
-            psi = parse_map(f"map psi : 1 -> 1 {{ y0 = {obj['psi']} }}").outputs[0]
-            return make_lemma23(obj["m"], obj["n"], psi, obj["e0"], parse_vector(obj["d0"]))
+            psi = parse_map(f"map psi : 1 -> 1 {{ y0 = {field('psi', str)} }}").outputs[0]
+            return make_lemma23(field("m", int), field("n", int), psi, field("e0", int),
+                                parse_vector(field("d0", str)))
         if kind == "dsl":
-            return make_dsl(parse_map(obj["text"]))
+            return make_dsl(parse_map(field("text", str)))
     except KeyError as exc:
         of_kind = f" of kind {obj['kind']!r}" if "kind" in obj else ""
         raise ConstructionError(f"map source{of_kind} has no field {exc}") from None

@@ -470,7 +470,25 @@ class TestDeterminismAndRevalidation:
         ({"kind": "dsl"}, "map source of kind 'dsl' has no field 'text'"),
         (5, "map source is not an object but int"),
         (["dsl"], "map source is not an object but list"),
-    ], ids=["no-kind", "linear", "affine", "lemma23", "dsl", "int", "list"])
+        # a float or a bool is no exact scalar, and a field of another type names itself
+        ({"kind": "linear", "matrix": [[1.0, 1.0], [0.0, 1.0]]},
+         "map source of kind 'linear' has float in field 'matrix', expected str or int"),
+        ({"kind": "linear", "matrix": [[True, True], [False, True]]},
+         "map source of kind 'linear' has bool in field 'matrix', expected str or int"),
+        ({"kind": "affine", "matrix": [["1", "0"], ["0", 0.1]], "offset": "(0, 0)"},
+         "map source of kind 'affine' has float in field 'matrix', expected str or int"),
+        ({"kind": "linear", "matrix": ["1", "0"]},
+         "map source of kind 'linear' has str in field 'matrix', expected list"),
+        ({"kind": "affine", "matrix": [["1"]], "offset": [1]},
+         "map source of kind 'affine' has list in field 'offset', expected str"),
+        ({"kind": "lemma23", "m": "2", "n": 2, "e0": 0, "d0": "(0, 1)", "psi": "x0"},
+         "map source of kind 'lemma23' has str in field 'm', expected int"),
+        ({"kind": "lemma23", "m": 2, "n": 2, "e0": False, "d0": "(0, 1)", "psi": "x0"},
+         "map source of kind 'lemma23' has bool in field 'e0', expected int"),
+        ({"kind": "dsl", "text": 5}, "map source of kind 'dsl' has int in field 'text', expected str"),
+    ], ids=["no-kind", "linear", "affine", "lemma23", "dsl", "int", "list", "float-matrix",
+            "bool-matrix", "float-entry", "flat-matrix", "list-offset", "str-m", "bool-e0",
+            "int-text"])
     def test_revalidate_broken_source_names_the_kind_and_field(
             self, mapfile, tmp_path, capsys, source, message):
         dest = tmp_path / "broken.json"

@@ -56,7 +56,7 @@ def lemma23_default():
 
 def probe_vectors(dim, count, seed=3):
     sampler = _Sampler(ProbeConfig(seed=seed, count=count))
-    return [sampler.vector(dim) for _ in range(count)]
+    return [from_ints(*sampler.vector(dim)) for _ in range(count)]
 
 
 class TestExtractPhi:

@@ -32,7 +32,7 @@ def vec(*values):
 
 def probe_vectors(dim, count, seed=0):
     sampler = _Sampler(ProbeConfig(seed=seed, count=count))
-    return [sampler.vector(dim) for _ in range(count)]
+    return [from_ints(*sampler.vector(dim)) for _ in range(count)]
 
 
 class TestLinear:
