@@ -102,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="exact-rational verification laboratory for linear/affine structure of vector maps",
     )
     parser.add_argument("--revalidate", metavar="PATH",
-                        help="re-check all witnesses and certificates stored in a report")
+                        help="re-check the witnesses, certificates and exact verdicts in a report")
     sub = parser.add_subparsers(dest="command")
 
     p_classify = sub.add_parser("classify", parents=[common, source],
@@ -316,6 +316,12 @@ def _recheck_report(report: dict) -> list[str]:
         return [f"map reconstruction failed: {exc}"]
     failures: list[str] = []
     cls = report.get("classification") or {}
+    if cls.get("verdict") in ("exact_linear", "exact_affine"):  # from the map's structure
+        stored = CLASSIFICATION.decode(cls)
+        if handle.affine_form() != (stored.matrix, stored.offset) or (
+                stored.verdict == "exact_linear" and not stored.offset.is_zero()):
+            failures.append(f"classification {stored.verdict} does not match the"
+                            " affine form of the rebuilt map")
     reduced = None
     if cls.get("affine_base"):
         reduced = shift_reduce(handle, parse_vector(cls["affine_base"]))

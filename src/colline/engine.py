@@ -103,13 +103,6 @@ class PhiTable:
     entries: tuple[tuple[Fraction, Fraction], ...]
     anchors: tuple[tuple[Fraction, Vector], ...]
 
-    def value(self, r) -> Optional[Fraction]:
-        r = Fraction(r)
-        for key, val in self.entries:
-            if key == r:
-                return val
-        return None
-
     def is_identity(self) -> bool:
         return all(val == key for key, val in self.entries)
 
@@ -129,23 +122,12 @@ class PhiTable:
                 failures.append(
                     f"entry phi({format_scalar(r)}) = {format_scalar(phi)} fails its anchor"
                 )
-        zero_val = self.value(0)
-        if zero_val is not None and zero_val != 0:
+        table = dict(self.entries)
+        if table.get(0, 0) != 0:
             failures.append("phi(0) != 0")
-        one_val = self.value(1)
-        if one_val is not None and one_val != 1:
+        if table.get(1, 1) != 1:
             failures.append("phi(1) != 1")
         return failures
-
-
-def _phi_table(f: MapHandle, anchor: Vector, keys) -> PhiTable:
-    """The table r → φ(r) read off the ray through ``anchor``, in first-seen key order."""
-    fa = f(anchor)
-    table: dict[Fraction, Fraction] = {}
-    for r in keys:
-        if r not in table:
-            table[r] = collinearity_scalar(f(r * anchor), fa)
-    return PhiTable(tuple(table.items()), tuple((r, anchor) for r in table))
 
 
 def _violation_phi_consistency(f: MapHandle, inp: dict):
@@ -206,7 +188,10 @@ def phi_consistency(
                 yield {"a": a, "a'": other, "r": r}
 
     outcome = run_check(row, f, cfg, stream)
-    return outcome, _phi_table(f, a0, rs) if outcome.passed else None
+    if not outcome.passed:
+        return outcome, None
+    return outcome, PhiTable(tuple((r, extract_phi(f, a0, r)) for r in rs),
+                             tuple((r, a0) for r in rs))
 
 
 # -- certificates ------------------------------------------------------------------
@@ -632,9 +617,7 @@ def _collapsing_plane_certificate(builder: _CertBuilder, a: Vector, b: Vector) -
     builder.note = "both images vanish; the plane through 0, a, b collapses"
     ray_a = Line(zero, a)
     ray_b = Line(zero, b)
-    cross = crossing_line(w, ray_a, ray_b)
-    if cross is None:
-        raise builder.violation("no transversal line through a+b exists")
+    cross = crossing_line(w, ray_a, ray_b)  # not None: a, b independent, so w != 0
     la = builder.add_line(a, zero, with_image=False)
     lb = builder.add_line(b, zero, with_image=False)
     lt = builder.add_line(cross.on_l0, cross.on_l1, with_image=False)
@@ -752,9 +735,8 @@ def affine_reduce(g: MapHandle, witnesses: tuple[Vector, Vector, Vector]) -> Map
 
 
 def _violation_affine_reconstruction(g: MapHandle, inp: dict):
-    x, a_star = inp["x"], inp["a*"]
-    lhs = g(x)
-    rhs = (g(x + a_star) - g(a_star)) + g(Vector.zero(g.m))
+    lhs = g(inp["x"])
+    rhs = shift_reduce(g, inp["a*"])(inp["x"]) + g(Vector.zero(g.m))
     if lhs != rhs:
         return {"g(x)": lhs, "f(x) + g(0)": rhs}
     return None
@@ -859,9 +841,10 @@ def _geometric_outcomes(h: MapHandle, cfg: ProbeConfig) -> list[CheckOutcome]:
             check_ratio_preservation(h, cfg), check_betweenness(h, cfg, "cor43")]
 
 
-def _classify_empirical(h: MapHandle, cfg: ProbeConfig, depth: int = 0,
+def _classify_empirical(h: MapHandle, cfg: ProbeConfig,
                         geometric: Optional[list[CheckOutcome]] = None) -> Classification:
-    """Classify h from probes; its shift reduction is classified at depth 1.
+    """Classify h from probes; a map that moves the origin is classified through
+    its shift reduction, which fixes it, so the reduction recurses only once.
 
     A constant added to h changes no outcome of ``_geometric_outcomes``, and the
     reduction at a* = 0, x ↦ h(x) − h(0), probes the points h passed, so it gets
@@ -942,11 +925,6 @@ def _classify_empirical(h: MapHandle, cfg: ProbeConfig, depth: int = 0,
                 " linear) map satisfies",
             ),
         )
-    if depth > 0:
-        return done(
-            verdict=VERDICT_INCONCLUSIVE,
-            reasons=("shift-reduced map does not fix the origin; reduction is unsound",),
-        )
     witnesses = find_affine_witnesses(h, cfg)
     if witnesses is None:
         return done(
@@ -968,7 +946,7 @@ def _classify_empirical(h: MapHandle, cfg: ProbeConfig, depth: int = 0,
         )
     reduced = affine_reduce(h, witnesses)
     reused = outcomes[1:6] if a_star.is_zero() else None  # the _MOVED_ORIGIN_ORDER rows
-    sub = _classify_empirical(reduced, cfg, depth=depth + 1, geometric=reused)
+    sub = _classify_empirical(reduced, cfg, geometric=reused)
     outcomes.extend(
         dataclasses.replace(o, check=f"reduced:{o.check}") for o in sub.outcomes
     )

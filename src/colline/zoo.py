@@ -9,7 +9,6 @@ provably affine by DSL normalization) expose their (A, b) form through
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from operator import mul
 from typing import Optional
 
@@ -23,6 +22,7 @@ from .field import (
     from_ints,
     matrix,
     parse_matrix,
+    parse_scalar,
     parse_vector,
 )
 
@@ -66,32 +66,6 @@ class MapHandle:
         return f"<{type(self).__name__} {self.name}: {self.m}->{self.n}>"
 
 
-def _int_rows(a: Matrix) -> tuple[list[list[int]], int]:
-    """Integer rows and one common denominator with a = rows/den."""
-    rows = [Vector(row) for row in a]
-    den = math.lcm(*[v.den for v in rows])
-    return [[c * (den // v.den) for c in v.nums] for v in rows], den
-
-
-class LinearMap(MapHandle):
-    def __init__(self, a: Matrix, name: str = "linear"):
-        a = matrix(a)
-        super().__init__(m=len(a[0]), n=len(a), name=name)
-        self.a = a
-        self._rows, self._den = _int_rows(a)
-
-    __call__ = MapHandle.__call__  # bound per class, so each kind can be traced apart
-
-    def at(self, nums, den):
-        return [sum(map(mul, row, nums)) for row in self._rows], self._den * den
-
-    def affine_form(self):
-        return self.a, Vector.zero(self.n)
-
-    def source(self):
-        return {"kind": "linear", "matrix": [[str(c) for c in row] for row in self.a]}
-
-
 class AffineMap(MapHandle):
     def __init__(self, a: Matrix, b: Vector, name: str = "affine"):
         a = matrix(a)
@@ -100,14 +74,13 @@ class AffineMap(MapHandle):
         super().__init__(m=len(a[0]), n=len(a), name=name)
         self.a = a
         self.b = b
-        # A·x + b = (rows·x + offsets·x.den) / (den·x.den)
-        rows, den = _int_rows(a)
-        g = math.gcd(den, b.den)
-        self._rows = [[c * (b.den // g) for c in row] for row in rows]
-        self._offsets = [c * (den // g) for c in b.nums]
-        self._den = den // g * b.den
+        # A·x + b = (rows·x + offsets·x.den) / (den·x.den), den the lcm of A's and b's
+        rows = [Vector(row) for row in a]
+        self._den = den = math.lcm(b.den, *[v.den for v in rows])
+        self._rows = [[c * (den // v.den) for c in v.nums] for v in rows]
+        self._offsets = [c * (den // b.den) for c in b.nums]
 
-    __call__ = MapHandle.__call__
+    __call__ = MapHandle.__call__  # bound per class, so each kind can be traced apart
 
     def at(self, nums, den):
         rows = zip(self._rows, self._offsets)
@@ -122,6 +95,21 @@ class AffineMap(MapHandle):
             "matrix": [[str(c) for c in row] for row in self.a],
             "offset": format_vector(self.b),
         }
+
+
+class LinearMap(AffineMap):
+    """An affine map with a zero offset, whose evaluation skips the offset."""
+
+    def __init__(self, a: Matrix, name: str = "linear"):
+        super().__init__(a, Vector.zero(len(a)), name=name)
+
+    __call__ = MapHandle.__call__
+
+    def at(self, nums, den):
+        return [sum(map(mul, row, nums)) for row in self._rows], self._den * den
+
+    def source(self):
+        return {"kind": "linear", "matrix": [[str(c) for c in row] for row in self.a]}
 
 
 DEFAULT_PSI_TEXT = "if x0 <= 0 then x0 else 2 * x0"
@@ -151,8 +139,8 @@ class Lemma23Map(MapHandle):
             raise DimensionMismatch(f"d0 dim {d0.dim} but declared output dim {n}")
         if not 0 <= e0_index < m:
             raise ConstructionError(f"coordinate index {e0_index} outside 0..{m - 1}")
-        self.psi_spec = MapSpec("psi", 1, 1, (psi,))
-        if not eval_map(self.psi_spec, from_ints((0,), 1)).is_zero():
+        self.psi = DslMap(MapSpec("psi", 1, 1, (psi,)))
+        if self.psi.at([0], 1)[0][0] != 0:
             raise ConstructionError("lemma23 scalar warp must fix 0 (psi(0) = 0)")
         super().__init__(m=m, n=n, name=name)
         self.e0_index = e0_index
@@ -161,9 +149,9 @@ class Lemma23Map(MapHandle):
     __call__ = MapHandle.__call__
 
     def at(self, nums, den):
-        t = eval_map(self.psi_spec, from_ints((nums[self.e0_index],), den))
+        (t,), t_den = self.psi.at([nums[self.e0_index]], den)
         d0 = self.d0
-        return [t.nums[0] * c for c in d0.nums], t.den * d0.den
+        return [t * c for c in d0.nums], t_den * d0.den
 
     def source(self):
         return {
@@ -172,7 +160,7 @@ class Lemma23Map(MapHandle):
             "n": self.n,
             "e0": self.e0_index,
             "d0": format_vector(self.d0),
-            "psi": render_expr(self.psi_spec.outputs[0]),
+            "psi": render_expr(self.psi.spec.outputs[0]),
         }
 
 
@@ -268,6 +256,17 @@ def _typed(kind: str, field: str, value, *types: type):
     return value
 
 
+def _scalar(kind: str, field: str, value):
+    """An int as it is, or a scalar in the ``p`` or ``p/q`` text form of reports."""
+    if type(_typed(kind, field, value, str, int)) is int:
+        return value
+    try:
+        return parse_scalar(value)
+    except ValueError:
+        raise ConstructionError(f"map source of kind {kind!r} has {value!r} in field"
+                                f" {field!r}, expected p or p/q") from None
+
+
 def from_source(obj: dict) -> MapHandle:
     """Rebuild a handle from the serializable description in a report; a
     missing field or one of the wrong type raises ConstructionError naming
@@ -278,8 +277,8 @@ def from_source(obj: dict) -> MapHandle:
         kind = obj["kind"]
         field = lambda name, *types: _typed(kind, name, obj[name], *types)
         if kind in ("linear", "affine"):
-            a = [[Fraction(_typed(kind, "matrix", c, str, int))
-                  for c in _typed(kind, "matrix", row, list)] for row in field("matrix", list)]
+            a = [[_scalar(kind, "matrix", c) for c in _typed(kind, "matrix", row, list)]
+                 for row in field("matrix", list)]
             if kind == "linear":
                 return make_linear(a)
             return make_affine(a, parse_vector(field("offset", str)))

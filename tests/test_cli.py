@@ -26,6 +26,7 @@ BAD = "map bad : 1 -> 1 { y0 = x3 }\n"
 DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos")
 DEMO_IDENTITY = os.path.join(DEMOS, "identity.map")
 DEMO_TRANSLATE = os.path.join(DEMOS, "translate.map")
+SHEAR = os.path.join(DEMOS, "shear.matrix")
 HOLE = "map hole : 2 -> 2 { y0 = x0 * (x0 - 1) / (x0 - 1); y1 = x1 }\n"
 
 
@@ -344,6 +345,11 @@ class TestDeterminismAndRevalidation:
             (["classify", "--builtin", "lemma23:m=2,n=2,e0=0,d0=(0,1)"], "l.json"),
             (["certify", "additivity", mapfile("id.map", IDENTITY)], "c.json"),
             (["check", "additivity", mapfile("t2.map", TRANSLATE)], "k.json"),
+            # exact verdicts re-check against the rebuilt map's affine form
+            (["classify", "--builtin", f"linear:{SHEAR}"], "el.json"),
+            (["classify", "--builtin", f"affine:{SHEAR},b=(1, 2)"], "ea.json"),
+            (["classify", DEMO_IDENTITY], "edl.json"),
+            (["classify", DEMO_TRANSLATE], "eda.json"),
         ]
         for argv, name in cases:
             dest = tmp_path / name
@@ -486,9 +492,15 @@ class TestDeterminismAndRevalidation:
         ({"kind": "lemma23", "m": 2, "n": 2, "e0": False, "d0": "(0, 1)", "psi": "x0"},
          "map source of kind 'lemma23' has bool in field 'e0', expected int"),
         ({"kind": "dsl", "text": 5}, "map source of kind 'dsl' has int in field 'text', expected str"),
+        # matrix text is read as a report scalar: p or p/q, never a decimal or an exponent
+        *(({"kind": kind, "matrix": [[entry, "0"], [0, 1]], "offset": "(0, 0)"},
+           f"map source of kind {kind!r} has {entry!r} in field 'matrix', expected p or p/q")
+          for kind, entry in (("linear", "0.5"), ("linear", "1e1"), ("affine", "-2.5E-1"),
+                              ("affine", "1."))),
     ], ids=["no-kind", "linear", "affine", "lemma23", "dsl", "int", "list", "float-matrix",
             "bool-matrix", "float-entry", "flat-matrix", "list-offset", "str-m", "bool-e0",
-            "int-text"])
+            "int-text", "decimal-entry", "exponent-entry", "signed-exponent-entry",
+            "trailing-dot-entry"])
     def test_revalidate_broken_source_names_the_kind_and_field(
             self, mapfile, tmp_path, capsys, source, message):
         dest = tmp_path / "broken.json"
@@ -500,6 +512,30 @@ class TestDeterminismAndRevalidation:
         assert run(["--revalidate", str(dest)]) == 2
         assert capsys.readouterr().err == (
             f"colline: revalidation failed: map reconstruction failed: {message}\n")
+
+    @pytest.mark.parametrize("argv, edit, verdict", [
+        (["--builtin", f"linear:{SHEAR}"],
+         lambda r: r["map"]["source"].update(matrix=[["5", "0"], ["0", "7"]]), "exact_linear"),
+        (["--builtin", f"affine:{SHEAR},b=(1, 2)"],
+         lambda r: r["classification"].update(verdict="exact_linear"), "exact_linear"),
+        (["--builtin", f"affine:{SHEAR},b=(1, 2)"],
+         lambda r: r["classification"].update(offset="(1, 3)"), "exact_affine"),
+        ([os.path.join(DEMOS, "jump2.map"), "--no-symbolic", "--probes", "60"],
+         lambda r: r["classification"].update(verdict="exact_linear", witness=None),
+         "exact_linear"),
+    ], ids=["tampered-matrix", "affine-called-linear", "tampered-offset", "jump2-called-linear"])
+    def test_revalidate_rejects_an_exact_verdict_the_map_does_not_have(
+            self, tmp_path, capsys, argv, edit, verdict):
+        dest = tmp_path / "exact.json"
+        assert run(["classify", *argv, "--out", str(dest)]) == 0
+        report = json.loads(dest.read_text())
+        edit(report)
+        dest.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert run(["--revalidate", str(dest)]) == 2
+        assert capsys.readouterr().err == (
+            f"colline: revalidation failed: classification {verdict} does not match"
+            " the affine form of the rebuilt map\n")
 
     def test_revalidate_non_report_payload_exits_1(self, tmp_path, capsys):
         dest = tmp_path / "r.json"

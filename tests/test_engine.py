@@ -2,12 +2,12 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from colline import engine
-from colline.dsl import parse_map
-from colline.errors import PreconditionError, ProbeEvaluationError, ViolationError
+from colline.dsl import MapSpec, parse_map, render_map
+from colline.errors import MapEvalError, PreconditionError, ProbeEvaluationError, ViolationError
 from colline.field import Vector, from_ints, identity_matrix
 from colline.predicates import (
     ProbeConfig,
@@ -15,6 +15,7 @@ from colline.predicates import (
     check_lines,
     check_parallelism_preservation,
     check_ratio_preservation,
+    check_zero_fixed,
     revalidate_witness,
     _Sampler,
 )
@@ -38,6 +39,7 @@ from colline.zoo import (
     make_lemma23,
     make_linear,
 )
+from test_dsl import _expr_strategy
 
 CFG = ProbeConfig(seed=0, count=150)
 
@@ -357,6 +359,22 @@ class TestShiftReduceHandle:
         for x in xs:
             f(x)
         assert g.points == [a_star] + [x + a_star for x in xs]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_the_reduction_fixes_the_origin(self, data):
+        # at 0 the reduction repeats the evaluation of g(a*) it was built from, so
+        # the classifier's reduced pass never finds the origin moved again
+        m = data.draw(st.integers(1, 3))
+        outputs = data.draw(st.lists(_expr_strategy(m), min_size=1, max_size=2))
+        g = dsl(render_map(MapSpec("r", m, len(outputs), tuple(outputs))))
+        entry = st.fractions(min_value=-20, max_value=20, max_denominator=8)
+        a_star = Vector(data.draw(st.lists(entry, min_size=m, max_size=m)))
+        try:
+            f = shift_reduce(g, a_star)
+        except MapEvalError:  # g has no value at a*
+            assume(False)
+        assert check_zero_fixed(f).passed
 
 
 def _affine_case(a, offset, as_dsl):
