@@ -41,7 +41,7 @@ from .predicates import (
     revalidate_witness,
     run_check,
 )
-from .serialize import CERTIFICATE, CLASSIFICATION, OUTCOME, PHI_TABLE, VECTOR, WITNESS, pair, sequence
+from .serialize import CERTIFICATE, CLASSIFICATION, OUTCOME, VECTOR, pair, sequence
 from .zoo import MapHandle, from_source, make_dsl, parse_builtin
 
 # `colline check` names: every row of the check table with a default probe
@@ -315,16 +315,16 @@ def _recheck_report(report: dict) -> list[str]:
     except (KeyError, TypeError, CollineError, ValueError) as exc:
         return [f"map reconstruction failed: {exc}"]
     failures: list[str] = []
-    cls = report.get("classification") or {}
-    if cls.get("verdict") in ("exact_linear", "exact_affine"):  # from the map's structure
-        stored = CLASSIFICATION.decode(cls)
+    cls = report.get("classification")  # a report with none makes no verdict claim
+    stored = CLASSIFICATION.decode(cls) if cls else Classification("inconclusive")
+    if stored.verdict in ("exact_linear", "exact_affine"):  # from the map's structure
         if handle.affine_form() != (stored.matrix, stored.offset) or (
                 stored.verdict == "exact_linear" and not stored.offset.is_zero()):
             failures.append(f"classification {stored.verdict} does not match the"
                             " affine form of the rebuilt map")
-    reduced = None
-    if cls.get("affine_base"):
-        reduced = shift_reduce(handle, parse_vector(cls["affine_base"]))
+    elif stored.verdict.startswith("empirically_") and not report.get("certificates"):
+        failures.append(f"classification {stored.verdict} has no certificate")
+    reduced = None if stored.affine_base is None else shift_reduce(handle, stored.affine_base)
     for outcome in map(OUTCOME.decode, report.get("outcomes", [])):
         if outcome.witness is None:
             continue
@@ -334,15 +334,15 @@ def _recheck_report(report: dict) -> list[str]:
             continue
         if not revalidate_witness(target, outcome.witness):
             failures.append(f"witness for {outcome.check} no longer violates")
-    if cls.get("witness"):
-        target = reduced if cls.get("witness_scope") == "reduced" else handle
-        witness = WITNESS.decode(cls["witness"])
-        if target is None or not revalidate_witness(target, witness):
+    if stored.witness is not None:
+        target = reduced if stored.witness_scope == "reduced" else handle
+        if target is None:
+            failures.append("classification witness: no reduced map recorded")
+        elif not revalidate_witness(target, stored.witness):
             failures.append("classification witness no longer violates")
-    cert_target = reduced if cls.get("certificate_scope") == "reduced" else handle
-    if cls.get("phi"):
-        phi = PHI_TABLE.decode(cls["phi"])  # read off the map its certificates are for
-        failures.extend(f"phi table: {failure}" for failure in phi.validate(cert_target))
+    cert_target = reduced if stored.certificate_scope == "reduced" else handle
+    if stored.phi is not None:  # read off the map its certificates are for
+        failures.extend(f"phi table: {failure}" for failure in stored.phi.validate(cert_target))
     for cert in map(CERTIFICATE.decode, report.get("certificates", [])):
         failures.extend(
             f"certificate {cert.kind}: {failure}" for failure in cert.validate(cert_target)

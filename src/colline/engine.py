@@ -34,7 +34,7 @@ from .field import (
     from_ints,
     linearly_independent,
 )
-from .geometry import Line, line_through, lines_parallel, crossing_line
+from .geometry import Line, line_through, lines_parallel
 from .predicates import (
     CHECKS,
     Check,
@@ -114,11 +114,14 @@ class PhiTable:
             if a is None:
                 failures.append(f"no anchor recorded for r = {format_scalar(r)}")
                 continue
-            fa = f(a)
-            if fa.is_zero():
+            try:
+                holds = extract_phi(f, a, r) == phi
+            except PreconditionError:
                 failures.append(f"anchor for r = {format_scalar(r)} has f(a) = 0")
                 continue
-            if f(r * a) != phi * fa:
+            except ViolationError:
+                holds = False
+            if not holds:
                 failures.append(
                     f"entry phi({format_scalar(r)}) = {format_scalar(phi)} fails its anchor"
                 )
@@ -131,12 +134,10 @@ class PhiTable:
 
 
 def _violation_phi_consistency(f: MapHandle, inp: dict):
-    a, other, r = inp["a"], inp["a'"], inp["r"]
-    if f(a).is_zero() or f(other).is_zero():
-        return _SKIP
     try:
-        phi_a = extract_phi(f, a, r)
-        phi_other = extract_phi(f, other, r)
+        phi_a, phi_other = (extract_phi(f, a, inp["r"]) for a in (inp["a"], inp["a'"]))
+    except PreconditionError:  # f(a) = 0 or f(a') = 0: no scale factor to compare
+        return _SKIP
     except ViolationError as exc:
         return dict(exc.witness.values)
     if phi_a != phi_other:
@@ -497,9 +498,7 @@ def homogeneity_certificate(f: MapHandle, a: Vector, b: Vector, r) -> Certificat
     builder.point_fact([l0, l3], ra)
     builder.point_fact([l1, l3], rb)
     builder.parallel_fact(l2, l3)
-    phi_a = extract_phi(f, a, r)
-    phi_b = extract_phi(f, b, r)
-    builder.equation("phi0(a, r) = phi0(b, r)", phi_a, phi_b)
+    builder.equation("phi0(a, r) = phi0(b, r)", extract_phi(f, a, r), extract_phi(f, b, r))
     return builder.seal()
 
 
@@ -609,29 +608,28 @@ def _chained_certificate(builder: _CertBuilder, a: Vector, b: Vector, helper: Ve
 
 
 def _collapsing_plane_certificate(builder: _CertBuilder, a: Vector, b: Vector) -> Certificate:
-    """Both summands vanish under f: a transversal line through a+b meets the
-    two collapsed rays at points with equal images, so f(a+b) vanishes too."""
+    """Both summands vanish under f: the transversal through p0 = 2a and
+    p1 = 2b, whose midpoint is a+b, meets the two collapsed rays at points
+    with equal images, so f(a+b) vanishes too."""
     f = builder.f
     zero = Vector.zero(f.m)
     w = a + b
+    p0, p1 = 2 * a, 2 * b
     builder.note = "both images vanish; the plane through 0, a, b collapses"
-    ray_a = Line(zero, a)
-    ray_b = Line(zero, b)
-    cross = crossing_line(w, ray_a, ray_b)  # not None: a, b independent, so w != 0
     la = builder.add_line(a, zero, with_image=False)
     lb = builder.add_line(b, zero, with_image=False)
-    lt = builder.add_line(cross.on_l0, cross.on_l1, with_image=False)
-    builder.label(cross.on_l0, "p0")
-    builder.label(cross.on_l1, "p1")
+    lt = builder.add_line(p0, p1, with_image=False)
+    builder.label(p0, "p0")
+    builder.label(p1, "p1")
     builder.point_fact([la, lb], zero)
-    builder.point_fact([la, lt], cross.on_l0)
-    builder.point_fact([lb, lt], cross.on_l1)
+    builder.point_fact([la, lt], p0)
+    builder.point_fact([lb, lt], p1)
     builder.point_fact([lt], w)
     zero_out = Vector.zero(f.n)
     builder.equation("f(a) = 0", builder.eval(a), zero_out)
     builder.equation("f(b) = 0", builder.eval(b), zero_out)
-    builder.equation("f(p0) = 0", builder.eval(cross.on_l0), zero_out)
-    builder.equation("f(p1) = 0", builder.eval(cross.on_l1), zero_out)
+    builder.equation("f(p0) = 0", builder.eval(p0), zero_out)
+    builder.equation("f(p1) = 0", builder.eval(p1), zero_out)
     builder.equation("f(0) = 0", builder.eval(zero), zero_out)
     builder.equation(
         "f(a+b) = f(a) + f(b)", builder.eval(w), builder.eval(a) + builder.eval(b)
@@ -791,6 +789,8 @@ VERDICT_EMP_LINEAR = "empirically_linear"
 VERDICT_EMP_AFFINE = "empirically_affine"
 VERDICT_NON_LINEAR = "non_linear"
 VERDICT_INCONCLUSIVE = "inconclusive"
+VERDICTS = (VERDICT_EXACT_LINEAR, VERDICT_EXACT_AFFINE, VERDICT_EMP_LINEAR, VERDICT_EMP_AFFINE,
+            VERDICT_NON_LINEAR, VERDICT_INCONCLUSIVE)
 
 
 @dataclass(frozen=True)
@@ -808,6 +808,12 @@ class Classification:
     # shift reduction (classification of a non-zero-fixed map goes through it)
     witness_scope: str = "primary"
     certificate_scope: str = "primary"
+
+    def __post_init__(self):  # a witness comes with non_linear only, a φ table with empirically_*
+        witnessed = self.verdict == VERDICT_NON_LINEAR
+        if (self.verdict not in VERDICTS or (self.witness is not None) != witnessed
+                or self.verdict.startswith("empirically_") and self.phi is None):
+            raise ValueError(f"verdict {self.verdict!r} is unknown or disagrees with its evidence")
 
 
 def _certificate_pairs(ind: tuple[Vector, Vector], cfg: ProbeConfig, dim: int):

@@ -206,16 +206,9 @@ class Plane:
         return self.origin.dim
 
     def point_at(self, s, t) -> Vector:
-        sp, sq = _ratio(s)
-        tp, tq = _ratio(t)
         o, d1, d2 = self.origin, self.dir1, self.dir2
-        # o + (sp/sq)·d1 + (tp/tq)·d2 over the denominator o.den·d1.den·d2.den·sq·tq
-        e1, e2 = d1.den * sq, d2.den * tq
-        mo, m1, m2 = e1 * e2, o.den * sp * e2, o.den * tp * e1
-        return from_ints(
-            [a * mo + b * m1 + c * m2 for a, b, c in zip(o.nums, d1.nums, d2.nums)],
-            o.den * mo,
-        )
+        on_line = line_point_row((o.nums, o.den), (d1.nums, d1.den), *_ratio(s))  # o + s·d1
+        return from_ints(*line_point_row(on_line, (d2.nums, d2.den), *_ratio(t)))
 
     def contains(self, p: Vector) -> bool:
         return _int_rank([self.dir1.nums, self.dir2.nums, (p - self.origin).nums]) == 2

@@ -89,6 +89,11 @@ class CheckOutcome:
     witness: Optional[Witness] = None
     skipped: int = 0
 
+    def __post_init__(self):  # a Fail has a witness and a Pass none; counts are ints >= 0
+        counts_ok = all(type(n) is int and n >= 0 for n in (self.probes, self.skipped))
+        if (self.witness is None) != self.passed or not counts_ok:
+            raise ValueError(f"outcome {self.check} disagrees with its witness or its counts")
+
     @property
     def verdict(self) -> str:
         return "pass" if self.passed else "fail"

@@ -133,8 +133,8 @@ def _outcome(check, verdict, probes, skipped, witness):
 OUTCOME = record(
     _outcome,
     Key("check"),
-    Key("verdict", Codec(lambda passed: "pass" if passed else "fail", lambda j: j == "pass"),
-        "passed"),
+    Key("verdict", Codec(lambda passed: "pass" if passed else "fail",
+                         lambda j: {"pass": True, "fail": False}[j]), "passed"),
     Key("probes"),
     Key("skipped", default=0),
     Key("witness", optional(record(dict, *_WITNESS_BODY)), default=None),
@@ -189,7 +189,7 @@ CLASSIFICATION = record(
     Key("verdict"),
     Key("matrix", optional(sequence(sequence(SCALAR)))),
     Key("offset", optional(VECTOR)),
-    Key("witness", optional(WITNESS)),
+    Key("witness", optional(WITNESS), default=None),
     Key("witness_scope"), Key("certificate_scope"),
     Key("reasons", sequence(PLAIN)),
     Key("phi", optional(PHI_TABLE)),

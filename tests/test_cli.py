@@ -537,6 +537,61 @@ class TestDeterminismAndRevalidation:
             f"colline: revalidation failed: classification {verdict} does not match"
             " the affine form of the rebuilt map\n")
 
+    @staticmethod
+    def _jump2_report(tmp_path):
+        dest = tmp_path / "jump2.json"
+        assert run(["classify", os.path.join(DEMOS, "jump2.map"), "--no-symbolic",
+                    "--probes", "60", "--out", str(dest)]) == 0
+        report = json.loads(dest.read_text())
+        verdicts = {o["check"]: o["verdict"] for o in report["outcomes"]}
+        assert report["classification"]["verdict"] == "non_linear"
+        assert report["outcomes"][0]["check"] == "zero-fixed"
+        assert (verdicts["zero-fixed"], verdicts["additivity"]) == ("pass", "fail")
+        return dest, report
+
+    @pytest.mark.parametrize("edit", [
+        lambda r: r["outcomes"][0].update(verdict="fail"),  # zero-fixed, with no witness
+        lambda r: next(o for o in r["outcomes"] if o["check"] == "additivity").update(
+            verdict="pass"),  # keeping its witness
+        lambda r: r["classification"].update(witness=None),
+        lambda r: r["classification"].update(verdict="empirically_linear", witness=None),
+        lambda r: r["classification"].update(verdict=5),
+        lambda r: r["outcomes"][0].update(probes="x"),
+    ], ids=["fail-without-witness", "pass-with-witness", "non-linear-without-witness",
+            "empirical-without-phi", "unknown-verdict", "probes-not-an-int"])
+    def test_revalidate_rejects_claims_that_disagree_with_their_evidence(
+            self, tmp_path, capsys, edit):
+        dest, report = self._jump2_report(tmp_path)
+        edit(report)
+        dest.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert run(["--revalidate", str(dest)]) == 2
+        assert "revalidation failed: stored data is malformed (ValueError" in (
+            capsys.readouterr().err)
+
+    def test_revalidate_names_a_missing_reduced_map(self, tmp_path, capsys):
+        dest, report = self._jump2_report(tmp_path)
+        report["classification"]["witness_scope"] = "reduced"  # with no affine_base
+        dest.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert run(["--revalidate", str(dest)]) == 2
+        assert capsys.readouterr().err == (
+            "colline: revalidation failed: classification witness: no reduced map recorded\n")
+
+    def test_revalidate_rejects_an_empirical_verdict_without_certificates(
+            self, mapfile, tmp_path, capsys):
+        dest = tmp_path / "t.json"
+        assert run(["classify", mapfile("t.map", TRANSLATE), "--no-symbolic", "--probes", "60",
+                    "--out", str(dest)]) == 0
+        report = json.loads(dest.read_text())
+        assert report["classification"]["verdict"] == "empirically_affine"
+        report["certificates"] = []
+        dest.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert run(["--revalidate", str(dest)]) == 2
+        assert capsys.readouterr().err == ("colline: revalidation failed: classification"
+                                           " empirically_affine has no certificate\n")
+
     def test_revalidate_non_report_payload_exits_1(self, tmp_path, capsys):
         dest = tmp_path / "r.json"
         # an empty list holds no report to re-check; an object is a report only

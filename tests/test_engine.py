@@ -105,6 +105,13 @@ class TestPhiConsistency:
         with pytest.raises(PreconditionError):
             phi_consistency(make_linear([[1, 0], [1, 0]]), CFG)
 
+    def test_one_probe_evaluates_the_map_four_times(self):
+        # f(a), f(r*a), f(a') and f(r*a'): the zero-image test is extract_phi's own
+        f = _CountingMap(make_linear([[1, 2], [3, 4]]))
+        a, other, r = vec(1, 1), vec(1, 0), Fraction(-3, 2)
+        assert engine.CHECKS["phi-consistency"].violation(f, {"a": a, "a'": other, "r": r}) is None
+        assert f.points == [a, r * a, other, r * other]
+
     def test_nonzero_scale_at_zero_fails_with_a_witness_that_rechecks(self):
         # f(0) = (1, 0) is collinear with f(a0) = f((1, 0)) but not with f(a1)
         f = dsl("map q : 2 -> 2 { y0 = x0 * x0 - x0 + 1; y1 = x1 }")
@@ -197,6 +204,15 @@ class TestAdditivityCertificate:
         assert cert.kind == "additivity-case3"
         assert len(cert.lines) == 3
         assert cert.validate(f) == []
+
+    def test_case3_transversal_runs_through_twice_each_summand(self):
+        f = make_linear([[1, 0, 0], [1, 0, 0]])
+        a, b = vec(0, 2, Fraction(-1, 3)), vec(0, 1, 5)
+        cert = additivity_certificate(f, a, b)
+        assert cert.kind == "additivity-case3"
+        points = {label: p for label, p, _ in cert.points}
+        assert (points["p0"], points["p1"]) == (2 * a, 2 * b)
+        assert (points["p0"] + points["p1"]) * Fraction(1, 2) == points["a+b"]
 
     def test_lemma32_dispatch(self):
         projection = make_linear([[1, 0, 0], [0, 1, 0]])

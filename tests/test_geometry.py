@@ -87,6 +87,17 @@ class TestIntegerStorage:
         assert got.coords == tuple(o + t * d for o, d in zip(os_, ds))
         assert got.den > 0 and math.gcd(*got.nums, got.den) == 1
 
+    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.lists(rationals, min_size=n, max_size=n), min_size=3, max_size=3)), rationals, rationals)
+    @settings(max_examples=80)
+    def test_plane_point_at_matches_fractions(self, rows, s, t):
+        o, d1, d2 = (Vector(row) for row in rows)
+        if not linearly_independent(d1, d2):
+            return
+        got = Plane(o, d1, d2).point_at(s, t)
+        assert got.coords == tuple(a + s * b + t * c for a, b, c in zip(*rows))
+        assert got.den > 0 and math.gcd(*got.nums, got.den) == 1
+
     @given(same_dim, rationals, rationals)
     @settings(max_examples=80)
     def test_divides_in_ratio_matches_fractions(self, pair, r, s):
@@ -329,6 +340,18 @@ class TestCrossingLine:
             crossing_line(
                 vec(0, 0, 5), Line(vec(0, 0, 0), vec(1, 0, 0)), Line(vec(0, 0, 0), vec(0, 1, 0))
             )
+
+    @given(st.integers(2, 5).flatmap(lambda n: st.tuples(
+        *[st.lists(rationals, min_size=n, max_size=n).map(Vector)] * 2)))
+    @settings(max_examples=100)
+    def test_two_rays_crossed_through_their_sum_meet_it_at_twice_each(self, pair):
+        # the collapsing-plane certificate relies on this transversal: p0 = 2a, p1 = 2b
+        a, b = pair
+        if not linearly_independent(a, b):
+            return
+        zero = Vector.zero(a.dim)
+        cross = crossing_line(a + b, Line(zero, a), Line(zero, b))
+        assert (cross.on_l0, cross.on_l1) == (2 * a, 2 * b)
 
     @given(vec2, st.integers(0, 5), st.integers(0, 5))
     @settings(max_examples=80)

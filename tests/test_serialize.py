@@ -105,10 +105,12 @@ OPTIONAL_KEYS = {"skipped", "equal", "note", "witness", "image_origin", "image_d
 
 
 def _drop(node, keys) -> set:
-    """Delete ``keys`` at any depth of a JSON value; the keys that were found."""
+    """Delete ``keys`` at any depth of a JSON value, except a witness that is
+    not null (a Fail and a non_linear verdict need theirs); the keys that were
+    found."""
     found = set()
     if isinstance(node, dict):
-        found = keys & node.keys()
+        found = {k for k in keys & node.keys() if k != "witness" or node[k] is None}
         for key in found:
             del node[key]
         node = list(node.values())
@@ -142,6 +144,17 @@ class TestStoredReports:
         dest, report = _report(tmp_path, ["check", "homogeneity",
                                           os.path.join(ROOT, "demos", "identity.map")])
         del report["outcomes"][0][key]
+        dest.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert run(["--revalidate", str(dest)]) == 2
+        assert "stored data is malformed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verdict", ["PASS", "x", True, None])
+    def test_outcome_verdict_other_than_pass_or_fail_is_malformed(self, verdict, tmp_path,
+                                                                  capsys):
+        dest, report = _report(tmp_path, ["check", "homogeneity",
+                                          os.path.join(ROOT, "demos", "identity.map")])
+        report["outcomes"][0]["verdict"] = verdict
         dest.write_text(json.dumps(report))
         capsys.readouterr()
         assert run(["--revalidate", str(dest)]) == 2
