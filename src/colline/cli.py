@@ -26,6 +26,7 @@ from .engine import (
     Classification,
     additivity_certificate,
     classify_map,
+    decide,
     homogeneity_certificate,
     phi_consistency,
     shift_reduce,
@@ -315,6 +316,7 @@ def _recheck_report(report: dict) -> list[str]:
     except (KeyError, TypeError, CollineError, ValueError) as exc:
         return [f"map reconstruction failed: {exc}"]
     failures: list[str] = []
+    outcomes = [OUTCOME.decode(o) for o in report.get("outcomes", [])]
     cls = report.get("classification")  # a report with none makes no verdict claim
     stored = CLASSIFICATION.decode(cls) if cls else Classification("inconclusive")
     if stored.verdict in ("exact_linear", "exact_affine"):  # from the map's structure
@@ -322,10 +324,16 @@ def _recheck_report(report: dict) -> list[str]:
                 stored.verdict == "exact_linear" and not stored.offset.is_zero()):
             failures.append(f"classification {stored.verdict} does not match the"
                             " affine form of the rebuilt map")
-    elif stored.verdict.startswith("empirically_") and not report.get("certificates"):
-        failures.append(f"classification {stored.verdict} has no certificate")
+    elif cls:  # an empirical verdict is re-derived from its outcomes
+        witness = stored.witness  # a certificate that failed to build has no outcome row
+        cert_fail = witness if witness and witness.check == "certificate" else None
+        if any(getattr(stored, key) != value for key, value in decide(outcomes, cert_fail).items()
+               if key != "reasons"):
+            failures.append(f"classification {stored.verdict} does not follow from its outcomes")
+        if stored.verdict.startswith("empirically_") and not report.get("certificates"):
+            failures.append(f"classification {stored.verdict} has no certificate")
     reduced = None if stored.affine_base is None else shift_reduce(handle, stored.affine_base)
-    for outcome in map(OUTCOME.decode, report.get("outcomes", [])):
+    for outcome in outcomes:
         if outcome.witness is None:
             continue
         target = reduced if outcome.check.startswith("reduced:") else handle

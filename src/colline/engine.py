@@ -740,14 +740,23 @@ def _violation_affine_reconstruction(g: MapHandle, inp: dict):
     return None
 
 
-def check_affine_reconstruction(
-    g: MapHandle, a_star: Vector, cfg: ProbeConfig
-) -> CheckOutcome:
-    """g(x) must equal the shift-reduced map at x plus g(0), exactly."""
-    return run_check(
-        CHECKS["affine-reconstruction"], g, cfg,
-        _drawn(lambda g, cfg, s: {"x": from_ints(*s.vector(g.m)), "a*": a_star}),
-    )
+def check_affine_reconstruction(g: MapHandle, a_star: Vector, cfg: ProbeConfig) -> CheckOutcome:
+    """g(x) must equal the shift-reduced map at x plus g(0), exactly.
+
+    g(a*) and g(0) are evaluated once, at the first probe; a failed probe, and
+    any probe with another a*, is judged by the row's own violation."""
+    row, fixed = CHECKS["affine-reconstruction"], []
+
+    def violation(g: MapHandle, inp: dict):
+        if inp["a*"] == a_star:
+            gx = g(inp["x"])
+            fixed[:] = fixed or (shift_reduce(g, a_star), g(Vector.zero(g.m)))
+            if gx == fixed[0](inp["x"]) + fixed[1]:
+                return None
+        return row.violation(g, inp)
+
+    return run_check(dataclasses.replace(row, violation=violation), g, cfg,
+                     _drawn(lambda g, cfg, s: {"x": from_ints(*s.vector(g.m)), "a*": a_star}))
 
 
 def find_affine_witnesses(
@@ -817,16 +826,9 @@ class Classification:
 
 
 def _certificate_pairs(ind: tuple[Vector, Vector], cfg: ProbeConfig, dim: int):
-    a0, a1 = ind
-    sampler = _Sampler(cfg)
-    pairs = [
-        (a0, a1),
-        (a0, Fraction(2) * a0),
-        (a1, -a1),
-        (a0 + a1, a0 - a1),
-    ]
-    pairs.append((from_ints(*sampler.vector(dim)), from_ints(*sampler.vector(dim))))
-    return pairs
+    (a0, a1), sampler = ind, _Sampler(cfg)
+    return [(a0, a1), (a0, Fraction(2) * a0), (a1, -a1), (a0 + a1, a0 - a1),
+            (from_ints(*sampler.vector(dim)), from_ints(*sampler.vector(dim)))]
 
 
 # failure precedence: with the origin fixed, the defining identities come
@@ -840,6 +842,63 @@ _MOVED_ORIGIN_ORDER = (
     "line-image", "line-injectivity", "parallelism-preservation", "ratio-preservation",
     "betweenness-cor43",
 )
+_FAIL_REASONS = {
+    "phi-consistency": "the scale factor depends on the anchor",
+    "affine-reconstruction": "the map disagrees with its own shift reduction plus g(0)",
+}
+
+
+def decide(outcomes, cert_fail: Optional[Witness] = None, independent: bool = True) -> dict:
+    """The verdict, witness, offset, scopes and reasons that the outcomes of
+    one classifier run support, as keywords of ``Classification``; it evaluates
+    no map. Two facts are not outcomes: ``cert_fail``, the witness of an
+    additivity certificate that failed to build, and ``independent``, whether a
+    pair with independent images was found, which only adds a reason. A map
+    that moves the origin is decided again from its ``reduced:`` rows."""
+    def out(verdict, *reasons, **kw):
+        return {"verdict": verdict, "witness": None, "offset": None, "witness_scope": "primary",
+                "certificate_scope": "primary", "reasons": reasons, **kw}
+
+    def first_failure(order, last):  # every row of order ran; last ran if it was reached
+        rows = [by_name[name] for name in (*order, last) if name != last or last in by_name]
+        return next((o for o in rows if not o.passed), None)
+
+    by_name = {o.check: o for o in outcomes}
+    if "zero-fixed" not in by_name:  # an evaluation error stopped the run
+        return out(VERDICT_INCONCLUSIVE)
+    if by_name["zero-fixed"].passed:
+        failed = first_failure(_FIXED_ORIGIN_ORDER, "phi-consistency")
+        if failed is not None:
+            return out(VERDICT_NON_LINEAR,
+                       _FAIL_REASONS.get(failed.check, f"origin is fixed but {failed.check} fails"),
+                       *() if independent else ("independence hypothesis also unsatisfied: no"
+                                                " probe pair has linearly independent images",),
+                       witness=failed.witness)
+        if "phi-consistency" not in by_name:
+            return out(VERDICT_INCONCLUSIVE, "no probe pair with linearly independent images;"
+                       " the image looks at most one-dimensional, where sampling cannot"
+                       " separate linear from merely line-preserving")
+        if cert_fail is not None:
+            return out(VERDICT_NON_LINEAR, "additivity certificate construction failed:"
+                       f" {cert_fail.equation}", witness=cert_fail)
+        return out(VERDICT_EMP_LINEAR)
+    failed = first_failure(_MOVED_ORIGIN_ORDER, "affine-reconstruction")
+    if failed is not None:
+        return out(VERDICT_NON_LINEAR, _FAIL_REASONS.get(
+            failed.check, f"{failed.check} fails, which every affine (hence every linear)"
+            " map satisfies"), witness=failed.witness)
+    if "affine-reconstruction" not in by_name:
+        return out(VERDICT_INCONCLUSIVE, "origin not fixed and no shift witnesses with"
+                   " independent difference images were found")
+    sub = decide([dataclasses.replace(o, check=o.check[len("reduced:"):]) for o in outcomes
+                  if o.check.startswith("reduced:")], cert_fail, independent)
+    if sub["verdict"] == VERDICT_EMP_LINEAR:
+        return out(VERDICT_EMP_AFFINE, offset=dict(by_name["zero-fixed"].witness.values)["f(0)"],
+                   certificate_scope="reduced")
+    if sub["verdict"] == VERDICT_NON_LINEAR:
+        return out(VERDICT_NON_LINEAR, "the shift-reduced map is not linear", *sub["reasons"],
+                   witness=sub["witness"], witness_scope="reduced")
+    return out(VERDICT_INCONCLUSIVE, "shift-reduced map stayed inconclusive", *sub["reasons"])
 
 
 def _geometric_outcomes(h: MapHandle, cfg: ProbeConfig) -> list[CheckOutcome]:
@@ -847,137 +906,58 @@ def _geometric_outcomes(h: MapHandle, cfg: ProbeConfig) -> list[CheckOutcome]:
             check_ratio_preservation(h, cfg), check_betweenness(h, cfg, "cor43")]
 
 
-def _classify_empirical(h: MapHandle, cfg: ProbeConfig,
-                        geometric: Optional[list[CheckOutcome]] = None) -> Classification:
-    """Classify h from probes; a map that moves the origin is classified through
-    its shift reduction, which fixes it, so the reduction recurses only once.
+def _run_stages(h: MapHandle, cfg: ProbeConfig,
+                geometric: Optional[list[CheckOutcome]] = None) -> dict:
+    """Probe h stage by stage while no row fails; the evidence for ``decide``
+    and ``Classification``. A map that moves the origin is probed through its
+    shift reduction, which fixes it, so the reduction recurses only once.
 
     A constant added to h changes no outcome of ``_geometric_outcomes``, and the
     reduction at a* = 0, x ↦ h(x) − h(0), probes the points h passed, so it gets
     h's outcomes as ``geometric``. ``zero-fixed`` still runs first, so errors name the same row."""
-    outcomes = [
-        check_zero_fixed(h),
-        *(geometric or _geometric_outcomes(h, cfg)),
-        check_betweenness(h, cfg, "prop44"),
-        check_additivity(h, cfg),
-        check_homogeneity(h, cfg),
-    ]
-    by_name = {o.check: o for o in outcomes}
-
-    def first_failure(order) -> Optional[CheckOutcome]:
-        return next((by_name[name] for name in order if not by_name[name].passed), None)
-
-    def done(**kw) -> Classification:
-        return Classification(outcomes=tuple(outcomes), **kw)
-
-    if by_name["zero-fixed"].passed:
-        failed = first_failure(_FIXED_ORIGIN_ORDER)
-        if failed is not None:
-            reasons = [f"origin is fixed but {failed.check} fails"]
-            if find_independence_witness(h, cfg) is None:
-                reasons.append(
-                    "independence hypothesis also unsatisfied: no probe pair has"
-                    " linearly independent images"
-                )
-            return done(
-                verdict=VERDICT_NON_LINEAR,
-                witness=failed.witness,
-                reasons=tuple(reasons),
-            )
+    outcomes = [check_zero_fixed(h), *(geometric or _geometric_outcomes(h, cfg)),
+                check_betweenness(h, cfg, "prop44"), check_additivity(h, cfg),
+                check_homogeneity(h, cfg)]
+    found = {"outcomes": outcomes, "cert_fail": None, "independent": True}
+    if outcomes[0].passed:
         ind = find_independence_witness(h, cfg)
-        if ind is None:
-            return done(
-                verdict=VERDICT_INCONCLUSIVE,
-                reasons=(
-                    "no probe pair with linearly independent images;"
-                    " the image looks at most one-dimensional, where sampling"
-                    " cannot separate linear from merely line-preserving",
-                ),
-            )
-        phi_outcome, phi_table = phi_consistency(h, cfg, ind=ind)
+        found["independent"] = ind is not None
+        if ind is None or not all(o.passed for o in outcomes):
+            return found
+        phi_outcome, phi = phi_consistency(h, cfg, ind=ind)
         outcomes.append(phi_outcome)
-        if not phi_outcome.passed:
-            return done(
-                verdict=VERDICT_NON_LINEAR,
-                witness=phi_outcome.witness,
-                reasons=("the scale factor depends on the anchor",),
-            )
+        if phi is None:
+            return found
         certificates = []
         for pair in _certificate_pairs(ind, cfg, h.m):
             try:
                 certificates.append(additivity_certificate(h, pair[0], pair[1], ind))
             except ViolationError as exc:
-                return done(
-                    verdict=VERDICT_NON_LINEAR,
-                    witness=exc.witness,
-                    reasons=(f"additivity certificate construction failed: {exc}",),
-                )
+                return {**found, "cert_fail": exc.witness}
             except PreconditionError:
                 continue
-        return done(
-            verdict=VERDICT_EMP_LINEAR,
-            certificates=tuple(certificates),
-            phi=phi_table,
-        )
-
-    # origin not fixed: additivity/homogeneity failures are expected
-    failed = first_failure(_MOVED_ORIGIN_ORDER)
-    if failed is not None:
-        return done(
-            verdict=VERDICT_NON_LINEAR,
-            witness=failed.witness,
-            reasons=(
-                f"{failed.check} fails, which every affine (hence every"
-                " linear) map satisfies",
-            ),
-        )
+        return {**found, "certificates": tuple(certificates), "phi": phi}
+    if not all(o.passed for o in outcomes[1:6]):  # the _MOVED_ORIGIN_ORDER rows
+        return found
     witnesses = find_affine_witnesses(h, cfg)
     if witnesses is None:
-        return done(
-            verdict=VERDICT_INCONCLUSIVE,
-            reasons=(
-                "origin not fixed and no shift witnesses with independent"
-                " difference images were found",
-            ),
-        )
-    a_star = witnesses[0]
-    recon = check_affine_reconstruction(h, a_star, cfg)
-    outcomes.append(recon)
-    if not recon.passed:
-        return done(
-            verdict=VERDICT_NON_LINEAR,
-            witness=recon.witness,
-            reasons=("the map disagrees with its own shift reduction plus g(0)",),
-            affine_base=a_star,
-        )
-    reduced = affine_reduce(h, witnesses)
-    reused = outcomes[1:6] if a_star.is_zero() else None  # the _MOVED_ORIGIN_ORDER rows
-    sub = _classify_empirical(reduced, cfg, geometric=reused)
-    outcomes.extend(
-        dataclasses.replace(o, check=f"reduced:{o.check}") for o in sub.outcomes
-    )
-    if sub.verdict == VERDICT_EMP_LINEAR:
-        return done(
-            verdict=VERDICT_EMP_AFFINE,
-            offset=h(Vector.zero(h.m)),
-            certificates=sub.certificates,
-            phi=sub.phi,
-            affine_base=a_star,
-            certificate_scope="reduced",
-        )
-    if sub.verdict == VERDICT_NON_LINEAR:
-        return done(
-            verdict=VERDICT_NON_LINEAR,
-            witness=sub.witness,
-            reasons=("the shift-reduced map is not linear",) + sub.reasons,
-            affine_base=a_star,
-            witness_scope="reduced",
-        )
-    return done(
-        verdict=VERDICT_INCONCLUSIVE,
-        reasons=("shift-reduced map stayed inconclusive",) + sub.reasons,
-        affine_base=a_star,
-    )
+        return found
+    a_star = found["affine_base"] = witnesses[0]
+    outcomes.append(check_affine_reconstruction(h, a_star, cfg))
+    if outcomes[-1].passed:
+        sub = _run_stages(affine_reduce(h, witnesses), cfg,
+                          outcomes[1:6] if a_star.is_zero() else None)
+        outcomes.extend(dataclasses.replace(o, check=f"reduced:{o.check}")
+                        for o in sub.pop("outcomes"))
+        found.update(sub)
+    return found
+
+
+def _classify_empirical(h: MapHandle, cfg: ProbeConfig) -> Classification:
+    found = _run_stages(h, cfg)
+    outcomes = tuple(found.pop("outcomes"))
+    decided = decide(outcomes, found.pop("cert_fail"), found.pop("independent"))
+    return Classification(outcomes=outcomes, **decided, **found)
 
 
 def classify_map(h: MapHandle, cfg: ProbeConfig, use_symbolic: bool = True) -> Classification:

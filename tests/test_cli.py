@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 
 from colline import cli
 from colline.cli import run
-from colline.dsl import parse_map_file
-from colline.predicates import revalidate_witness
+from colline.dsl import MapSpec, parse_map, parse_map_file, render_map
+from colline.engine import classify_map, decide
+from colline.predicates import ProbeConfig, revalidate_witness
 from colline.serialize import OUTCOME
 from colline.zoo import make_dsl
+from test_dsl import _expr_strategy
 
 IDENTITY = "map id : 2 -> 2 { y0 = x0; y1 = x1 }\n"
 TRANSLATE = "map translate : 2 -> 2 { y0 = x0 + 1; y1 = x1 + 1 }\n"
@@ -576,7 +578,29 @@ class TestDeterminismAndRevalidation:
         capsys.readouterr()
         assert run(["--revalidate", str(dest)]) == 2
         assert capsys.readouterr().err == (
+            "colline: revalidation failed: classification non_linear does not follow from"
+            " its outcomes\n"
             "colline: revalidation failed: classification witness: no reduced map recorded\n")
+
+    @pytest.mark.parametrize("demo, edit, verdict", [
+        ("jump2.map", dict(verdict="inconclusive", witness=None), "inconclusive"),
+        ("translate.map", dict(offset="(5, 5)"), "empirically_affine"),
+        # at a* = 0 the witness re-checks on the reduced map too
+        ("jump2.map", dict(witness_scope="reduced", affine_base="(0, 0)"), "non_linear"),
+    ], ids=["non-linear-called-inconclusive", "moved-offset", "witness-scope-flipped"])
+    def test_revalidate_rejects_a_verdict_its_outcomes_do_not_give(
+            self, tmp_path, capsys, demo, edit, verdict):
+        dest = tmp_path / "r.json"
+        assert run(["classify", os.path.join(DEMOS, demo), "--no-symbolic", "--probes", "60",
+                    "--out", str(dest)]) == 0
+        assert run(["--revalidate", str(dest)]) == 0
+        report = json.loads(dest.read_text())
+        report["classification"].update(edit)
+        dest.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert run(["--revalidate", str(dest)]) == 2
+        assert capsys.readouterr().err == (f"colline: revalidation failed: classification"
+                                           f" {verdict} does not follow from its outcomes\n")
 
     def test_revalidate_rejects_an_empirical_verdict_without_certificates(
             self, mapfile, tmp_path, capsys):
@@ -651,6 +675,28 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["classification"]["verdict"] == "exact_linear"
+
+
+class TestVerdictFollowsFromOutcomes:
+    @given(st.lists(_expr_strategy(2), min_size=1, max_size=2), st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_decide_gives_the_verdict_and_the_report_revalidates(self, outputs, seed):
+        text = render_map(MapSpec("r", 2, len(outputs), tuple(outputs)))
+        cls = classify_map(make_dsl(parse_map(text)), ProbeConfig(seed=seed, count=30),
+                           use_symbolic=False)
+        certificate = cls.witness is not None and cls.witness.check == "certificate"
+        decided = decide(cls.outcomes, cls.witness if certificate else None)
+        for key in ("verdict", "witness", "offset", "witness_scope", "certificate_scope"):
+            assert decided[key] == getattr(cls, key)
+        with tempfile.TemporaryDirectory() as tmp:
+            with open(f"{tmp}/r.map", "w", encoding="utf-8") as fh:
+                fh.write(text)
+            argv = ["classify", f"{tmp}/r.map", "--no-symbolic", "--probes", "30",
+                    "--seed", str(seed), "--out", f"{tmp}/r.json"]
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                assert run(argv) == 0
+                assert run(["--revalidate", f"{tmp}/r.json"]) == 0, err.getvalue()
 
 
 @functools.lru_cache(maxsize=None)

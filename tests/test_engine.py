@@ -10,13 +10,18 @@ from colline.dsl import MapSpec, parse_map, render_map
 from colline.errors import MapEvalError, PreconditionError, ProbeEvaluationError, ViolationError
 from colline.field import Vector, from_ints, identity_matrix
 from colline.predicates import (
+    CHECKS,
+    CheckOutcome,
     ProbeConfig,
+    Witness,
     check_betweenness,
     check_lines,
     check_parallelism_preservation,
     check_ratio_preservation,
     check_zero_fixed,
     revalidate_witness,
+    run_check,
+    _drawn,
     _Sampler,
 )
 from colline.engine import (
@@ -24,6 +29,7 @@ from colline.engine import (
     affine_reduce,
     check_affine_reconstruction,
     classify_map,
+    decide,
     extract_phi,
     find_affine_witnesses,
     homogeneity_certificate,
@@ -311,6 +317,27 @@ class TestAffineReduce:
             assert g(x) == f(x) + g0
         assert check_affine_reconstruction(g, base, CFG).passed
 
+    def test_reconstruction_evaluates_g_at_a_star_and_at_0_once(self):
+        g = _CountingMap(dsl("map t : 2 -> 2 { y0 = x0 + 1; y1 = x1 + 1 }"))
+        a_star = vec(1, 2)
+        assert check_affine_reconstruction(g, a_star, ProbeConfig(seed=0, count=100)).passed
+        assert len(g.points) == 202  # g(x) and g(x + a*) per probe, g(a*) and g(0) once
+        assert g.points.count(a_star) == 1 and g.points.count(Vector.zero(2)) == 1
+
+    @pytest.mark.parametrize("text, a_star", [
+        ("map sq : 2 -> 2 { y0 = x0 * x1 + 1; y1 = x1 }", vec(1, 2)),
+        ("map jump : 2 -> 2 { y0 = if x0 <= 3 then x0 + 1 else 2 * x0; y1 = x1 }", vec(5, 0)),
+    ])
+    def test_reconstruction_witness_is_the_rows_own(self, text, a_star):
+        # the same witness as the row's own violation gives, which revalidation calls
+        g, cfg = dsl(text), ProbeConfig(seed=4, count=60)
+        row = CHECKS["affine-reconstruction"]
+        stream = _drawn(lambda g, cfg, s: {"x": from_ints(*s.vector(g.m)), "a*": a_star})
+        outcome = check_affine_reconstruction(g, a_star, cfg)
+        assert not outcome.passed
+        assert outcome == run_check(row, g, cfg, stream)
+        assert revalidate_witness(g, outcome.witness)
+
     def test_reconstruction_eval_error_names_the_probe(self):
         g = dsl("map pole : 1 -> 1 { y0 = x0 + 1 + 0/(x0 - 100) }")
         with pytest.raises(ProbeEvaluationError) as err:
@@ -529,6 +556,75 @@ class TestClassify:
         c = classify_map(make_linear([[1, 2], [3, 4]]), CFG, use_symbolic=False)
         clone = PHI_TABLE.decode(PHI_TABLE.encode(c.phi))
         assert clone == c.phi
+
+
+_BASE_ROWS = ("zero-fixed", "line-image", "line-injectivity", "parallelism-preservation",
+              "ratio-preservation", "betweenness-cor43", "betweenness-prop44", "additivity",
+              "homogeneity")
+
+
+def _outcomes(*failed, ran=(), prefix=""):
+    """The base rows of one classifier pass, then ``ran``; a row in ``failed``
+    fails with a stand-in witness (the zero-fixed one carries f(0) = (1, 2))."""
+    def row(name):
+        witness = Witness(name, "eq", (), (("f(0)", vec(1, 2)),)) if name in failed else None
+        return CheckOutcome(prefix + name, witness is None, 1, witness)
+    return [row(name) for name in _BASE_ROWS + ran]
+
+
+class TestDecide:
+    """The decision table on hand-made outcomes: decide evaluates no map."""
+    MOVED = _outcomes("zero-fixed", "additivity", "homogeneity", ran=("affine-reconstruction",))
+    CERT = Witness("certificate", "images collapse", (), ())
+
+    @pytest.mark.parametrize("outcomes, cert_fail, independent, want", [
+        ([], None, True, ("inconclusive", None, "primary", ())),
+        (_outcomes(), None, True, ("inconclusive", None, "primary", (
+            "no probe pair with linearly independent images; the image looks at most"
+            " one-dimensional, where sampling cannot separate linear from merely"
+            " line-preserving",))),
+        (_outcomes(ran=("phi-consistency",)), None, True,
+         ("empirically_linear", None, "primary", ())),
+        (_outcomes("line-image", "additivity"), None, False,
+         ("non_linear", "additivity", "primary", ("origin is fixed but additivity fails",
+                                                  "independence hypothesis also unsatisfied: no"
+                                                  " probe pair has linearly independent images"))),
+        (_outcomes("phi-consistency", ran=("phi-consistency",)), None, True,
+         ("non_linear", "phi-consistency", "primary", ("the scale factor depends on the anchor",))),
+        (_outcomes(ran=("phi-consistency",)), CERT, True, ("non_linear", "certificate", "primary", (
+            "additivity certificate construction failed: images collapse",))),
+        (_outcomes("zero-fixed", "additivity"), None, True, ("inconclusive", None, "primary", (
+            "origin not fixed and no shift witnesses with independent difference images"
+            " were found",))),
+        (_outcomes("zero-fixed", "ratio-preservation", "additivity"), None, True,
+         ("non_linear", "ratio-preservation", "primary", ("ratio-preservation fails, which every"
+                                                          " affine (hence every linear) map"
+                                                          " satisfies",))),
+        (MOVED + _outcomes("homogeneity", prefix="reduced:"), None, False,
+         ("non_linear", "homogeneity", "reduced", (
+             "the shift-reduced map is not linear", "origin is fixed but homogeneity fails",
+             "independence hypothesis also unsatisfied: no probe pair has linearly"
+             " independent images"))),
+        (MOVED + _outcomes(prefix="reduced:"), None, True, ("inconclusive", None, "primary", (
+            "shift-reduced map stayed inconclusive", "no probe pair with linearly independent"
+            " images; the image looks at most one-dimensional, where sampling cannot separate"
+            " linear from merely line-preserving"))),
+        (MOVED + _outcomes(prefix="reduced:", ran=("phi-consistency",)), CERT, True,
+         ("non_linear", "certificate", "reduced", ("the shift-reduced map is not linear",
+                                                   "additivity certificate construction"
+                                                   " failed: images collapse"))),
+    ])
+    def test_table(self, outcomes, cert_fail, independent, want):
+        got = decide(outcomes, cert_fail, independent)
+        witness = got["witness"] and got["witness"].check
+        assert (got["verdict"], witness, got["witness_scope"], got["reasons"]) == want
+        assert (got["offset"], got["certificate_scope"]) == (None, "primary")
+
+    def test_a_moved_origin_that_reduces_to_linear_is_affine_with_the_stored_offset(self):
+        got = decide(self.MOVED + _outcomes(prefix="reduced:", ran=("phi-consistency",)))
+        assert got == {"verdict": "empirically_affine", "witness": None, "offset": vec(1, 2),
+                       "witness_scope": "primary", "certificate_scope": "reduced",
+                       "reasons": ()}
 
 
 class TestClassifyEvaluationErrors:
