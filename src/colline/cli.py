@@ -23,6 +23,7 @@ from . import __version__
 from .dsl import parse_map_file
 from .engine import (
     Certificate,
+    REASON_NOT_INDEPENDENT,
     Classification,
     additivity_certificate,
     classify_map,
@@ -319,16 +320,18 @@ def _recheck_report(report: dict) -> list[str]:
     outcomes = [OUTCOME.decode(o) for o in report.get("outcomes", [])]
     cls = report.get("classification")  # a report with none makes no verdict claim
     stored = CLASSIFICATION.decode(cls) if cls else Classification("inconclusive")
+    witness = stored.witness  # a certificate that failed to build has no outcome row
+    cert_fail = witness if witness and witness.check == "certificate" else None
     if stored.verdict in ("exact_linear", "exact_affine"):  # from the map's structure
         if handle.affine_form() != (stored.matrix, stored.offset) or (
                 stored.verdict == "exact_linear" and not stored.offset.is_zero()):
             failures.append(f"classification {stored.verdict} does not match the"
                             " affine form of the rebuilt map")
-    elif cls:  # an empirical verdict is re-derived from its outcomes
-        witness = stored.witness  # a certificate that failed to build has no outcome row
-        cert_fail = witness if witness and witness.check == "certificate" else None
-        if any(getattr(stored, key) != value for key, value in decide(outcomes, cert_fail).items()
-               if key != "reasons"):
+    elif cls:  # an empirical verdict and its reasons are re-derived from its outcomes
+        decided = decide(outcomes, cert_fail, REASON_NOT_INDEPENDENT not in stored.reasons)
+        if all(o.check != "zero-fixed" for o in outcomes):  # stopped by an evaluation error:
+            decided["reasons"] = stored.reasons[:1]  # its one reason is a stated fact
+        if any(getattr(stored, key) != value for key, value in decided.items()):
             failures.append(f"classification {stored.verdict} does not follow from its outcomes")
         if stored.verdict.startswith("empirically_") and not report.get("certificates"):
             failures.append(f"classification {stored.verdict} has no certificate")
@@ -342,11 +345,11 @@ def _recheck_report(report: dict) -> list[str]:
             continue
         if not revalidate_witness(target, outcome.witness):
             failures.append(f"witness for {outcome.check} no longer violates")
-    if stored.witness is not None:
+    if cert_fail is not None:  # decide matched any other witness to a failed outcome's
         target = reduced if stored.witness_scope == "reduced" else handle
         if target is None:
             failures.append("classification witness: no reduced map recorded")
-        elif not revalidate_witness(target, stored.witness):
+        elif not revalidate_witness(target, cert_fail):
             failures.append("classification witness no longer violates")
     cert_target = reduced if stored.certificate_scope == "reduced" else handle
     if stored.phi is not None:  # read off the map its certificates are for

@@ -18,7 +18,6 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import (
-    DimensionMismatch,
     MapEvalError,
     PreconditionError,
     ProbeEvaluationError,
@@ -673,9 +672,7 @@ def _violation_scalar_dichotomy(f: MapHandle, inp: dict):
 def scalar_dichotomy(h: MapHandle, cfg: ProbeConfig) -> DichotomyResult:
     """A multiplicative additive scalar map can only be zero or the identity;
     report which, or fail with the witness of the broken hypothesis."""
-    if h.m != 1 or h.n != 1:
-        raise DimensionMismatch(f"scalar_dichotomy needs a 1->1 map, got {h.m}->{h.n}")
-    checks = (
+    checks = (  # the first raises DimensionMismatch unless h is 1->1
         check_scalar_multiplicative(h, cfg),
         check_additivity(h, cfg),
         check_scalar_monotone(h, cfg),
@@ -846,6 +843,9 @@ _FAIL_REASONS = {
     "phi-consistency": "the scale factor depends on the anchor",
     "affine-reconstruction": "the map disagrees with its own shift reduction plus g(0)",
 }
+# the one reason that states a fact no outcome holds, so --revalidate reads it back
+REASON_NOT_INDEPENDENT = ("independence hypothesis also unsatisfied: no probe pair has"
+                          " linearly independent images")
 
 
 def decide(outcomes, cert_fail: Optional[Witness] = None, independent: bool = True) -> dict:
@@ -871,8 +871,7 @@ def decide(outcomes, cert_fail: Optional[Witness] = None, independent: bool = Tr
         if failed is not None:
             return out(VERDICT_NON_LINEAR,
                        _FAIL_REASONS.get(failed.check, f"origin is fixed but {failed.check} fails"),
-                       *() if independent else ("independence hypothesis also unsatisfied: no"
-                                                " probe pair has linearly independent images",),
+                       *() if independent else (REASON_NOT_INDEPENDENT,),
                        witness=failed.witness)
         if "phi-consistency" not in by_name:
             return out(VERDICT_INCONCLUSIVE, "no probe pair with linearly independent images;"
@@ -953,13 +952,6 @@ def _run_stages(h: MapHandle, cfg: ProbeConfig,
     return found
 
 
-def _classify_empirical(h: MapHandle, cfg: ProbeConfig) -> Classification:
-    found = _run_stages(h, cfg)
-    outcomes = tuple(found.pop("outcomes"))
-    decided = decide(outcomes, found.pop("cert_fail"), found.pop("independent"))
-    return Classification(outcomes=outcomes, **decided, **found)
-
-
 def classify_map(h: MapHandle, cfg: ProbeConfig, use_symbolic: bool = True) -> Classification:
     """Classify a map handle.
 
@@ -975,9 +967,12 @@ def classify_map(h: MapHandle, cfg: ProbeConfig, use_symbolic: bool = True) -> C
                 return Classification(VERDICT_EXACT_LINEAR, matrix=a, offset=b)
             return Classification(VERDICT_EXACT_AFFINE, matrix=a, offset=b)
     try:
-        return _classify_empirical(h, cfg)
+        found = _run_stages(h, cfg)
     except ProbeEvaluationError as exc:
-        reason = f"probe evaluation failed during {exc.check}: {exc.cause}"
+        return Classification(VERDICT_INCONCLUSIVE, reasons=(
+            f"probe evaluation failed during {exc.check}: {exc.cause}",))
     except MapEvalError as exc:  # raised outside the probe checks, e.g. by a search
-        reason = f"map evaluation failed: {exc}"
-    return Classification(VERDICT_INCONCLUSIVE, reasons=(reason,))
+        return Classification(VERDICT_INCONCLUSIVE, reasons=(f"map evaluation failed: {exc}",))
+    outcomes = tuple(found.pop("outcomes"))
+    decided = decide(outcomes, found.pop("cert_fail"), found.pop("independent"))
+    return Classification(outcomes=outcomes, **decided, **found)

@@ -7,6 +7,7 @@ rational field, so every answer here is a certainty, not an approximation.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -23,23 +24,20 @@ from .field import (
 )
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Line:
     """Affine subspace of dimension 1: {origin + t·direction : t ∈ ℚ}."""
 
-    __slots__ = ("origin", "direction")
+    origin: Vector
+    direction: Vector
 
-    def __init__(self, origin: Vector, direction: Vector):
-        if origin.dim != direction.dim:
+    def __post_init__(self):
+        if self.origin.dim != self.direction.dim:
             raise DimensionMismatch(
-                f"line origin dim {origin.dim} vs direction dim {direction.dim}"
+                f"line origin dim {self.origin.dim} vs direction dim {self.direction.dim}"
             )
-        if direction.is_zero():
+        if self.direction.is_zero():
             raise DegenerateGeometry("line direction must be nonzero")
-        object.__setattr__(self, "origin", origin)
-        object.__setattr__(self, "direction", direction)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Line is immutable")
 
     @property
     def dim(self) -> int:
@@ -184,22 +182,19 @@ def line_intersection(l0: Line, l1: Line) -> Optional[Vector]:
     return l0.point_at(t)
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Plane:
     """Affine subspace of dimension 2: origin + span{dir1, dir2}."""
 
-    __slots__ = ("origin", "dir1", "dir2")
+    origin: Vector
+    dir1: Vector
+    dir2: Vector
 
-    def __init__(self, origin: Vector, dir1: Vector, dir2: Vector):
-        if not (origin.dim == dir1.dim == dir2.dim):
+    def __post_init__(self):
+        if not (self.origin.dim == self.dir1.dim == self.dir2.dim):
             raise DimensionMismatch("plane origin/direction dims differ")
-        if not linearly_independent(dir1, dir2):
+        if not linearly_independent(self.dir1, self.dir2):
             raise DegenerateGeometry("plane directions must be linearly independent")
-        object.__setattr__(self, "origin", origin)
-        object.__setattr__(self, "dir1", dir1)
-        object.__setattr__(self, "dir2", dir2)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Plane is immutable")
 
     @property
     def dim(self) -> int:

@@ -78,13 +78,11 @@ def record(make: Callable, *keys: Key) -> Codec:
 def to_jsonable(value):
     if isinstance(value, (tuple, list)):
         tag = ("scalars" if all(isinstance(v, Fraction) for v in value)
-               else "vectors" if all(isinstance(v, Vector) for v in value) else "list")
+               else "vectors" if all(isinstance(v, Vector) for v in value) else None)
     else:
-        for tag, cls in _TYPES:
-            if isinstance(value, cls):
-                break
-        else:
-            raise TypeError(f"cannot serialize value of type {type(value).__name__}")
+        tag = next((tag for tag, cls in _TYPES if isinstance(value, cls)), None)
+    if tag is None:
+        raise TypeError(f"cannot serialize value of type {type(value).__name__}")
     return {"type": tag, **_TAGS[tag].encode(value)}
 
 
@@ -103,8 +101,7 @@ def _value(c: Codec) -> Codec:
     return Codec(lambda v: {"value": c.encode(v)}, lambda j: c.decode(j["value"]))
 
 
-_TYPES = (("scalar", Fraction), ("vector", Vector), ("line", Line), ("plane", Plane),
-          ("text", str), ("bool", bool), ("int", int))
+_TYPES = (("scalar", Fraction), ("vector", Vector), ("line", Line), ("plane", Plane), ("text", str))
 _TAGS = {
     "scalar": _value(SCALAR),
     "vector": _value(VECTOR),
@@ -112,8 +109,7 @@ _TAGS = {
     "plane": record(Plane, Key("origin", VECTOR), Key("dir1", VECTOR), Key("dir2", VECTOR)),
     "scalars": _value(sequence(SCALAR)),
     "vectors": _value(sequence(VECTOR)),
-    "list": _value(sequence(TAGGED)),
-    **dict.fromkeys(("text", "bool", "int"), _value(PLAIN)),
+    "text": _value(PLAIN),
 }
 
 

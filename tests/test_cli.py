@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from colline import cli
 from colline.cli import run
 from colline.dsl import MapSpec, parse_map, parse_map_file, render_map
-from colline.engine import classify_map, decide
-from colline.predicates import ProbeConfig, revalidate_witness
+from colline.engine import REASON_NOT_INDEPENDENT, classify_map, decide
+from colline.predicates import ProbeConfig, find_independence_witness, revalidate_witness
 from colline.serialize import OUTCOME
 from colline.zoo import make_dsl
 from test_dsl import _expr_strategy
@@ -571,23 +571,36 @@ class TestDeterminismAndRevalidation:
         assert "revalidation failed: stored data is malformed (ValueError" in (
             capsys.readouterr().err)
 
+    def test_revalidate_checks_each_witness_once(self, tmp_path, monkeypatch):
+        dest, report = self._jump2_report(tmp_path)
+        checked = []
+        monkeypatch.setattr(cli, "revalidate_witness",
+                            lambda f, w, recheck=cli.revalidate_witness: (
+                                checked.append(w.check) or recheck(f, w)))
+        assert run(["--revalidate", str(dest)]) == 0
+        # the classification witness is the additivity outcome's, checked with it
+        assert sorted(checked) == sorted(o["check"] for o in report["outcomes"]
+                                         if o["witness"] is not None)
+
     def test_revalidate_names_a_missing_reduced_map(self, tmp_path, capsys):
         dest, report = self._jump2_report(tmp_path)
         report["classification"]["witness_scope"] = "reduced"  # with no affine_base
         dest.write_text(json.dumps(report))
         capsys.readouterr()
         assert run(["--revalidate", str(dest)]) == 2
+        # the witness is an outcome's, so decide's mismatch is the one failure
         assert capsys.readouterr().err == (
             "colline: revalidation failed: classification non_linear does not follow from"
-            " its outcomes\n"
-            "colline: revalidation failed: classification witness: no reduced map recorded\n")
+            " its outcomes\n")
 
     @pytest.mark.parametrize("demo, edit, verdict", [
         ("jump2.map", dict(verdict="inconclusive", witness=None), "inconclusive"),
         ("translate.map", dict(offset="(5, 5)"), "empirically_affine"),
         # at a* = 0 the witness re-checks on the reduced map too
         ("jump2.map", dict(witness_scope="reduced", affine_base="(0, 0)"), "non_linear"),
-    ], ids=["non-linear-called-inconclusive", "moved-offset", "witness-scope-flipped"])
+        ("jump2.map", dict(reasons=["the map is linear"]), "non_linear"),
+    ], ids=["non-linear-called-inconclusive", "moved-offset", "witness-scope-flipped",
+            "reasons-rewritten"])
     def test_revalidate_rejects_a_verdict_its_outcomes_do_not_give(
             self, tmp_path, capsys, demo, edit, verdict):
         dest = tmp_path / "r.json"
@@ -652,6 +665,18 @@ class TestClassifyEvaluationError:
         assert report["classification"]["verdict"] == "inconclusive"
         assert "at input (1, 0)" in report["classification"]["reasons"][0]
 
+    def test_its_one_reason_is_a_stated_fact(self, mapfile, tmp_path, capsys):
+        dest = tmp_path / "hole.json"
+        assert run(["classify", mapfile("hole.map", HOLE), "--no-symbolic", "--probes", "2",
+                    "--seed", "1", "--out", str(dest)]) == 0
+        assert run(["--revalidate", str(dest)]) == 0
+        report = json.loads(dest.read_text())
+        report["classification"]["reasons"].append("the map is linear")
+        dest.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert run(["--revalidate", str(dest)]) == 2
+        assert "classification inconclusive does not follow" in capsys.readouterr().err
+
 
 class TestTextFormat:
     def test_text_rendering(self, mapfile, capsys):
@@ -677,17 +702,30 @@ class TestConsoleScript:
         assert json.loads(proc.stdout)["classification"]["verdict"] == "exact_linear"
 
 
+# a spike at (a, 0) on the x0 axis, which every sampled row misses at these probe
+# counts; only a φ anchor or an additivity certificate's construction lands on it
+SPOT = ("map spot : 2 -> 2 {{ y0 = if x1 <= 0 then (if 0 <= x1 then (if x0 <= {a} then"
+        " (if {a} <= x0 then {v} else x0) else x0) else x0) else x0; y1 = x1 }}\n")
+
+
 class TestVerdictFollowsFromOutcomes:
     @given(st.lists(_expr_strategy(2), min_size=1, max_size=2), st.integers(0, 2**16))
     @settings(max_examples=60, deadline=None)
     def test_decide_gives_the_verdict_and_the_report_revalidates(self, outputs, seed):
         text = render_map(MapSpec("r", 2, len(outputs), tuple(outputs)))
-        cls = classify_map(make_dsl(parse_map(text)), ProbeConfig(seed=seed, count=30),
-                           use_symbolic=False)
+        h, cfg = make_dsl(parse_map(text)), ProbeConfig(seed=seed, count=30)
+        cls = classify_map(h, cfg, use_symbolic=False)
         certificate = cls.witness is not None and cls.witness.check == "certificate"
-        decided = decide(cls.outcomes, cls.witness if certificate else None)
-        for key in ("verdict", "witness", "offset", "witness_scope", "certificate_scope"):
-            assert decided[key] == getattr(cls, key)
+        independent = REASON_NOT_INDEPENDENT not in cls.reasons
+        if cls.verdict == "non_linear" and cls.witness_scope == "primary" and (
+                cls.outcomes[0].passed):  # the reason then states h's own search
+            assert independent == (find_independence_witness(h, cfg) is not None)
+        decided = decide(cls.outcomes, cls.witness if certificate else None, independent)
+        if not cls.outcomes:  # an evaluation error stopped the run and gave its one reason
+            assert len(cls.reasons) == 1
+            decided["reasons"] = cls.reasons
+        for key, value in decided.items():
+            assert value == getattr(cls, key), key
         with tempfile.TemporaryDirectory() as tmp:
             with open(f"{tmp}/r.map", "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -697,6 +735,36 @@ class TestVerdictFollowsFromOutcomes:
                     contextlib.redirect_stderr(io.StringIO()) as err:
                 assert run(argv) == 0
                 assert run(["--revalidate", f"{tmp}/r.json"]) == 0, err.getvalue()
+
+    @pytest.mark.parametrize("spike, probes, check", [
+        ((2, 5), 60, "certificate"),
+        ((-1, -2), 30, "phi-consistency"),
+        ((-1, -2), 60, "phi-consistency"),
+    ], ids=["certificate-60", "phi-30", "phi-60"])
+    def test_the_last_stages_refute_a_spike(self, tmp_path, capsys, spike, probes, check):
+        path = tmp_path / "spot.map"
+        path.write_text(SPOT.format(a=spike[0], v=spike[1]))
+        dest = tmp_path / "spot.json"
+        assert run(["classify", str(path), "--no-symbolic", "--probes", str(probes),
+                    "--out", str(dest)]) == 0
+        cls = json.loads(dest.read_text())["classification"]
+        assert (cls["verdict"], cls["witness"]["check"]) == ("non_linear", check)
+        assert run(["--revalidate", str(dest)]) == 0
+
+    def test_a_certificate_witness_is_re_checked_on_its_own(self, tmp_path, capsys):
+        path, dest = tmp_path / "spot.map", tmp_path / "spot.json"
+        path.write_text(SPOT.format(a=2, v=5))
+        assert run(["classify", str(path), "--no-symbolic", "--probes", "60",
+                    "--out", str(dest)]) == 0
+        report = json.loads(dest.read_text())
+        inputs = report["classification"]["witness"]["inputs"]
+        assert (inputs["a"]["value"], inputs["b"]["value"]) == ("(1, 0)", "(2, 0)")
+        inputs["b"]["value"] = "(0, 1)"  # a pair whose certificate holds
+        dest.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert run(["--revalidate", str(dest)]) == 2
+        assert capsys.readouterr().err == (
+            "colline: revalidation failed: classification witness no longer violates\n")
 
 
 @functools.lru_cache(maxsize=None)

@@ -7,18 +7,25 @@ from hypothesis import strategies as st
 
 from colline import engine
 from colline.dsl import MapSpec, parse_map, render_map
-from colline.errors import MapEvalError, PreconditionError, ProbeEvaluationError, ViolationError
+from colline.errors import (
+    DimensionMismatch, MapEvalError, PreconditionError, ProbeEvaluationError, ViolationError,
+)
 from colline.field import Vector, from_ints, identity_matrix
 from colline.predicates import (
     CHECKS,
     CheckOutcome,
     ProbeConfig,
     Witness,
+    check_additivity,
     check_betweenness,
+    check_homogeneity,
+    check_line_image,
+    check_line_injectivity,
     check_lines,
     check_parallelism_preservation,
     check_ratio_preservation,
     check_zero_fixed,
+    find_independence_witness,
     revalidate_witness,
     run_check,
     _drawn,
@@ -285,6 +292,26 @@ class TestScalarDichotomy:
         assert (inputs["r"], inputs["s"]) == (1, 1)
         assert revalidate_witness(h, result.witness)
 
+    # h(-1) = -2 and h(r) = r elsewhere: multiplicative, and additive and monotone at
+    # one probe, so only the dichotomy's own sweep can see it, unless additivity does
+    @pytest.mark.parametrize("seed", [*range(4), *range(5, 12)])
+    def test_its_own_witness_when_every_hypothesis_passes(self, seed):
+        h = dsl("map d : 1 -> 1 { y0 = if x0 <= -1 then (if -1 <= x0 then -2 else x0) else x0 }")
+        result = scalar_dichotomy(h, ProbeConfig(seed=seed, count=1))
+        assert result.kind == "fail" and all(o.passed for o in result.checks)
+        assert result.witness.check == "scalar-dichotomy"
+        assert dict(result.witness.inputs) == {"r": -1}
+        assert revalidate_witness(h, result.witness)
+
+    def test_a_failed_hypothesis_gives_the_witness_first(self):
+        h = dsl("map d : 1 -> 1 { y0 = if x0 <= -1 then (if -1 <= x0 then -2 else x0) else x0 }")
+        result = scalar_dichotomy(h, ProbeConfig(seed=4, count=1))
+        assert result.kind == "fail" and result.witness.check == "additivity"
+
+    def test_requires_a_scalar_map(self):
+        with pytest.raises(DimensionMismatch, match="scalar check needs a 1->1 map, got 2->2"):
+            scalar_dichotomy(make_linear(identity_matrix(2)), CFG)
+
     def test_cross_links_hypothesis_checks(self):
         result = scalar_dichotomy(make_linear([[2]]), CFG)
         by_name = {o.check: o for o in result.checks}
@@ -370,6 +397,36 @@ class _CountingMap(MapHandle):
     def at(self, nums, den):
         self.points.append(from_ints(nums, den))
         return self.g.at(nums, den)
+
+
+def _phi_after_the_search(f, cfg):
+    ind = find_independence_witness(f, cfg)
+    f.points.clear()  # the independence search is not the row's
+    return phi_consistency(f, cfg, ind=ind)
+
+
+class TestEvaluationBudget:
+    """Map evaluations of each row at 500 probes over one linear map; a change that
+    adds evaluations fails here, not as a benchmark drift."""
+
+    @pytest.mark.parametrize("check, evaluations", [
+        (check_homogeneity, 1000),
+        (check_additivity, 1500),
+        (lambda f, cfg: check_betweenness(f, cfg, "cor43"), 1500),
+        (lambda f, cfg: check_betweenness(f, cfg, "prop44"), 1000),
+        (check_ratio_preservation, 1491),  # 497 probes, 3 skipped
+        (check_parallelism_preservation, 5000),
+        (check_line_image, 2500),
+        (check_line_injectivity, 2500),
+        (check_lines, 2500),  # both line rows from one draw
+        (_phi_after_the_search, 1463),
+    ], ids=["homogeneity", "additivity", "betweenness-cor43", "betweenness-prop44",
+            "ratio-preservation", "parallelism-preservation", "line-image",
+            "line-injectivity", "check_lines", "phi-consistency"])
+    def test_evaluations_per_row(self, check, evaluations):
+        f = _CountingMap(make_linear([[1, 2], [3, 4]]))
+        check(f, ProbeConfig(seed=0, count=500))
+        assert len(f.points) == evaluations
 
 
 class TestShiftReduceHandle:

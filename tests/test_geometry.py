@@ -42,6 +42,27 @@ class TestLine:
         with pytest.raises(DegenerateGeometry):
             Line(vec(0, 0), vec(0, 0))
 
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda: Line(vec(0, 0), vec(1, 0, 0)), DimensionMismatch,
+         "line origin dim 2 vs direction dim 3"),
+        (lambda: Plane(vec(0, 0), vec(1, 0), vec(0, 1, 0)), DimensionMismatch,
+         "plane origin/direction dims differ"),
+        (lambda: Plane(vec(0, 0), vec(1, 0), vec(2, 0)), DegenerateGeometry,
+         "plane directions must be linearly independent"),
+    ], ids=["line-dims", "plane-dims", "plane-dependent"])
+    def test_construction_checks(self, make, error, message):
+        with pytest.raises(error, match=message):
+            make()
+
+    @pytest.mark.parametrize("value, field", [
+        (Line(vec(0, 0), vec(1, 0)), "origin"),
+        (Plane(vec(0, 0), vec(1, 0), vec(0, 1)), "dir2"),
+    ], ids=["line", "plane"])
+    def test_immutable(self, value, field):
+        with pytest.raises(AttributeError):
+            setattr(value, field, vec(1, 1))
+        assert not hasattr(value, "__dict__")
+
     def test_membership(self):
         l = line_through(vec(1, 1), vec(3, 5))
         assert l.contains(vec(1, 1)) and l.contains(vec(3, 5)) and l.contains(vec(2, 3))

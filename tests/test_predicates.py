@@ -529,6 +529,12 @@ class TestScalarChecks:
         assert err.value.check == "scalar-monotone"
         assert err.value.inputs == {"x": 0}
 
+    def test_a_fall_before_a_rise_gives_the_lowest_middle_point(self):
+        h = dsl("map sq : 1 -> 1 { y0 = x0*x0 }")
+        out = check_scalar_monotone(h, ProbeConfig(seed=0, count=20))
+        assert_sound_failure(h, out)
+        assert dict(out.witness.inputs) == {"x": -1, "y": 0, "z": Fraction(1, 6)}
+
     def test_tent_map_fails_with_triple(self):
         h = dsl("map tent : 1 -> 1 { y0 = if x0 <= 0 then x0 else -x0 }")
         out = check_scalar_monotone(h, CFG)

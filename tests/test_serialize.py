@@ -5,6 +5,7 @@ import dataclasses
 import glob
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
@@ -98,6 +99,18 @@ class TestRoundTrip:
         assert not outcome.passed and dict(outcome.witness.inputs)["plane"] == plane
         assert OUTCOME.decode(OUTCOME.encode(outcome)) == outcome
         assert from_jsonable(to_jsonable(plane)) == plane
+
+    @pytest.mark.parametrize("value", [
+        True, 3, [[Fraction(1)]], (Fraction(1), Vector.of(1)), ("a", "b"),
+    ], ids=["bool", "int", "nested-list", "mixed-tuple", "text-tuple"])
+    def test_a_value_no_witness_holds_has_no_tag(self, value):
+        with pytest.raises(TypeError, match="cannot serialize value of type"):
+            to_jsonable(value)
+
+    @pytest.mark.parametrize("tag", ["list", "bool", "int"])
+    def test_a_dropped_tag_does_not_decode(self, tag):
+        with pytest.raises(ValueError, match=f"unknown tagged value type '{tag}'"):
+            from_jsonable({"type": tag, "value": []})
 
 
 # keys that a stored report may lack, each read with a default
