@@ -32,6 +32,7 @@ from .field import (
     format_vector,
     from_ints,
     linearly_independent,
+    same_point,
 )
 from .geometry import Line, line_through, lines_parallel
 from .predicates import (
@@ -284,7 +285,7 @@ class Certificate:
             if eq.lhs != eq.rhs:
                 failures.append(f"equation fails: {eq.label}")
         for label, inp, img in self.points:
-            if f(inp) != img:
+            if not same_point(f.at(*f.row(inp)), (img.nums, img.den)):
                 failures.append(f"stored evaluation of {label} is stale")
         if not self.holds:
             failures.append("certificate is marked as not holding")

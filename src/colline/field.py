@@ -7,7 +7,9 @@ arithmetic.  A vector stores integer numerators over one common denominator
 equal vectors have equal storage.  Vector arithmetic, rank, independence
 and collinearity run on those integers, and map images stay unreduced rows
 (nums, den) until a value is kept (the fraction-free idea of Bareiss,
-Math. Comp. 1968); ``coords`` reads the coordinates back as Fractions.
+Math. Comp. 1968); ``coords`` reads the coordinates back as Fractions.  Two
+rows are dependent by one cross-multiplication, ``_dependent_rows``, behind
+independence, collinearity, a point on a line and parallel lines.
 """
 
 from __future__ import annotations
@@ -231,11 +233,24 @@ def _int_rank(rows: list[Sequence[int]]) -> int:
     return rank
 
 
+def _dependent_rows(v: Sequence[int], w: Sequence[int]) -> bool:
+    """Whether two integer rows of one length are dependent: w = 0, or
+    v_k·w_j == v_j·w_k for every k, with w_j the first nonzero entry of w."""
+    for j, wj in enumerate(w):
+        if wj:
+            vj = v[j]
+            for vk, wk in zip(v, w):
+                if vk * wj != vj * wk:
+                    return False
+            return True
+    return True
+
+
 def linearly_independent(v: Vector, w: Vector) -> bool:
     """Exact independence test: no (α, β) ≠ (0, 0) gives αv + βw = 0."""
     if v.dim != w.dim:
         raise DimensionMismatch(f"dimension mismatch: {v.dim} vs {w.dim}")
-    return _int_rank([v.nums, w.nums]) == 2
+    return not _dependent_rows(v.nums, w.nums)
 
 
 def _diff_rows(points: Sequence[Row]) -> list[list[int]]:
@@ -279,11 +294,9 @@ def collinearity_scalar(v: Vector, w: Vector) -> Optional[Fraction]:
         raise PreconditionError("collinearity_scalar with w = 0: scalar not unique")
     # with s = vn[j]·w.den / (wn[j]·v.den), vk == s·wk reduces to the
     # cross-multiplied vn[k]·wn[j] == vn[j]·wn[k]: both denominators cancel
-    vj, wj = vn[j], wn[j]
-    for vk, wk in zip(vn, wn):
-        if vk * wj != vj * wk:
-            return None
-    return Fraction(vj * w.den, wj * v.den)
+    if not _dependent_rows(vn, wn):
+        return None
+    return Fraction(vn[j] * w.den, wn[j] * v.den)
 
 
 # -- small exact matrices -----------------------------------------------------

@@ -15,10 +15,10 @@ from .errors import DegenerateGeometry, DimensionMismatch, PreconditionError
 from .field import (
     Row,
     Vector,
-    collinearity_scalar,
     format_vector,
     from_ints,
     linearly_independent,
+    _dependent_rows,
     _int_rank,
     _ratio,
 )
@@ -49,7 +49,12 @@ class Line:
 
     def contains(self, p: Vector) -> bool:
         """Exact membership: p − origin must be a multiple of direction."""
-        return collinearity_scalar(p - self.origin, self.direction) is not None
+        o = self.origin
+        if len(p.nums) != len(o.nums):
+            raise DimensionMismatch(f"dimension mismatch: {p.dim} vs {o.dim}")
+        pd, od = p.den, o.den
+        diff = [a * od - b * pd for a, b in zip(p.nums, o.nums)]  # (p − origin)·pd·od
+        return _dependent_rows(diff, self.direction.nums)
 
     def canonical(self) -> tuple[Vector, Vector]:
         """Canonical (origin, direction) pair shared by all representations."""

@@ -31,8 +31,8 @@ from .errors import (
     MapEvalError,
     ProbeEvaluationError,
 )
-from .field import (Row, Vector, _diff_rows, _int_rank, _ratio, add_rows, affine_rank, from_ints,
-                    linearly_independent, same_point)
+from .field import (Row, Vector, _dependent_rows, _diff_rows, _int_rank, _ratio, add_rows,
+                    affine_rank, from_ints, linearly_independent, same_point)
 from .geometry import Line, Plane, divides_in_ratio, in_interval_rows, line_point_row, line_through
 from .zoo import MapHandle
 
@@ -456,7 +456,7 @@ def _judge_line_image(params, imgs, diffs, rank: int):
     # the lexicographically first independent triple is (0, j, k): every image
     # before j equals imgs[0], so one off the line through imgs[0], imgs[j] comes later
     j = next(j for j, d in enumerate(diffs, 1) if any(d))
-    k = next(k for k in range(j + 1, len(imgs)) if _int_rank([diffs[j - 1], diffs[k - 1]]) == 2)
+    k = next(k for k in range(j + 1, len(imgs)) if not _dependent_rows(diffs[k - 1], diffs[j - 1]))
     return {"witness params": tuple(Fraction(*params[i]) for i in (0, j, k)),
             "images": tuple(from_ints(*imgs[i]) for i in (0, j, k))}
 
@@ -816,7 +816,7 @@ def _violation_parallelism(f: MapHandle, inp: dict):
     if _int_rank(rows0) != 1 or _int_rank(rows1) != 1:
         return _SKIP
     # the first nonzero row of each is a multiple of its _span_line's direction
-    if _int_rank([next(r for r in rows if any(r)) for rows in (rows0, rows1)]) == 1:
+    if _dependent_rows(*[next(r for r in rows if any(r)) for rows in (rows0, rows1)]):
         return None
     return {"image line 0": _span_line(imgs0, rows0), "image line 1": _span_line(imgs1, rows1)}
 

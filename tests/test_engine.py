@@ -275,7 +275,68 @@ class TestAdditivityCertificate:
         cert = additivity_certificate(f, vec(1, 0), vec(0, 1))
         obj = CERTIFICATE.encode(cert)
         obj["intersections"][0]["point"] = "(5, 5)"
-        assert CERTIFICATE.decode(obj).validate(f) != []
+        assert CERTIFICATE.decode(obj).validate(f) == [
+            "L0 does not contain (5, 5)", "L1 does not contain (5, 5)"]
+
+    # one edited fact of an encoded certificate of f = (2x + y, 3y) at a time: the
+    # exact failures it causes; every list but the stale evaluation's needs an
+    # incidence test that can say no
+    TAMPERED = {
+        "additivity-case1": [
+            (("lines", 1, "anchors", 0), "(7, 3)", ["L1: anchor (7, 3) off the line"]),
+            (("lines", 1, "anchor_images", 0), "(5, 5)",
+             ["L1: anchor image (5, 5) off the image line"]),
+            (("intersections", 0, "point"), "(5, 5)",
+             ["L0 does not contain (5, 5)", "L1 does not contain (5, 5)"]),
+            (("intersections", 3, "image_point"), "(4, 4)",
+             ["image of L2 does not contain (4, 4)", "image of L3 does not contain (4, 4)"]),
+            # L2 turned onto L0
+            (("lines", 2, "direction"), "(1, 0)",
+             ["L2: anchor (1, 1) off the line", "L0 and L2 are the same line",
+              "L2 does not contain (1, 1)", "L1 and L2 are not parallel"]),
+            (("lines", 3, "direction"), "(1, 1)",
+             ["L3: anchor (1, 1) off the line", "L3 does not contain (1, 1)",
+              "L0 and L3 are not parallel"]),
+            (("points", 2, "image"), "(3, 4)", ["stored evaluation of a+b is stale"]),
+        ],
+        "additivity-case2": [
+            (("lines", 1, "anchors", 2), "(2, 1)", ["L1: anchor (2, 1) off the line"]),
+            (("lines", 2, "anchor_images", 3), "(7, 4)",
+             ["L2: anchor image (7, 4) off the image line"]),
+            (("intersections", 0, "point"), "(1, 2)",
+             ["L0 does not contain (1, 2)", "L1 does not contain (1, 2)",
+              "L4 does not contain (1, 2)"]),
+            (("intersections", 5, "image_point"), "(7, 4)",
+             ["image of L2 does not contain (7, 4)", "image of L5 does not contain (7, 4)",
+              "image of L6 does not contain (7, 4)"]),
+            # L3 turned onto L1
+            (("lines", 3, "direction"), "(1, 0)",
+             ["L3: anchor (1, 1) off the line", "L1 and L3 are the same line",
+              "L3 does not contain (1, 1)", "L0 and L3 are not parallel",
+              "L3 and L6 are not parallel"]),
+            (("lines", 6, "direction"), "(1, 2)",
+             ["L6: anchor (3, 1) off the line", "L6 does not contain (3, 1)",
+              "L0 and L6 are not parallel", "L3 and L6 are not parallel"]),
+            (("points", 6, "image"), "(6, 1)", ["stored evaluation of a+b is stale"]),
+        ],
+    }
+
+    @pytest.mark.parametrize("kind, path, value, failures", [
+        pytest.param(kind, *case, id=f"{kind}-{'.'.join(map(str, case[0]))}")
+        for kind, cases in TAMPERED.items() for case in cases
+    ])
+    def test_each_tampered_fact_fails_exactly(self, kind, path, value, failures):
+        f = make_linear([[2, 1], [0, 3]])
+        a, b = (vec(1, 0), vec(0, 1)) if kind == "additivity-case1" else (vec(1, 0), vec(2, 0))
+        cert = additivity_certificate(f, a, b, self.ind2())
+        assert cert.kind == kind and cert.validate(f) == []
+        obj = CERTIFICATE.encode(cert)
+        *head, last = path
+        target = obj
+        for key in head:
+            target = target[key]
+        target[last] = value
+        assert CERTIFICATE.decode(obj).validate(f) == failures
 
 
 class TestScalarDichotomy:
@@ -427,6 +488,15 @@ class TestEvaluationBudget:
         f = _CountingMap(make_linear([[1, 2], [3, 4]]))
         check(f, ProbeConfig(seed=0, count=500))
         assert len(f.points) == evaluations
+
+    @pytest.mark.parametrize("a, b", [(vec(1, 0), vec(0, 1)), (vec(1, 0), vec(2, 0))],
+                             ids=["additivity-case1", "additivity-case2"])
+    def test_certificate_validate_evaluates_each_stored_point_once(self, a, b):
+        g = make_linear([[1, 2], [3, 4]])
+        cert = additivity_certificate(g, a, b, (vec(1, 0), vec(0, 1)))
+        f = _CountingMap(g)
+        assert cert.validate(f) == []
+        assert f.points == [inp for _, inp, _ in cert.points]
 
 
 class TestShiftReduceHandle:

@@ -10,6 +10,8 @@ from colline.errors import DimensionMismatch, PreconditionError
 from colline.field import (
     MAX_DIM,
     Vector,
+    _dependent_rows,
+    _int_rank,
     affine_rank,
     collinearity_scalar,
     format_scalar,
@@ -269,6 +271,49 @@ class TestLinearlyIndependent:
         v, w = Vector(xs[:n]), Vector(ys[:n])
         expected = _minor_rank([v.coords, w.coords]) == 2
         assert linearly_independent(v, w) == expected
+
+
+# integer entries with zero rows and 100+ digit entries drawn often
+_big = st.integers(10**100, 10**130)
+_entries = st.one_of(st.integers(-3, 3), _big, _big.map(lambda x: -x))
+
+
+@st.composite
+def _row_pairs(draw):
+    """Two integer rows of one length 1..MAX_DIM: free, multiples of one row, or zero."""
+    n = draw(st.integers(1, MAX_DIM))
+    row = st.lists(_entries, min_size=n, max_size=n)
+    kind = draw(st.sampled_from(["free", "multiples", "zero v", "zero w"]))
+    if kind == "multiples":
+        base, p, q = draw(row), draw(_entries), draw(_entries)
+        return [p * x for x in base], [q * x for x in base]
+    v, w = draw(row), draw(row)
+    if kind == "zero v":
+        v = [0] * n
+    elif kind == "zero w":
+        w = [0] * n
+    return v, w
+
+
+class TestDependentRows:
+    """The one two-row dependence test, against the elimination rank."""
+
+    @given(_row_pairs())
+    @settings(max_examples=300)
+    @example(([0, 0], [0, 0]))
+    @example(([1, 2], [0, 0]))
+    @example(([0, 5], [0, 7]))
+    @example(([10**120, 1], [10**120 + 1, 1]))
+    def test_matches_int_rank(self, rows):
+        v, w = rows
+        assert _dependent_rows(v, w) == (_int_rank([v, w]) <= 1)
+        assert _dependent_rows(v, w) == _dependent_rows(w, v)
+
+    @given(_row_pairs(), _entries, _entries)
+    @settings(max_examples=100)
+    def test_multiples_are_dependent(self, rows, p, q):
+        _, w = rows
+        assert _dependent_rows([p * x for x in w], [q * x for x in w])
 
 
 class TestAffineRank:

@@ -2,11 +2,11 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from colline.errors import DegenerateGeometry, DimensionMismatch, PreconditionError
-from colline.field import Vector, collinearity_scalar, linearly_independent
+from colline.field import MAX_DIM, Vector, collinearity_scalar, linearly_independent
 from colline.geometry import (
     Crossing,
     Line,
@@ -88,6 +88,51 @@ class TestLine:
     def test_text_form(self):
         l = line_through(vec(1, 0), vec(1, 2))
         assert format_line(l) == "line (1, 0) dir (0, 2)"
+
+
+# small rationals and ones with 100+ digit numerators and denominators
+_wide = st.fractions(min_value=-10**110, max_value=10**110, max_denominator=10**105)
+
+
+def _contains_by_fractions(line, p):
+    """p − origin = t·direction for one rational t, on Fraction coordinates."""
+    diff = [a - b for a, b in zip(p.coords, line.origin.coords)]
+    d = line.direction.coords
+    j = next(i for i, c in enumerate(d) if c)
+    t = diff[j] / d[j]
+    return all(x == t * c for x, c in zip(diff, d))
+
+
+@st.composite
+def _line_and_point(draw):
+    """A line of dimension 1..MAX_DIM and a point on it or drawn freely."""
+    n = draw(st.integers(1, MAX_DIM))
+    coords = st.lists(st.one_of(rationals, _wide), min_size=n, max_size=n)
+    origin, direction = Vector(draw(coords)), Vector(draw(coords))
+    assume(not direction.is_zero())
+    line = Line(origin, direction)
+    if draw(st.booleans()):
+        return line, line.point_at(draw(st.one_of(rationals, _wide)))
+    return line, Vector(draw(coords))
+
+
+class TestContains:
+    """Line.contains, a cross-multiplication on integer rows, against Fractions."""
+
+    @given(_line_and_point())
+    @settings(max_examples=200)
+    def test_matches_fractions(self, case):
+        line, p = case
+        assert line.contains(p) == _contains_by_fractions(line, p)
+
+    @given(st.integers(1, MAX_DIM), st.integers(1, MAX_DIM))
+    @settings(max_examples=40)
+    def test_another_dimension_raises_the_same_message(self, n, k):
+        assume(n != k)
+        line = Line(Vector.zero(n), Vector.basis(n, 0))
+        with pytest.raises(DimensionMismatch) as err:
+            line.contains(Vector.zero(k))
+        assert str(err.value) == f"dimension mismatch: {k} vs {n}"
 
 
 same_dim = st.integers(1, 4).flatmap(
