@@ -43,7 +43,7 @@ from .predicates import (
     revalidate_witness,
     run_check,
 )
-from .serialize import CERTIFICATE, CLASSIFICATION, OUTCOME, VECTOR, pair, sequence
+from .serialize import CERTIFICATE, CLASSIFICATION, OUTCOME, VECTOR, json_text, pair, sequence
 from .zoo import MapHandle, from_source, make_dsl, parse_builtin
 
 # `colline check` names: every row of the check table with a default probe
@@ -294,7 +294,7 @@ def _render_text(report: dict) -> str:
 
 def _emit(payload, args) -> int:
     if args.format == "json":
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json_text(payload) + "\n"
     else:
         reports = payload if isinstance(payload, list) else [payload]
         text = "".join(_render_text(r) for r in reports)

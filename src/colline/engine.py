@@ -26,8 +26,8 @@ from .errors import (
 from .field import (
     Matrix,
     Vector,
+    _dependent_rows,
     add_rows,
-    collinearity_scalar,
     format_scalar,
     format_vector,
     from_ints,
@@ -73,17 +73,22 @@ def extract_phi(f: MapHandle, a: Vector, r) -> Fraction:
     single output line; that violation is raised with its witness.
     """
     r = Fraction(r)
-    fa = f(a)
-    if fa.is_zero():
+    an, ad = f.row(a)
+    fa_nums, fa_den = f.at(an, ad)
+    if not any(fa_nums):
         raise PreconditionError("extract_phi needs an anchor with f(a) != 0")
-    fra = f(r * a)
-    s = collinearity_scalar(fra, fa)
-    if s is None:
-        witness = CHECKS["phi-extract"].witness({"a": a, "r": r}, {"f(a)": fa, "f(r*a)": fra})
+    fra_nums, fra_den = f.at([r.numerator * x for x in an], r.denominator * ad)
+    if not _dependent_rows(fra_nums, fa_nums):
+        witness = CHECKS["phi-extract"].witness(
+            {"a": a, "r": r},
+            {"f(a)": from_ints(fa_nums, fa_den), "f(r*a)": from_ints(fra_nums, fra_den)})
         raise ViolationError(
             f"images of the line through 0 and {a} are not collinear", witness
         )
-    return s
+    # f(r·a) = s·f(a): s is the ratio of the two rows at f(a)'s first nonzero entry
+    for j, x in enumerate(fa_nums):
+        if x:
+            return Fraction(fra_nums[j] * fa_den, x * fra_den)
 
 
 def _violation_phi_extract(f: MapHandle, inp: dict):
@@ -164,7 +169,7 @@ def phi_consistency(
             "run find_independence_witness first"
         )
     a0, a1 = ind
-    fa0 = f(a0)
+    fa0 = f.at(*f.row(a0))[0]
     sampler = _Sampler(cfg)
     n = max(4, math.isqrt(cfg.count))
     rs = [Fraction(0), Fraction(1), Fraction(-1)]
@@ -178,13 +183,13 @@ def phi_consistency(
     def stream(f: MapHandle, cfg: ProbeConfig):
         for a in anchors:
             try:
-                fa = f(a)
+                fa = f.at(*f.row(a))[0]
             except MapEvalError as exc:
                 raise ProbeEvaluationError(row.name, {"a": a}, exc) from exc
-            if fa.is_zero():  # no scale factor at this anchor: one skip
+            if not any(fa):  # no scale factor at this anchor: one skip
                 yield None
                 continue
-            other = a0 if linearly_independent(fa, fa0) else a1
+            other = a1 if _dependent_rows(fa, fa0) else a0
             for r in rs:
                 yield {"a": a, "a'": other, "r": r}
 

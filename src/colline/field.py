@@ -9,7 +9,8 @@ and collinearity run on those integers, and map images stay unreduced rows
 (nums, den) until a value is kept (the fraction-free idea of Bareiss,
 Math. Comp. 1968); ``coords`` reads the coordinates back as Fractions.  Two
 rows are dependent by one cross-multiplication, ``_dependent_rows``, behind
-independence, collinearity, a point on a line and parallel lines.
+independence, collinearity, a point on a line and parallel lines; a line
+judge reads the rank of its rows capped at 2, ``_line_rank``, in one pass.
 """
 
 from __future__ import annotations
@@ -244,6 +245,26 @@ def _dependent_rows(v: Sequence[int], w: Sequence[int]) -> bool:
                     return False
             return True
     return True
+
+
+def _line_rank(rows: Iterable[Sequence[int]]) -> int:
+    """min(rank, 2) of integer rows of one length, in one pass: the first
+    nonzero row w and its first nonzero entry w_j are found once, and 2 is
+    returned at the first later row v with v_k·w_j != v_j·w_k."""
+    it = iter(rows)
+    for w in it:
+        for j, wj in enumerate(w):
+            if wj:
+                break
+        else:
+            continue
+        for v in it:
+            vj = v[j]
+            for vk, wk in zip(v, w):
+                if vk * wj != vj * wk:
+                    return 2
+        return 1
+    return 0
 
 
 def linearly_independent(v: Vector, w: Vector) -> bool:

@@ -31,8 +31,8 @@ from .errors import (
     MapEvalError,
     ProbeEvaluationError,
 )
-from .field import (Row, Vector, _dependent_rows, _diff_rows, _int_rank, _ratio, add_rows,
-                    affine_rank, from_ints, linearly_independent, same_point)
+from .field import (Row, Vector, _dependent_rows, _diff_rows, _line_rank, _ratio, add_rows,
+                    affine_rank, from_ints, same_point)
 from .geometry import Line, Plane, divides_in_ratio, in_interval_rows, line_point_row, line_through
 from .zoo import MapHandle
 
@@ -162,10 +162,22 @@ class _Sampler:
                 return s
 
     def vector(self, dim: int) -> _PointRow:
-        pair = self._pair
-        pairs = [pair() for _ in range(dim)]
-        den = lcm(*[q for _, q in pairs])
-        return _PointRow(([p * (den // q) for p, q in pairs], den))
+        # dim ``_pair`` draws, inlined: the same getrandbits calls in the same order
+        bits, r = self._bits, self.range
+        kp, np_ = self._num
+        kq, nq = self._den
+        ps, qs = [], []
+        for _ in range(dim):
+            p = bits(kp)
+            while p >= np_:
+                p = bits(kp)
+            q = bits(kq)
+            while q >= nq:
+                q = bits(kq)
+            ps.append(p - r)
+            qs.append(q + 1)
+        den = lcm(*qs)
+        return _PointRow(([p * (den // q) for p, q in zip(ps, qs)], den))
 
     def nonzero_vector(self, dim: int) -> _PointRow:
         while True:
@@ -443,11 +455,12 @@ def _line_probe(f: MapHandle, inp: dict) -> tuple[Row, Row, list]:
 
 
 def _judged_line(f: MapHandle, inp: dict) -> tuple:
-    """(param pairs, image rows, their _diff_rows, affine rank): all a line judge reads."""
+    """(param pairs, image rows, their _diff_rows, affine rank capped at 2): all
+    a line judge reads; each judge only compares the rank with 1."""
     origin, direction, params = _line_probe(f, inp)
     imgs = _line_images(f, origin, direction, params)
     diffs = _diff_rows(imgs)
-    return params, imgs, diffs, _int_rank(diffs)
+    return params, imgs, diffs, _line_rank(diffs)
 
 
 def _judge_line_image(params, imgs, diffs, rank: int):
@@ -564,7 +577,7 @@ def find_independence_witness(f: MapHandle, cfg: ProbeConfig) -> Optional[tuple[
     for full-rank maps), then random pairs.  None after cfg.count probes.
     """
     for a0, a1 in _basis_then_sampled_pairs(_Sampler(cfg), f.m, cfg.count):
-        if linearly_independent(f(a0), f(a1)):
+        if not _dependent_rows(f.at(*f.row(a0))[0], f.at(*f.row(a1))[0]):
             return a0, a1
     return None
 
@@ -813,7 +826,7 @@ def _violation_parallelism(f: MapHandle, inp: dict):
     imgs0 = _line_images(f, origin, direction, params)
     imgs1 = _line_images(f, add_rows(origin, f.row(inp["offset"])), direction, params)
     rows0, rows1 = _diff_rows(imgs0), _diff_rows(imgs1)
-    if _int_rank(rows0) != 1 or _int_rank(rows1) != 1:
+    if _line_rank(rows0) != 1 or _line_rank(rows1) != 1:
         return _SKIP
     # the first nonzero row of each is a multiple of its _span_line's direction
     if _dependent_rows(*[next(r for r in rows if any(r)) for rows in (rows0, rows1)]):

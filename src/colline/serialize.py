@@ -7,13 +7,16 @@ Each record is declared once, as its JSON keys in report order with the
 codec of each key's value, and both the encoder and the decoder read that
 one declaration, so the two directions cannot drift apart. A codec is an
 ``(encode, decode)`` pair: ``CERTIFICATE.encode(cert)`` writes a
-certificate, ``CERTIFICATE.decode(obj)`` reads it back.
+certificate, ``CERTIFICATE.decode(obj)`` reads it back.  ``json_text`` writes
+a report as ``json.dumps(report, indent=2)`` does, byte for byte.
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter, itemgetter
 from typing import Callable
 
@@ -191,3 +194,65 @@ CLASSIFICATION = record(
     Key("phi", optional(PHI_TABLE)),
     Key("affine_base", optional(VECTOR)),
 )
+
+
+# -- the report writer ------------------------------------------------------------
+
+
+def json_text(payload) -> str:
+    """``json.dumps(payload, indent=2)``, byte for byte.  ``indent`` makes
+    ``json`` leave its C encoder for a pure-Python one; this writer quotes
+    strings with the C quoting function and builds the indentation itself.
+    Tuples are written as lists, as ``json`` writes them."""
+    out: list[str] = []
+    _write(payload, out, "\n")
+    return "".join(out)
+
+
+def _write(value, out: list, newline: str) -> None:
+    """Append the text of one value, whose line starts at ``newline``'s indent."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            sep = "," + inner
+            _write(item, out, inner)
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            out.append(sep + _quote(key if isinstance(key, str) else _atom(key)) + ": ")
+            sep = "," + inner
+            _write(item, out, inner)
+        out.append(newline + "}")
+    else:
+        out.append(_atom(value))
+
+
+def _atom(value) -> str:
+    """The JSON text of None, a bool, an int or a float, as ``json`` writes it."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if math.isinf(value):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

@@ -10,7 +10,7 @@ from colline.dsl import MapSpec, parse_map, render_map
 from colline.errors import (
     DimensionMismatch, MapEvalError, PreconditionError, ProbeEvaluationError, ViolationError,
 )
-from colline.field import Vector, from_ints, identity_matrix
+from colline.field import Vector, collinearity_scalar, from_ints, identity_matrix
 from colline.predicates import (
     CHECKS,
     CheckOutcome,
@@ -95,6 +95,55 @@ class TestExtractPhi:
         with pytest.raises(ViolationError) as err:
             extract_phi(f, vec(1), 2)
         assert revalidate_witness(f, err.value.witness)
+
+
+def _extract_phi_on_vectors(f, a, r):
+    """``extract_phi`` as it was written on Vectors, kept as the reference."""
+    r = Fraction(r)
+    fa = f(a)
+    if fa.is_zero():
+        raise PreconditionError("extract_phi needs an anchor with f(a) != 0")
+    fra = f(r * a)
+    s = collinearity_scalar(fra, fa)
+    if s is None:
+        witness = CHECKS["phi-extract"].witness({"a": a, "r": r}, {"f(a)": fa, "f(r*a)": fra})
+        raise ViolationError(f"images of the line through 0 and {a} are not collinear", witness)
+    return s
+
+
+def _phi_result(extract, f, a, r):
+    """What one extraction gives: its value, or its error's type, message and witness."""
+    try:
+        return extract(f, a, r)
+    except (MapEvalError, PreconditionError, ViolationError) as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+
+
+class TestExtractPhiOnRows:
+    """``extract_phi`` on integer rows gives what the Vector version gave."""
+
+    @pytest.mark.parametrize("text, a, r", [
+        ("map z : 2 -> 1 { y0 = x0 - x1 }", (3, 3), 2),  # f(a) = 0
+        ("map d : 1 -> 1 { y0 = 1 / (x0 - 2) }", (1,), 2),  # division by zero at r*a
+        ("map d : 1 -> 1 { y0 = 1 / (x0 - 2) }", (2,), 3),  # division by zero at a
+        ("map b : 1 -> 2 { y0 = x0; y1 = x0 * x0 }", (1,), 2),  # not collinear
+        ("map s : 2 -> 2 { y0 = 3 * x0 / 4; y1 = x1 - x0 }", ("1/2", "-2/3"), "-5/7"),
+        ("map c : 2 -> 2 { y0 = x0; y1 = x1 }", (1, 1), 0),
+    ], ids=["zero-image", "div-at-ra", "div-at-a", "violation", "value", "r-zero"])
+    def test_fixed_cases(self, text, a, r):
+        f, a = dsl(text), vec(*a)
+        assert _phi_result(extract_phi, f, a, r) == _phi_result(_extract_phi_on_vectors, f, a, r)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_equals_the_vector_version(self, data):
+        m = data.draw(st.integers(1, 3))
+        outputs = data.draw(st.lists(_expr_strategy(m), min_size=1, max_size=2))
+        f = dsl(render_map(MapSpec("r", m, len(outputs), tuple(outputs))))
+        entry = st.fractions(min_value=-20, max_value=20, max_denominator=8)
+        a = Vector(data.draw(st.lists(entry, min_size=m, max_size=m)))
+        r = data.draw(entry)
+        assert _phi_result(extract_phi, f, a, r) == _phi_result(_extract_phi_on_vectors, f, a, r)
 
 
 class TestPhiConsistency:
@@ -568,6 +617,32 @@ def _affine_maps(draw):
     if offset.is_zero():
         offset = Vector.basis(n, 0)
     return _affine_case(a, offset, draw(st.booleans()))
+
+
+class TestNoFalseRefutationOfAffineMaps:
+    """A map with a symbolic affine form is affine, so a Fail of a geometric row,
+    or of any row when the offset is zero, would be a checker bug."""
+
+    GEOMETRIC = ("line-image", "line-injectivity", "parallelism-preservation",
+                 "ratio-preservation", "betweenness-cor43")
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**16), count=st.integers(1, 20),
+           params=st.integers(3, 5))
+    def test_classify_never_refutes_an_affine_dsl_map(self, data, seed, count, params):
+        # two or more inputs and outputs, so that line images can span a plane
+        m = data.draw(st.integers(2, 3))
+        outputs = data.draw(st.lists(_expr_strategy(m), min_size=2, max_size=3))
+        h = dsl(render_map(MapSpec("r", m, len(outputs), tuple(outputs))))
+        form = h.affine_form()
+        assume(form is not None)
+        cls = classify_map(h, ProbeConfig(seed=seed, count=count, params_per_line=params),
+                           use_symbolic=False)
+        assert cls.verdict != "non_linear"
+        failed = [o.check for o in cls.outcomes if not o.passed]
+        assert not [c for c in failed if c.removeprefix("reduced:") in self.GEOMETRIC]
+        if form[1].is_zero():
+            assert failed == []
 
 
 class TestReusedGeometricOutcomes:

@@ -12,6 +12,7 @@ from colline.field import (
     Vector,
     _dependent_rows,
     _int_rank,
+    _line_rank,
     affine_rank,
     collinearity_scalar,
     format_scalar,
@@ -314,6 +315,42 @@ class TestDependentRows:
     def test_multiples_are_dependent(self, rows, p, q):
         _, w = rows
         assert _dependent_rows([p * x for x in w], [q * x for x in w])
+
+
+@st.composite
+def _row_lists(draw):
+    """0..6 integer rows of one length 1..MAX_DIM, each free, zero, a repeat of
+    an earlier row or a multiple of one base row."""
+    n = draw(st.integers(1, MAX_DIM))
+    row = st.lists(_entries, min_size=n, max_size=n)
+    base = draw(row)
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["free", "zero", "repeat", "multiple"]))
+        if kind == "free":
+            rows.append(draw(row))
+        elif kind == "zero":
+            rows.append([0] * n)
+        elif kind == "repeat" and rows:
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            p = draw(_entries)
+            rows.append([p * x for x in base])
+    return rows
+
+
+class TestLineRank:
+    """The rank capped at 2 that line judges read, against the elimination rank."""
+
+    @given(_row_lists())
+    @settings(max_examples=300)
+    @example([])
+    @example([[0, 0], [0, 0]])
+    @example([[0, 0], [1, 2], [0, 0], [2, 4]])
+    @example([[0, 3], [0, 0], [1, 3]])
+    @example([[10**120, 1], [10**120, 1], [10**120 + 1, 1]])
+    def test_matches_int_rank_capped_at_2(self, rows):
+        assert _line_rank(rows) == min(_int_rank(rows), 2)
 
 
 class TestAffineRank:

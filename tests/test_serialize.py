@@ -8,6 +8,8 @@ import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from colline.cli import run
 from colline.dsl import parse_map, parse_map_file
@@ -26,6 +28,7 @@ from colline.serialize import (
     OUTCOME,
     PHI_TABLE,
     from_jsonable,
+    json_text,
     to_jsonable,
 )
 from colline.zoo import make_dsl, parse_builtin
@@ -172,3 +175,30 @@ class TestStoredReports:
         capsys.readouterr()
         assert run(["--revalidate", str(dest)]) == 2
         assert "stored data is malformed" in capsys.readouterr().err
+
+
+# JSON values with every kind of atom: huge ints, floats with NaN and infinities,
+# and text with non-ASCII and control characters, in keys too (which json also
+# takes as atoms); tuples are lists
+_TEXT = st.text(st.characters(codec="utf-8"), max_size=8)
+_ATOMS = st.one_of(st.none(), st.booleans(), st.integers(), st.integers(-10**200, 10**200),
+                   st.floats(), _TEXT)
+_PAYLOADS = st.recursive(_ATOMS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(st.one_of(_TEXT, _TEXT, _ATOMS), inner, max_size=4)), max_leaves=30)
+
+
+class TestJsonText:
+    """The report writer gives the bytes of ``json.dumps(payload, indent=2)``."""
+
+    @given(_PAYLOADS)
+    @settings(max_examples=300)
+    @example({"": [], "k": {}, "\u00e9\n\x00\u2028": ["\x1f\"\\", 10**150, -0.0, 1e300]})
+    @example([float("nan"), float("inf"), float("-inf"), True, False, None, ()])
+    def test_equals_json_dumps_with_indent_2(self, payload):
+        assert json_text(payload) == json.dumps(payload, indent=2)
+
+    def test_every_report_of_the_corpus(self):
+        for c in CLASSIFICATIONS:
+            report = CLASSIFICATION.encode(c)
+            assert json_text(report) == json.dumps(report, indent=2)
