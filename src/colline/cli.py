@@ -43,7 +43,8 @@ from .predicates import (
     revalidate_witness,
     run_check,
 )
-from .serialize import CERTIFICATE, CLASSIFICATION, OUTCOME, VECTOR, json_text, pair, sequence
+from .serialize import CERTIFICATE, CLASSIFICATION, OUTCOME, VECTOR, json_text, one_report
+from .serialize import pair, sequence
 from .zoo import MapHandle, from_source, make_dsl, parse_builtin
 
 # `colline check` names: every row of the check table with a default probe
@@ -377,7 +378,8 @@ def _revalidate(path: str) -> int:
     failures: list[str] = []
     for report in reports:
         try:
-            failures.extend(_recheck_report(report))
+            with one_report():
+                failures.extend(_recheck_report(report))
         except (CollineError, ArithmeticError, LookupError, TypeError, ValueError,
                 AttributeError) as exc:
             failures.append(f"stored data is malformed ({type(exc).__name__}: {exc})")
@@ -405,7 +407,10 @@ def run(argv: Optional[list[str]] = None) -> int:
             params_per_line=args.params_per_line,
         )
         handles = _load_maps(args)
-        reports = [_report_for_map(h, args, cfg) for h in handles]
+        reports = []
+        for handle in handles:
+            with one_report():
+                reports.append(_report_for_map(handle, args, cfg))
     except _InternalInvariantError as exc:
         print(f"colline: internal invariant violation: {exc}", file=sys.stderr)
         return 2

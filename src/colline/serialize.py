@@ -9,16 +9,24 @@ one declaration, so the two directions cannot drift apart. A codec is an
 ``(encode, decode)`` pair: ``CERTIFICATE.encode(cert)`` writes a
 certificate, ``CERTIFICATE.decode(obj)`` reads it back.  ``json_text`` writes
 a report as ``json.dumps(report, indent=2)`` does, byte for byte.
+
+Within ``one_report()``, vectors are read and written once per distinct value:
+the first occurrence of a ``Vector`` is formatted and the first occurrence of
+a text is parsed, and every later one reuses that text or that (immutable)
+``Vector``.  The table lives for one report and is dropped when the block
+ends; outside any block each vector is formatted or parsed on its own.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+from contextlib import contextmanager
+from contextvars import ContextVar
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter, itemgetter
-from typing import Callable
+from typing import Callable, Optional
 
 from .engine import Certificate, CertLine, Classification, Equation, ParallelFact, PhiTable
 from .engine import PointFact
@@ -30,7 +38,38 @@ from .predicates import CheckOutcome, Witness
 Codec = namedtuple("Codec", "encode decode")  # value → JSON data, and back
 PLAIN = Codec(lambda v: v, lambda j: j)  # text, numbers and booleans as JSON has them
 SCALAR = Codec(format_scalar, parse_scalar)
-VECTOR = Codec(format_vector, parse_vector)
+
+# the vector table of the report being read or written: a Vector maps to its text
+# and a text to its Vector (a Vector never equals a str, so the two cannot meet)
+_TABLE: ContextVar[Optional[dict]] = ContextVar("colline_vector_table", default=None)
+
+
+@contextmanager
+def one_report():
+    """Read or write one report: within the block each distinct vector is
+    formatted once and each distinct text parsed once."""
+    token = _TABLE.set({})
+    try:
+        yield
+    finally:
+        _TABLE.reset(token)
+
+
+def _once(convert: Callable, key):
+    """``convert(key)``, computed once per report for each distinct key."""
+    table = _TABLE.get()
+    if table is None:
+        return convert(key)
+    value = table.get(key)
+    if value is None:
+        value = table[key] = convert(key)
+    return value
+
+
+# the text functions are looked up at call time, like TAGGED's; only a str is looked
+# up in the table, so any other stored value fails in parse_vector as it always has
+VECTOR = Codec(lambda v: _once(format_vector, v),
+               lambda j: _once(parse_vector, j) if isinstance(j, str) else parse_vector(j))
 
 
 def optional(c: Codec) -> Codec:

@@ -1,8 +1,12 @@
 """The report codecs: every record reads back as itself, the keys that older
-reports may lack keep their defaults, and a malformed outcome is refused."""
+reports may lack keep their defaults, a malformed outcome is refused, and the
+vector table of one report changes no written byte and no stored failure."""
 
+import contextlib
 import dataclasses
+import functools
 import glob
+import io
 import json
 import os
 from fractions import Fraction
@@ -11,9 +15,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from colline import cli, serialize
 from colline.cli import run
-from colline.dsl import parse_map, parse_map_file
+from colline.dsl import MapSpec, parse_map, parse_map_file, render_map
 from colline.engine import classify_map
+from colline.errors import CollineError
 from colline.field import Vector
 from colline.geometry import Plane
 from colline.predicates import (
@@ -29,23 +35,27 @@ from colline.serialize import (
     PHI_TABLE,
     from_jsonable,
     json_text,
+    one_report,
     to_jsonable,
 )
 from colline.zoo import make_dsl, parse_builtin
+from test_dsl import _expr_strategy
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CFG = ProbeConfig(seed=3, count=60)
 LEMMA23 = "lemma23:m=2,n=2,e0=0,d0=(0,1)"
 
 
+DEMO_MAPS = [
+    make_dsl(spec)
+    for path in sorted(glob.glob(os.path.join(ROOT, "demos", "*.map")))
+    for spec in parse_map_file(open(path, encoding="utf-8").read())
+]
+
+
 def _classifications():
     """What `classify --no-symbolic` finds for every demo map and for lemma 2.3."""
-    handles = [
-        make_dsl(spec)
-        for path in sorted(glob.glob(os.path.join(ROOT, "demos", "*.map")))
-        for spec in parse_map_file(open(path, encoding="utf-8").read())
-    ]
-    handles.append(parse_builtin(LEMMA23))
+    handles = DEMO_MAPS + [parse_builtin(LEMMA23)]
     return [classify_map(h, CFG, use_symbolic=False) for h in handles]
 
 
@@ -202,3 +212,179 @@ class TestJsonText:
         for c in CLASSIFICATIONS:
             report = CLASSIFICATION.encode(c)
             assert json_text(report) == json.dumps(report, indent=2)
+
+
+# -- the per-report vector table -------------------------------------------------
+
+# 357 vector texts, 17 distinct: "(0, 0)" is stored 64 times
+IDENTITY_ARGV = ["classify", "--no-symbolic", os.path.join(ROOT, "demos", "identity.map"),
+                 "--probes", "20", "--seed", "0"]
+
+
+@functools.lru_cache(maxsize=None)
+def _identity_report() -> str:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert run(IDENTITY_ARGV) == 0
+    return out.getvalue()
+
+
+def _revalidate(tmp_path, payload) -> tuple[int, list[str]]:
+    """Exit code and failure lines of ``--revalidate`` on ``payload``."""
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(payload))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(["--revalidate", str(path)])
+    return code, [line.removeprefix("colline: revalidation failed: ")
+                  for line in err.getvalue().splitlines()]
+
+
+def _edited(path, old, new):
+    report = json.loads(_identity_report())
+    node = functools.reduce(lambda node, key: node[key], path[:-1], report)
+    assert node[path[-1]] == old
+    node[path[-1]] = new
+    return report
+
+
+def _decode_records(report):
+    return ([OUTCOME.decode(o) for o in report["outcomes"]],
+            [CERTIFICATE.decode(c) for c in report["certificates"]],
+            report["classification"] and CLASSIFICATION.decode(report["classification"]))
+
+
+@pytest.fixture
+def text_calls(monkeypatch):
+    """The arguments of every ``parse_vector`` and ``format_vector`` call the codec makes."""
+    calls = {"parse_vector": [], "format_vector": []}
+    for name, log in calls.items():
+        convert = getattr(serialize, name)
+        monkeypatch.setattr(serialize, name,
+                            lambda x, convert=convert, log=log: log.append(x) or convert(x))
+    return calls
+
+
+class TestVectorTableBudget:
+    """Text conversions of one report; a change that drops the table fails here,
+    not as a benchmark drift."""
+
+    def test_writing_formats_each_distinct_vector_once(self, text_calls):
+        _identity_report.cache_clear()
+        report = json.loads(_identity_report())
+        assert len(text_calls["format_vector"]) == 17
+        assert len(set(text_calls["format_vector"])) == 17
+        assert text_calls["parse_vector"] == []
+        text_calls["format_vector"].clear()
+        _decode_records(report)  # outside a table every text is parsed
+        assert len(text_calls["parse_vector"]) == 357
+        assert len(set(text_calls["parse_vector"])) == 17
+
+    def test_revalidating_parses_each_distinct_text_once(self, tmp_path, text_calls):
+        assert _revalidate(tmp_path, json.loads(_identity_report())) == (0, [])
+        assert len(text_calls["parse_vector"]) == 17
+        assert len(set(text_calls["parse_vector"])) == 17
+        assert text_calls["format_vector"] == []
+
+    def test_no_table_outlives_its_report(self, tmp_path):
+        _identity_report.cache_clear()
+        _identity_report()
+        assert serialize._TABLE.get() is None
+        _revalidate(tmp_path, json.loads(_identity_report()))
+        assert serialize._TABLE.get() is None
+
+
+# one stored text moved at each kind of position, and the failures --revalidate
+# gives for it (the same before the table was added); the other 63 "(0, 0)" stay
+CERT0 = ("certificates", 0)
+TAMPERED = {
+    "line-origin": (CERT0 + ("lines", 0, "origin"), "(1, 0)", [
+        "certificate additivity-case1: L0: anchor (1, 0) off the line",
+        "certificate additivity-case1: L0: anchor (0, 0) off the line",
+        "certificate additivity-case1: L0 does not contain (0, 0)",
+        "certificate additivity-case1: L0 does not contain (1, 0)",
+    ]),
+    "anchors": (CERT0 + ("lines", 0, "anchors", 1), "(0, 0)", [
+        "certificate additivity-case1: L0: anchor (0, 1) off the line",
+    ]),
+    "anchor-images": (CERT0 + ("lines", 0, "anchor_images", 1), "(0, 0)", [
+        "certificate additivity-case1: L0: anchor image (0, 1) off the image line",
+    ]),
+    "intersection-point": (CERT0 + ("intersections", 0, "point"), "(0, 0)", [
+        "certificate additivity-case1: L0 does not contain (0, 1)",
+    ]),
+    "intersection-image-point": (CERT0 + ("intersections", 0, "image_point"), "(0, 0)", [
+        "certificate additivity-case1: image of L0 does not contain (0, 1)",
+    ]),
+    "points-input": (CERT0 + ("points", 3, "input"), "(0, 0)", [
+        "certificate additivity-case1: stored evaluation of 0 is stale",
+    ]),
+    "points-image": (CERT0 + ("points", 3, "image"), "(0, 0)", [
+        "certificate additivity-case1: stored evaluation of 0 is stale",
+    ]),
+    "equation-lhs": (CERT0 + ("equations", 0, "lhs", "value"), "(0, 0)", [
+        "certificate additivity-case1: equation fails: f(0) = 0",
+    ]),
+    "equation-rhs": (("certificates", 1, "equations", 0, "rhs", "value"), "(0, 0)", [
+        "certificate additivity-case2: equation fails: f(0) = 0",
+    ]),
+}
+POINT = TAMPERED["intersection-point"]
+
+
+class TestVectorTableIsolation:
+    @pytest.mark.parametrize("path, old, failures", TAMPERED.values(), ids=TAMPERED.keys())
+    def test_one_moved_text_fails_where_it_was_moved(self, tmp_path, path, old, failures):
+        assert _revalidate(tmp_path, _edited(path, old, "(0, 1)")) == (2, failures)
+
+    @pytest.mark.parametrize("value", [[0, 0], 0, True], ids=["list", "number", "bool"])
+    def test_a_stored_value_other_than_text_is_malformed(self, tmp_path, value):
+        kind = type(value).__name__
+        assert _revalidate(tmp_path, _edited(*POINT[:2], value)) == (2, [
+            f"stored data is malformed (AttributeError: '{kind}' object has no attribute"
+            " 'strip')"])
+
+    def test_a_list_names_only_the_edited_report(self, tmp_path):
+        good, moved = json.loads(_identity_report()), _edited(*POINT[:2], "(0, 1)")
+        assert _revalidate(tmp_path, [good, moved]) == (2, POINT[2])
+        assert _revalidate(tmp_path, [moved, good]) == (2, POINT[2])
+
+    def test_a_good_report_then_a_moved_one_in_one_process(self, tmp_path):
+        assert _revalidate(tmp_path, json.loads(_identity_report())) == (0, [])
+        assert _revalidate(tmp_path, _edited(*POINT[:2], "(0, 1)")) == (2, POINT[2])
+
+
+def _written(argv, handle):
+    """The report ``_report_for_map`` writes, less its wall time, or its error."""
+    args = cli._build_parser().parse_args(argv)
+    cfg = ProbeConfig(seed=args.seed, count=args.probes)
+    try:
+        report = cli._report_for_map(handle, args, cfg)
+    except (CollineError, cli._InternalInvariantError) as exc:
+        return type(exc), str(exc)
+    del report["wall_time_ms"]
+    return json_text(report)
+
+
+def _dsl_maps(m):
+    return st.lists(_expr_strategy(m), min_size=1, max_size=3).map(
+        lambda outputs: make_dsl(parse_map(render_map(MapSpec("r", m, len(outputs),
+                                                              tuple(outputs))))))
+
+
+class TestVectorTableRoundTrip:
+    # random maps rarely hold a certificate, so the demo maps are drawn too
+    @settings(max_examples=100, deadline=None)
+    @given(handle=st.one_of(st.integers(1, 3).flatmap(_dsl_maps), st.sampled_from(DEMO_MAPS)),
+           argv=st.sampled_from([["classify", "--no-symbolic"], ["certify", "additivity"],
+                                 ["certify", "homogeneity"]]),
+           seed=st.integers(0, 2**16))
+    def test_the_table_reads_and_writes_what_the_codec_does_alone(self, handle, argv, seed):
+        argv = argv + ["--probes", "4", "--seed", str(seed)]
+        with one_report():
+            written = _written(argv, handle)
+        assert written == _written(argv, handle)
+        if isinstance(written, str):
+            report = json.loads(written)
+            with one_report():
+                decoded = _decode_records(report)
+            assert decoded == _decode_records(report)
