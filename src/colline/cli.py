@@ -2,8 +2,7 @@
 checks, emit JSON reports and certificates, revalidate stored reports.
 
 Exit codes: 0 = a verdict was produced (any verdict), 1 = usage or parse
-error, 2 = internal invariant violation (a produced certificate failed its
-own re-validation, or a stored report no longer re-checks).
+error, 2 = ``--revalidate`` found a stored fact that no longer re-checks.
 
 Reports are deterministic for fixed argv and inputs except for the
 ``wall_time_ms`` field.
@@ -69,8 +68,8 @@ _CERT_KINDS = ("homogeneity", "additivity")
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """argparse with usage errors on exit code 1; exit code 2 means an
-    internal invariant violation here. Subparsers inherit the class."""
+    """argparse with usage errors on exit code 1; exit code 2 is kept for a
+    stored report that no longer re-checks. Subparsers inherit the class."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -224,7 +223,7 @@ def _report_for_map(handle: MapHandle, args, cfg: ProbeConfig) -> dict:
         extra["samples"] = sequence(pair(VECTOR, VECTOR)).encode((x, handle(x)) for x in xs)
 
     wall_ms = (time.perf_counter() - start) * 1000.0
-    report = {
+    return {
         "tool": "colline",
         "version": __version__,
         "map": {
@@ -240,22 +239,6 @@ def _report_for_map(handle: MapHandle, args, cfg: ProbeConfig) -> dict:
         **extra,
         "wall_time_ms": round(wall_ms, 3),
     }
-
-    # paranoia gate: a certificate that does not re-validate is a bug, never a verdict
-    scope_map = handle
-    if classification is not None and classification.certificate_scope == "reduced":
-        scope_map = shift_reduce(handle, classification.affine_base)
-    for cert in certificates:
-        failures = cert.validate(scope_map)
-        if failures:
-            raise _InternalInvariantError(
-                f"certificate {cert.kind} failed self-validation: {failures[0]}"
-            )
-    return report
-
-
-class _InternalInvariantError(Exception):
-    pass
 
 
 def _render_text(report: dict) -> str:
@@ -321,15 +304,13 @@ def _recheck_report(report: dict) -> list[str]:
     outcomes = [OUTCOME.decode(o) for o in report.get("outcomes", [])]
     cls = report.get("classification")  # a report with none makes no verdict claim
     stored = CLASSIFICATION.decode(cls) if cls else Classification("inconclusive")
-    witness = stored.witness  # a certificate that failed to build has no outcome row
-    cert_fail = witness if witness and witness.check == "certificate" else None
     if stored.verdict in ("exact_linear", "exact_affine"):  # from the map's structure
         if handle.affine_form() != (stored.matrix, stored.offset) or (
                 stored.verdict == "exact_linear" and not stored.offset.is_zero()):
             failures.append(f"classification {stored.verdict} does not match the"
                             " affine form of the rebuilt map")
     elif cls:  # an empirical verdict and its reasons are re-derived from its outcomes
-        decided = decide(outcomes, cert_fail, REASON_NOT_INDEPENDENT not in stored.reasons)
+        decided = decide(outcomes, REASON_NOT_INDEPENDENT not in stored.reasons)
         if all(o.check != "zero-fixed" for o in outcomes):  # stopped by an evaluation error:
             decided["reasons"] = stored.reasons[:1]  # its one reason is a stated fact
         if any(getattr(stored, key) != value for key, value in decided.items()):
@@ -346,12 +327,6 @@ def _recheck_report(report: dict) -> list[str]:
             continue
         if not revalidate_witness(target, outcome.witness):
             failures.append(f"witness for {outcome.check} no longer violates")
-    if cert_fail is not None:  # decide matched any other witness to a failed outcome's
-        target = reduced if stored.witness_scope == "reduced" else handle
-        if target is None:
-            failures.append("classification witness: no reduced map recorded")
-        elif not revalidate_witness(target, cert_fail):
-            failures.append("classification witness no longer violates")
     cert_target = reduced if stored.certificate_scope == "reduced" else handle
     if stored.phi is not None:  # read off the map its certificates are for
         failures.extend(f"phi table: {failure}" for failure in stored.phi.validate(cert_target))
@@ -411,9 +386,6 @@ def run(argv: Optional[list[str]] = None) -> int:
         for handle in handles:
             with one_report():
                 reports.append(_report_for_map(handle, args, cfg))
-    except _InternalInvariantError as exc:
-        print(f"colline: internal invariant violation: {exc}", file=sys.stderr)
-        return 2
     except (CollineError, OSError, ValueError) as exc:
         print(f"colline: {exc}", file=sys.stderr)
         return 1

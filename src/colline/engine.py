@@ -845,8 +845,9 @@ _MOVED_ORIGIN_ORDER = (
     "line-image", "line-injectivity", "parallelism-preservation", "ratio-preservation",
     "betweenness-cor43",
 )
-_FAIL_REASONS = {
+_FAIL_REASONS = {  # templates of the reason; a certificate's names its failing fact
     "phi-consistency": "the scale factor depends on the anchor",
+    "certificate": "additivity certificate construction failed: {equation}",
     "affine-reconstruction": "the map disagrees with its own shift reduction plus g(0)",
 }
 # the one reason that states a fact no outcome holds, so --revalidate reads it back
@@ -854,38 +855,37 @@ REASON_NOT_INDEPENDENT = ("independence hypothesis also unsatisfied: no probe pa
                           " linearly independent images")
 
 
-def decide(outcomes, cert_fail: Optional[Witness] = None, independent: bool = True) -> dict:
+def decide(outcomes, independent: bool = True) -> dict:
     """The verdict, witness, offset, scopes and reasons that the outcomes of
     one classifier run support, as keywords of ``Classification``; it evaluates
-    no map. Two facts are not outcomes: ``cert_fail``, the witness of an
-    additivity certificate that failed to build, and ``independent``, whether a
-    pair with independent images was found, which only adds a reason. A map
-    that moves the origin is decided again from its ``reduced:`` rows."""
+    no map. One fact is not an outcome: ``independent``, whether a pair with
+    independent images was found, which only adds a reason. A ``certificate``
+    row, read after ``phi-consistency``, is an additivity certificate that
+    failed to build. A map that moves the origin is decided again from its
+    ``reduced:`` rows."""
     def out(verdict, *reasons, **kw):
         return {"verdict": verdict, "witness": None, "offset": None, "witness_scope": "primary",
                 "certificate_scope": "primary", "reasons": reasons, **kw}
 
-    def first_failure(order, last):  # every row of order ran; last ran if it was reached
-        rows = [by_name[name] for name in (*order, last) if name != last or last in by_name]
+    def first_failure(order, *reached):  # every row of order ran; the others if reached
+        rows = [by_name[name] for name in order] + [by_name[n] for n in reached if n in by_name]
         return next((o for o in rows if not o.passed), None)
 
     by_name = {o.check: o for o in outcomes}
     if "zero-fixed" not in by_name:  # an evaluation error stopped the run
         return out(VERDICT_INCONCLUSIVE)
     if by_name["zero-fixed"].passed:
-        failed = first_failure(_FIXED_ORIGIN_ORDER, "phi-consistency")
+        failed = first_failure(_FIXED_ORIGIN_ORDER, "phi-consistency", "certificate")
         if failed is not None:
             return out(VERDICT_NON_LINEAR,
-                       _FAIL_REASONS.get(failed.check, f"origin is fixed but {failed.check} fails"),
+                       _FAIL_REASONS.get(failed.check, f"origin is fixed but {failed.check} fails")
+                       .format(equation=failed.witness.equation),
                        *() if independent else (REASON_NOT_INDEPENDENT,),
                        witness=failed.witness)
         if "phi-consistency" not in by_name:
             return out(VERDICT_INCONCLUSIVE, "no probe pair with linearly independent images;"
                        " the image looks at most one-dimensional, where sampling cannot"
                        " separate linear from merely line-preserving")
-        if cert_fail is not None:
-            return out(VERDICT_NON_LINEAR, "additivity certificate construction failed:"
-                       f" {cert_fail.equation}", witness=cert_fail)
         return out(VERDICT_EMP_LINEAR)
     failed = first_failure(_MOVED_ORIGIN_ORDER, "affine-reconstruction")
     if failed is not None:
@@ -896,7 +896,7 @@ def decide(outcomes, cert_fail: Optional[Witness] = None, independent: bool = Tr
         return out(VERDICT_INCONCLUSIVE, "origin not fixed and no shift witnesses with"
                    " independent difference images were found")
     sub = decide([dataclasses.replace(o, check=o.check[len("reduced:"):]) for o in outcomes
-                  if o.check.startswith("reduced:")], cert_fail, independent)
+                  if o.check.startswith("reduced:")], independent)
     if sub["verdict"] == VERDICT_EMP_LINEAR:
         return out(VERDICT_EMP_AFFINE, offset=dict(by_name["zero-fixed"].witness.values)["f(0)"],
                    certificate_scope="reduced")
@@ -923,7 +923,7 @@ def _run_stages(h: MapHandle, cfg: ProbeConfig,
     outcomes = [check_zero_fixed(h), *(geometric or _geometric_outcomes(h, cfg)),
                 check_betweenness(h, cfg, "prop44"), check_additivity(h, cfg),
                 check_homogeneity(h, cfg)]
-    found = {"outcomes": outcomes, "cert_fail": None, "independent": True}
+    found = {"outcomes": outcomes, "independent": True}
     if outcomes[0].passed:
         ind = find_independence_witness(h, cfg)
         found["independent"] = ind is not None
@@ -933,14 +933,16 @@ def _run_stages(h: MapHandle, cfg: ProbeConfig,
         outcomes.append(phi_outcome)
         if phi is None:
             return found
-        certificates = []
-        for pair in _certificate_pairs(ind, cfg, h.m):
+        certificates, skipped = [], 0
+        for a, b in _certificate_pairs(ind, cfg, h.m):
             try:
-                certificates.append(additivity_certificate(h, pair[0], pair[1], ind))
-            except ViolationError as exc:
-                return {**found, "cert_fail": exc.witness}
+                certificates.append(additivity_certificate(h, a, b, ind))
+            except ViolationError as exc:  # the one certificate row: a failed build
+                outcomes.append(CheckOutcome("certificate", False, len(certificates) + 1,
+                                             exc.witness, skipped))
+                return found
             except PreconditionError:
-                continue
+                skipped += 1
         return {**found, "certificates": tuple(certificates), "phi": phi}
     if not all(o.passed for o in outcomes[1:6]):  # the _MOVED_ORIGIN_ORDER rows
         return found
@@ -980,5 +982,5 @@ def classify_map(h: MapHandle, cfg: ProbeConfig, use_symbolic: bool = True) -> C
     except MapEvalError as exc:  # raised outside the probe checks, e.g. by a search
         return Classification(VERDICT_INCONCLUSIVE, reasons=(f"map evaluation failed: {exc}",))
     outcomes = tuple(found.pop("outcomes"))
-    decided = decide(outcomes, found.pop("cert_fail"), found.pop("independent"))
+    decided = decide(outcomes, found.pop("independent"))
     return Classification(outcomes=outcomes, **decided, **found)

@@ -12,12 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colline import cli
+from colline import cli, engine
 from colline.cli import run
 from colline.dsl import MapSpec, parse_map, parse_map_file, render_map
-from colline.engine import REASON_NOT_INDEPENDENT, classify_map, decide
+from colline.engine import REASON_NOT_INDEPENDENT, Certificate, classify_map, decide
 from colline.predicates import ProbeConfig, find_independence_witness, revalidate_witness
-from colline.serialize import OUTCOME
+from colline.serialize import CLASSIFICATION, OUTCOME
 from colline.zoo import make_dsl
 from test_dsl import _expr_strategy
 
@@ -200,6 +200,19 @@ class TestFailureModes:
         assert run([arg.format(**paths) for arg in argv]) == 1
         assert capsys.readouterr().err.startswith("colline: ")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["certify", "homogeneity", DEMO_IDENTITY, "--r", "0"],
+         "homogeneity certificate needs r != 0"),
+        (["certify", "homogeneity", DEMO_IDENTITY, "--a", "(1, 0)", "--b", "(2, 0)"],
+         "homogeneity certificate needs independent images"),
+        (["check", "phi-consistency", os.path.join(DEMOS, "psi.map"), "--probes", "1"],
+         "phi_consistency needs a pair with linearly independent images; run"
+         " find_independence_witness first"),
+    ], ids=["certify-r-zero", "certify-dependent-images", "phi-no-independent-pair"])
+    def test_unmet_precondition_exits_1(self, argv, message, capsys):
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"colline: {message}\n"
+
     @pytest.mark.parametrize("body", [
         "(" * 3000 + "x0" + ")" * 3000, "-" * 3000 + "x0", " + ".join(["x0"] * 5000),
     ], ids=["parentheses", "signs", "long-sum"])
@@ -212,7 +225,7 @@ class TestFailureModes:
 
 class TestUsageErrors:
     """argparse rejections exit 1 like every other usage error; 2 stays
-    reserved for internal invariant violations."""
+    reserved for a stored report that no longer re-checks."""
 
     @pytest.mark.parametrize("argv, message", [
         (["check", "nosuch", DEMO_IDENTITY],
@@ -715,12 +728,11 @@ class TestVerdictFollowsFromOutcomes:
         text = render_map(MapSpec("r", 2, len(outputs), tuple(outputs)))
         h, cfg = make_dsl(parse_map(text)), ProbeConfig(seed=seed, count=30)
         cls = classify_map(h, cfg, use_symbolic=False)
-        certificate = cls.witness is not None and cls.witness.check == "certificate"
         independent = REASON_NOT_INDEPENDENT not in cls.reasons
         if cls.verdict == "non_linear" and cls.witness_scope == "primary" and (
                 cls.outcomes[0].passed):  # the reason then states h's own search
             assert independent == (find_independence_witness(h, cfg) is not None)
-        decided = decide(cls.outcomes, cls.witness if certificate else None, independent)
+        decided = decide(cls.outcomes, independent)
         if not cls.outcomes:  # an evaluation error stopped the run and gave its one reason
             assert len(cls.reasons) == 1
             decided["reasons"] = cls.reasons
@@ -751,20 +763,96 @@ class TestVerdictFollowsFromOutcomes:
         assert (cls["verdict"], cls["witness"]["check"]) == ("non_linear", check)
         assert run(["--revalidate", str(dest)]) == 0
 
-    def test_a_certificate_witness_is_re_checked_on_its_own(self, tmp_path, capsys):
+    @pytest.mark.parametrize("y1, check, reasons", [
+        ("x1", "certificate", ()),
+        ("x1 + 1", "reduced:certificate", ("the shift-reduced map is not linear",)),
+    ], ids=["primary", "reduced"])
+    def test_a_failed_certificate_build_is_the_last_outcome(self, tmp_path, capsys, y1, check,
+                                                            reasons):
+        path, dest = tmp_path / "spot.map", tmp_path / "spot.json"
+        path.write_text(SPOT.format(a=2, v=5).replace("y1 = x1 }", f"y1 = {y1} }}"))
+        assert run(["classify", str(path), "--no-symbolic", "--probes", "60",
+                    "--out", str(dest)]) == 0
+        report = json.loads(dest.read_text())
+        row, cls = OUTCOME.decode(report["outcomes"][-1]), report["classification"]
+        assert (row.check, row.passed, row.probes) == (check, False, 2)
+        assert CLASSIFICATION.decode(cls).witness == row.witness
+        assert (cls["witness_scope"], tuple(cls["reasons"])) == (
+            "reduced" if reasons else "primary",
+            (*reasons, "additivity certificate construction failed: images of L4 and L5"
+                       " are not parallel"))
+        assert run(["--revalidate", str(dest)]) == 0
+
+    @pytest.mark.parametrize("edited, failure", [
+        (("outcomes", "classification"), "witness for certificate no longer violates"),
+        (("classification",), "classification non_linear does not follow from its outcomes"),
+    ], ids=["row-and-classification", "classification-only"])
+    def test_a_certificate_row_is_re_checked_as_an_outcome(self, tmp_path, capsys, edited,
+                                                           failure):
         path, dest = tmp_path / "spot.map", tmp_path / "spot.json"
         path.write_text(SPOT.format(a=2, v=5))
         assert run(["classify", str(path), "--no-symbolic", "--probes", "60",
                     "--out", str(dest)]) == 0
         report = json.loads(dest.read_text())
-        inputs = report["classification"]["witness"]["inputs"]
-        assert (inputs["a"]["value"], inputs["b"]["value"]) == ("(1, 0)", "(2, 0)")
-        inputs["b"]["value"] = "(0, 1)"  # a pair whose certificate holds
+        witnesses = {"outcomes": report["outcomes"][-1]["witness"],
+                     "classification": report["classification"]["witness"]}
+        for key in edited:
+            inputs = witnesses[key]["inputs"]
+            assert (inputs["a"]["value"], inputs["b"]["value"]) == ("(1, 0)", "(2, 0)")
+            inputs["b"]["value"] = "(0, 1)"  # a pair whose certificate holds
         dest.write_text(json.dumps(report))
         capsys.readouterr()
         assert run(["--revalidate", str(dest)]) == 2
-        assert capsys.readouterr().err == (
-            "colline: revalidation failed: classification witness no longer violates\n")
+        assert capsys.readouterr().err == f"colline: revalidation failed: {failure}\n"
+
+
+class TestCertificatesRecheck:
+    """A certificate is validated once as it is built and once by --revalidate;
+    no second check runs before the report is written."""
+
+    @pytest.mark.parametrize("argv", [
+        *(pytest.param(["classify", "--no-symbolic", source, "--seed", seed], id=f"{name}-{seed}")
+          for name, source in (("identity", DEMO_IDENTITY), ("translate", DEMO_TRANSLATE),
+                               ("shear", f"--builtin=linear:{SHEAR}"))
+          for seed in "012"),
+        pytest.param(["certify", "additivity", DEMO_IDENTITY], id="certify-additivity"),
+        pytest.param(["certify", "homogeneity", DEMO_IDENTITY], id="certify-homogeneity"),
+    ])
+    def test_fresh_certificates_revalidate(self, argv, tmp_path, capsys):
+        dest = tmp_path / "r.json"
+        assert run(argv + ["--probes", "40", "--out", str(dest)]) == 0
+        report = json.loads(dest.read_text())
+        assert report["certificates"]
+        if DEMO_TRANSLATE in argv:
+            assert report["classification"]["certificate_scope"] == "reduced"
+        assert run(["--revalidate", str(dest)]) == 0, capsys.readouterr().err
+
+    def test_a_certificate_for_the_wrong_map_exits_2_at_revalidate(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        # translate's certificates are for its shift reduction, not for translate
+        decided = engine.decide
+        monkeypatch.setattr(engine, "decide",
+                            lambda *args: {**decided(*args), "certificate_scope": "primary"})
+        dest = tmp_path / "r.json"
+        assert run(["classify", "--no-symbolic", DEMO_TRANSLATE, "--probes", "40",
+                    "--out", str(dest)]) == 0
+        capsys.readouterr()
+        assert run(["--revalidate", str(dest)]) == 2
+        assert ("colline: revalidation failed: certificate additivity-case1: stored evaluation"
+                " of a is stale") in capsys.readouterr().err.splitlines()
+
+    def test_each_certificate_is_validated_once_per_direction(self, tmp_path, capsys,
+                                                              monkeypatch):
+        calls, validate = [], Certificate.validate
+        monkeypatch.setattr(Certificate, "validate",
+                            lambda cert, f: calls.append(cert.kind) or validate(cert, f))
+        dest = tmp_path / "r.json"
+        assert run(["classify", "--no-symbolic", DEMO_IDENTITY, "--probes", "20",
+                    "--out", str(dest)]) == 0
+        written = len(calls)
+        assert run(["--revalidate", str(dest)]) == 0
+        certificates = len(json.loads(dest.read_text())["certificates"])
+        assert (certificates, written, len(calls) - written) == (5, 5, 5)
 
 
 @functools.lru_cache(maxsize=None)

@@ -777,47 +777,50 @@ def _outcomes(*failed, ran=(), prefix=""):
 class TestDecide:
     """The decision table on hand-made outcomes: decide evaluates no map."""
     MOVED = _outcomes("zero-fixed", "additivity", "homogeneity", ran=("affine-reconstruction",))
-    CERT = Witness("certificate", "images collapse", (), ())
+    CERT = CheckOutcome("certificate", False, 2,
+                        Witness("certificate", "images collapse", (), ()))
 
-    @pytest.mark.parametrize("outcomes, cert_fail, independent, want", [
-        ([], None, True, ("inconclusive", None, "primary", ())),
-        (_outcomes(), None, True, ("inconclusive", None, "primary", (
+    @pytest.mark.parametrize("outcomes, independent, want", [
+        ([], True, ("inconclusive", None, "primary", ())),
+        (_outcomes(), True, ("inconclusive", None, "primary", (
             "no probe pair with linearly independent images; the image looks at most"
             " one-dimensional, where sampling cannot separate linear from merely"
             " line-preserving",))),
-        (_outcomes(ran=("phi-consistency",)), None, True,
+        (_outcomes(ran=("phi-consistency",)), True,
          ("empirically_linear", None, "primary", ())),
-        (_outcomes("line-image", "additivity"), None, False,
+        (_outcomes("line-image", "additivity"), False,
          ("non_linear", "additivity", "primary", ("origin is fixed but additivity fails",
                                                   "independence hypothesis also unsatisfied: no"
                                                   " probe pair has linearly independent images"))),
-        (_outcomes("phi-consistency", ran=("phi-consistency",)), None, True,
+        (_outcomes("phi-consistency", ran=("phi-consistency",)), True,
          ("non_linear", "phi-consistency", "primary", ("the scale factor depends on the anchor",))),
-        (_outcomes(ran=("phi-consistency",)), CERT, True, ("non_linear", "certificate", "primary", (
-            "additivity certificate construction failed: images collapse",))),
-        (_outcomes("zero-fixed", "additivity"), None, True, ("inconclusive", None, "primary", (
+        (_outcomes(ran=("phi-consistency",)) + [CERT], True,
+         ("non_linear", "certificate", "primary", (
+             "additivity certificate construction failed: images collapse",))),
+        (_outcomes("zero-fixed", "additivity"), True, ("inconclusive", None, "primary", (
             "origin not fixed and no shift witnesses with independent difference images"
             " were found",))),
-        (_outcomes("zero-fixed", "ratio-preservation", "additivity"), None, True,
+        (_outcomes("zero-fixed", "ratio-preservation", "additivity"), True,
          ("non_linear", "ratio-preservation", "primary", ("ratio-preservation fails, which every"
                                                           " affine (hence every linear) map"
                                                           " satisfies",))),
-        (MOVED + _outcomes("homogeneity", prefix="reduced:"), None, False,
+        (MOVED + _outcomes("homogeneity", prefix="reduced:"), False,
          ("non_linear", "homogeneity", "reduced", (
              "the shift-reduced map is not linear", "origin is fixed but homogeneity fails",
              "independence hypothesis also unsatisfied: no probe pair has linearly"
              " independent images"))),
-        (MOVED + _outcomes(prefix="reduced:"), None, True, ("inconclusive", None, "primary", (
+        (MOVED + _outcomes(prefix="reduced:"), True, ("inconclusive", None, "primary", (
             "shift-reduced map stayed inconclusive", "no probe pair with linearly independent"
             " images; the image looks at most one-dimensional, where sampling cannot separate"
             " linear from merely line-preserving"))),
-        (MOVED + _outcomes(prefix="reduced:", ran=("phi-consistency",)), CERT, True,
+        (MOVED + _outcomes(prefix="reduced:", ran=("phi-consistency",))
+         + [dataclasses.replace(CERT, check="reduced:certificate")], True,
          ("non_linear", "certificate", "reduced", ("the shift-reduced map is not linear",
                                                    "additivity certificate construction"
                                                    " failed: images collapse"))),
     ])
-    def test_table(self, outcomes, cert_fail, independent, want):
-        got = decide(outcomes, cert_fail, independent)
+    def test_table(self, outcomes, independent, want):
+        got = decide(outcomes, independent)
         witness = got["witness"] and got["witness"].check
         assert (got["verdict"], witness, got["witness_scope"], got["reasons"]) == want
         assert (got["offset"], got["certificate_scope"]) == (None, "primary")

@@ -359,7 +359,7 @@ def _written(argv, handle):
     cfg = ProbeConfig(seed=args.seed, count=args.probes)
     try:
         report = cli._report_for_map(handle, args, cfg)
-    except (CollineError, cli._InternalInvariantError) as exc:
+    except CollineError as exc:
         return type(exc), str(exc)
     del report["wall_time_ms"]
     return json_text(report)
