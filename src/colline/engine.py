@@ -3,9 +3,11 @@ line-constellation certificates, affine reduction, scalar dichotomy, and the
 top-level map classification pipeline.
 
 A certificate is a named set of lines with their image lines plus exact
-intersection/parallelism facts; re-validating those stored facts (and the
-conclusion equation) witnesses one additivity or homogeneity instance
-without re-running the construction.
+intersection/parallelism facts, and one table of the evaluations they use;
+re-validating those stored facts (and the conclusion equation) witnesses one
+additivity or homogeneity instance without re-running the construction. Each
+image a fact needs is read from that table, the one place it is stored, and
+each entry of the table is re-run on the map.
 """
 
 from __future__ import annotations
@@ -103,27 +105,22 @@ def _violation_phi_extract(f: MapHandle, inp: dict):
 
 @dataclass(frozen=True)
 class PhiTable:
-    """Finite table r → φ(r) with the anchor vector witnessing each entry."""
+    """Finite table r → φ(r), every entry witnessed by the one anchor vector."""
 
     entries: tuple[tuple[Fraction, Fraction], ...]
-    anchors: tuple[tuple[Fraction, Vector], ...]
+    anchor: Vector
 
     def is_identity(self) -> bool:
         return all(val == key for key, val in self.entries)
 
     def validate(self, f: MapHandle) -> list[str]:
         failures = []
-        anchor_of = dict(self.anchors)
         for r, phi in self.entries:
-            a = anchor_of.get(r)
-            if a is None:
-                failures.append(f"no anchor recorded for r = {format_scalar(r)}")
-                continue
             try:
-                holds = extract_phi(f, a, r) == phi
+                holds = extract_phi(f, self.anchor, r) == phi
             except PreconditionError:
-                failures.append(f"anchor for r = {format_scalar(r)} has f(a) = 0")
-                continue
+                failures.append(f"anchor {self.anchor} has f(a) = 0")
+                break
             except ViolationError:
                 holds = False
             if not holds:
@@ -196,8 +193,7 @@ def phi_consistency(
     outcome = run_check(row, f, cfg, stream)
     if not outcome.passed:
         return outcome, None
-    return outcome, PhiTable(tuple((r, extract_phi(f, a0, r)) for r in rs),
-                             tuple((r, a0) for r in rs))
+    return outcome, PhiTable(tuple((r, extract_phi(f, a0, r)) for r in rs), a0)
 
 
 # -- certificates ------------------------------------------------------------------
@@ -209,20 +205,17 @@ class CertLine:
     line: Line
     image: Optional[Line]
     anchors: tuple[Vector, ...]
-    anchor_images: tuple[Vector, ...]
 
 
 @dataclass(frozen=True)
 class PointFact:
     lines: tuple[str, ...]
     point: Vector
-    image_point: Vector
 
 
 @dataclass(frozen=True)
 class ParallelFact:
     lines: tuple[str, ...]
-    equal: bool = False
 
 
 @dataclass(frozen=True)
@@ -241,22 +234,30 @@ class Certificate:
     points: tuple[tuple[str, Vector, Vector], ...]  # (label, input, image)
     equations: tuple[Equation, ...]
     conclusion: str
-    holds: bool
     note: str = ""
 
     def validate(self, f: MapHandle) -> list[str]:
         """Re-check every stored fact and re-run every stored evaluation on f;
-        an empty list means the certificate holds."""
-        failures: list[str] = []
+        an empty list means the certificate holds. Each anchor's and each
+        intersection point's image is read from ``points``, its one store: a
+        point with no entry there fails, and is still checked on its lines."""
         by_name = {cl.name: cl for cl in self.lines}
+        image_of = {inp: img for _, inp, img in self.points}
+        used = [a for cl in self.lines for a in cl.anchors] + [x.point for x in self.intersections]
+        failures = [f"no stored evaluation of {p}" for p in dict.fromkeys(used)
+                    if p not in image_of]
         for cl in self.lines:
-            for anchor, img in zip(cl.anchors, cl.anchor_images):
+            if len(set(cl.anchors)) != len(cl.anchors):
+                failures.append(f"{cl.name}: an anchor is repeated")
+            for anchor in cl.anchors:
                 if not cl.line.contains(anchor):
                     failures.append(f"{cl.name}: anchor {anchor} off the line")
-                if cl.image is not None and not cl.image.contains(img):
+                img = image_of.get(anchor)
+                if cl.image is not None and img is not None and not cl.image.contains(img):
                     failures.append(f"{cl.name}: anchor image {img} off the image line")
         for fact in self.intersections:
             names = fact.lines
+            img = image_of.get(fact.point)
             for name in names:
                 cl = by_name.get(name)
                 if cl is None:
@@ -264,10 +265,8 @@ class Certificate:
                     continue
                 if not cl.line.contains(fact.point):
                     failures.append(f"{name} does not contain {fact.point}")
-                if cl.image is not None and not cl.image.contains(fact.image_point):
-                    failures.append(
-                        f"image of {name} does not contain {fact.image_point}"
-                    )
+                if cl.image is not None and img is not None and not cl.image.contains(img):
+                    failures.append(f"image of {name} does not contain {img}")
             # distinct domain lines sharing the point pin the intersection to
             # exactly that point; image lines may legitimately coincide (maps
             # with dependent images send several lines into one).
@@ -275,12 +274,12 @@ class Certificate:
                 c1, c2 = by_name.get(n1), by_name.get(n2)
                 if c1 is not None and c2 is not None and c1.line == c2.line:
                     failures.append(f"{n1} and {n2} are the same line")
-        for fact in self.parallels:
+        for fact in self.parallels:  # a one-line group states only that its line exists
+            if not by_name.keys() >= set(fact.lines):
+                failures.append("unknown line in parallel fact")
+                continue
             for n1, n2 in itertools.combinations(fact.lines, 2):
-                c1, c2 = by_name.get(n1), by_name.get(n2)
-                if c1 is None or c2 is None:
-                    failures.append("unknown line in parallel fact")
-                    continue
+                c1, c2 = by_name[n1], by_name[n2]
                 if not lines_parallel(c1.line, c2.line):
                     failures.append(f"{n1} and {n2} are not parallel")
                 if c1.image is not None and c2.image is not None:
@@ -292,8 +291,6 @@ class Certificate:
         for label, inp, img in self.points:
             if not same_point(f.at(*f.row(inp)), (img.nums, img.den)):
                 failures.append(f"stored evaluation of {label} is stale")
-        if not self.holds:
-            failures.append("certificate is marked as not holding")
         return failures
 
 
@@ -349,8 +346,7 @@ class _CertBuilder:
                                 f"map sends {self.label(pt)} off the image line of {cl.name}"
                             )
                 self._lines[i] = dataclasses.replace(
-                    cl, anchors=cl.anchors + (p, q), anchor_images=cl.anchor_images + (fp, fq)
-                )
+                    cl, anchors=tuple(dict.fromkeys(cl.anchors + (p, q))))
                 return cl.name
         image = None
         if with_image:
@@ -361,7 +357,7 @@ class _CertBuilder:
                 )
             image = line_through(fp, fq)
         name = f"L{len(self._lines)}"
-        self._lines.append(CertLine(name, line, image, (p, q), (fp, fq)))
+        self._lines.append(CertLine(name, line, image, (p, q)))
         return name
 
     def point_fact(self, names: list[str], point: Vector) -> None:
@@ -401,13 +397,13 @@ class _CertBuilder:
         facts = []
         for root in sorted(groups, key=order.index):
             members = sorted(groups[root], key=order.index)
-            facts.append(ParallelFact(tuple(members), equal=len(members) == 1))
+            facts.append(ParallelFact(tuple(members)))
         return facts
 
     def seal(self) -> Certificate:
         order = [cl.name for cl in self._lines]
         intersections = tuple(
-            PointFact(tuple(sorted(names, key=order.index)), point, self.eval(point))
+            PointFact(tuple(sorted(names, key=order.index)), point)
             for point, names in self._point_facts.items()
         )
         points = tuple(
@@ -422,7 +418,6 @@ class _CertBuilder:
             points=points,
             equations=tuple(self._equations.values()),
             conclusion=self.conclusion,
-            holds=True,
             note=self.note,
         )
         failures = cert.validate(self.f)

@@ -373,7 +373,7 @@ def _unit_then_sampled_pairs(sampler: _Sampler, count: int):
 
 
 def revalidate_witness(f: MapHandle, witness: Witness) -> bool:
-    """True iff the stored witness still reproduces a genuine violation.
+    """True iff the stored witness still reproduces its violation, values and all.
 
     Malformed or mismatched witness data (e.g. a tampered report) simply
     fails to revalidate instead of raising.
@@ -385,7 +385,7 @@ def revalidate_witness(f: MapHandle, witness: Witness) -> bool:
         result = row.violation(f, dict(witness.inputs))
     except (CollineError, KeyError, ValueError, TypeError):
         return False
-    return isinstance(result, dict)
+    return isinstance(result, dict) and result == dict(witness.values)
 
 
 # -- homogeneity / additivity / zero ------------------------------------------

@@ -181,13 +181,13 @@ OUTCOME = record(
 PHI_TABLE = record(
     PhiTable,
     Key("entries", sequence(pair(SCALAR, SCALAR))),
-    Key("anchors", sequence(pair(SCALAR, VECTOR))),
+    Key("anchor", VECTOR),
 )
 
 
-def _cert_line(name, origin, direction, image_origin, image_direction, anchors, anchor_images):
+def _cert_line(name, origin, direction, image_origin, image_direction, anchors):
     image = None if image_origin is None else Line(image_origin, image_direction)
-    return CertLine(name, Line(origin, direction), image, anchors, anchor_images)
+    return CertLine(name, Line(origin, direction), image, anchors)
 
 
 CERTIFICATE = record(
@@ -202,14 +202,11 @@ CERTIFICATE = record(
         Key("image_direction", optional(VECTOR), lambda cl: cl.image and cl.image.direction,
             None),
         Key("anchors", sequence(VECTOR)),
-        Key("anchor_images", sequence(VECTOR)),
     ))),
     Key("intersections", sequence(record(
-        PointFact, Key("lines", sequence(PLAIN)), Key("point", VECTOR), Key("image_point", VECTOR),
+        PointFact, Key("lines", sequence(PLAIN)), Key("point", VECTOR),
     ))),
-    Key("parallels", sequence(record(
-        ParallelFact, Key("lines", sequence(PLAIN)), Key("equal", default=False),
-    ))),
+    Key("parallels", sequence(record(ParallelFact, Key("lines", sequence(PLAIN))))),
     Key("points", sequence(record(  # (label, input, image) triples
         lambda label, input, image: (label, input, image),
         Key("label", PLAIN, itemgetter(0)),
@@ -219,7 +216,7 @@ CERTIFICATE = record(
     Key("equations", sequence(record(
         Equation, Key("label"), Key("lhs", TAGGED), Key("rhs", TAGGED),
     ))),
-    Key("conclusion"), Key("holds"), Key("note", default=""),
+    Key("conclusion"), Key("note", default=""),
 )
 
 CLASSIFICATION = record(

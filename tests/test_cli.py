@@ -316,7 +316,10 @@ class TestCertifyCommand:
         assert code == 0
         (cert,) = report["certificates"]
         assert cert["kind"] == "additivity-case1"
-        assert cert["holds"] is True
+        assert list(cert) == ["kind", "lines", "intersections", "parallels", "points",
+                              "equations", "conclusion", "note"]
+        assert list(cert["lines"][0]) == ["name", "origin", "direction", "image_origin",
+                                          "image_direction", "anchors"]
         assert len(cert["lines"]) == 4
 
     def test_homogeneity_certificate_default_points(self, mapfile, capsys):
@@ -397,6 +400,11 @@ class TestDeterminismAndRevalidation:
         capsys.readouterr()
         assert run(["--revalidate", str(dest)]) == 2
         assert "phi table: entry phi(-1) = 7 fails its anchor" in capsys.readouterr().err
+        report["classification"]["phi"]["entries"][2] = ["-1", "-1"]
+        report["classification"]["phi"]["anchor"] = "(0, 0)"  # one anchor: one failure
+        dest.write_text(json.dumps(report))
+        assert run(["--revalidate", str(dest)]) == 2
+        assert capsys.readouterr().err.count("phi table: anchor (0, 0) has f(a) = 0") == 1
 
     def test_phi_consistency_fail_on_translation_rechecks(self, mapfile, tmp_path, capsys):
         dest = tmp_path / "phi.json"

@@ -195,7 +195,7 @@ class TestHomogeneityCertificate:
     def test_identity_conclusion(self):
         f = make_linear(identity_matrix(2))
         cert = homogeneity_certificate(f, vec(1, 0), vec(0, 1), 2)
-        assert cert.holds and cert.kind == "homogeneity"
+        assert cert.kind == "homogeneity"
         (eq,) = [e for e in cert.equations if "phi0" in e.label]
         assert eq.lhs == 2 and eq.rhs == 2
         assert cert.validate(f) == []
@@ -211,8 +211,11 @@ class TestHomogeneityCertificate:
         f = make_linear(identity_matrix(2))
         cert = homogeneity_certificate(f, vec(1, 0), vec(0, 1), 1)
         assert len(cert.lines) == 3  # chord and its copy coincide
-        assert any(fact.equal for fact in cert.parallels)
         assert cert.validate(f) == []
+        obj = CERTIFICATE.encode(cert)
+        (group,) = [fact for fact in obj["parallels"] if len(fact["lines"]) == 1]
+        group["lines"] = ["L9"]  # a one-line group must still name a line
+        assert CERTIFICATE.decode(obj).validate(f) == ["unknown line in parallel fact"]
 
     def test_preconditions(self):
         f = make_linear(identity_matrix(2))
@@ -325,20 +328,20 @@ class TestAdditivityCertificate:
         obj = CERTIFICATE.encode(cert)
         obj["intersections"][0]["point"] = "(5, 5)"
         assert CERTIFICATE.decode(obj).validate(f) == [
-            "L0 does not contain (5, 5)", "L1 does not contain (5, 5)"]
+            "no stored evaluation of (5, 5)", "L0 does not contain (5, 5)",
+            "L1 does not contain (5, 5)"]
 
     # one edited fact of an encoded certificate of f = (2x + y, 3y) at a time: the
-    # exact failures it causes; every list but the stale evaluation's needs an
-    # incidence test that can say no
+    # exact failures it causes; a stored image is read wherever a fact uses it, so
+    # an edited one fails on each image line through it as well as on f
     TAMPERED = {
         "additivity-case1": [
-            (("lines", 1, "anchors", 0), "(7, 3)", ["L1: anchor (7, 3) off the line"]),
-            (("lines", 1, "anchor_images", 0), "(5, 5)",
-             ["L1: anchor image (5, 5) off the image line"]),
+            (("lines", 1, "anchors", 0), "(7, 3)",
+             ["no stored evaluation of (7, 3)", "L1: anchor (7, 3) off the line"]),
+            (("lines", 0, "anchors", 1), "(1, 0)", ["L0: an anchor is repeated"]),
             (("intersections", 0, "point"), "(5, 5)",
-             ["L0 does not contain (5, 5)", "L1 does not contain (5, 5)"]),
-            (("intersections", 3, "image_point"), "(4, 4)",
-             ["image of L2 does not contain (4, 4)", "image of L3 does not contain (4, 4)"]),
+             ["no stored evaluation of (5, 5)", "L0 does not contain (5, 5)",
+              "L1 does not contain (5, 5)"]),
             # L2 turned onto L0
             (("lines", 2, "direction"), "(1, 0)",
              ["L2: anchor (1, 1) off the line", "L0 and L2 are the same line",
@@ -346,18 +349,18 @@ class TestAdditivityCertificate:
             (("lines", 3, "direction"), "(1, 1)",
              ["L3: anchor (1, 1) off the line", "L3 does not contain (1, 1)",
               "L0 and L3 are not parallel"]),
-            (("points", 2, "image"), "(3, 4)", ["stored evaluation of a+b is stale"]),
+            (("points", 2, "image"), "(3, 4)",
+             ["L2: anchor image (3, 4) off the image line",
+              "L3: anchor image (3, 4) off the image line",
+              "image of L2 does not contain (3, 4)", "image of L3 does not contain (3, 4)",
+              "stored evaluation of a+b is stale"]),
         ],
         "additivity-case2": [
-            (("lines", 1, "anchors", 2), "(2, 1)", ["L1: anchor (2, 1) off the line"]),
-            (("lines", 2, "anchor_images", 3), "(7, 4)",
-             ["L2: anchor image (7, 4) off the image line"]),
+            (("lines", 1, "anchors", 2), "(2, 1)",
+             ["no stored evaluation of (2, 1)", "L1: anchor (2, 1) off the line"]),
             (("intersections", 0, "point"), "(1, 2)",
-             ["L0 does not contain (1, 2)", "L1 does not contain (1, 2)",
-              "L4 does not contain (1, 2)"]),
-            (("intersections", 5, "image_point"), "(7, 4)",
-             ["image of L2 does not contain (7, 4)", "image of L5 does not contain (7, 4)",
-              "image of L6 does not contain (7, 4)"]),
+             ["no stored evaluation of (1, 2)", "L0 does not contain (1, 2)",
+              "L1 does not contain (1, 2)", "L4 does not contain (1, 2)"]),
             # L3 turned onto L1
             (("lines", 3, "direction"), "(1, 0)",
              ["L3: anchor (1, 1) off the line", "L1 and L3 are the same line",
@@ -366,7 +369,11 @@ class TestAdditivityCertificate:
             (("lines", 6, "direction"), "(1, 2)",
              ["L6: anchor (3, 1) off the line", "L6 does not contain (3, 1)",
               "L0 and L6 are not parallel", "L3 and L6 are not parallel"]),
-            (("points", 6, "image"), "(6, 1)", ["stored evaluation of a+b is stale"]),
+            (("points", 6, "image"), "(6, 1)",
+             ["L1: anchor image (6, 1) off the image line",
+              "L6: anchor image (6, 1) off the image line",
+              "image of L1 does not contain (6, 1)", "image of L6 does not contain (6, 1)",
+              "stored evaluation of a+b is stale"]),
         ],
     }
 
