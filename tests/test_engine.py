@@ -249,6 +249,13 @@ class TestAdditivityCertificate:
         assert cert.validate(f) == []
         assert dict((l, i) for l, _, i in cert.points)["a+b"] == vec(3, 0)
 
+    def test_a_re_added_line_stores_each_anchor_once(self):
+        f = make_linear(identity_matrix(2))
+        cert = additivity_certificate(f, vec(1, 0), vec(2, 0), self.ind2())
+        assert all(len(set(cl.anchors)) == len(cl.anchors) for cl in cert.lines)
+        (l1,) = [cl for cl in cert.lines if cl.name == "L1"]
+        assert l1.anchors == (vec(1, 0), vec(0, 0), vec(2, 0), vec(3, 0))
+
     def test_case2_cancelling_sum(self):
         f = make_linear(identity_matrix(2))
         cert = additivity_certificate(f, vec(0, 1), vec(0, -1), self.ind2())
@@ -358,6 +365,8 @@ class TestAdditivityCertificate:
         "additivity-case2": [
             (("lines", 1, "anchors", 2), "(2, 1)",
              ["no stored evaluation of (2, 1)", "L1: anchor (2, 1) off the line"]),
+            # L1 is re-added through 0, b and a+b: a copied anchor is caught
+            (("lines", 1, "anchors", 3), "(2, 0)", ["L1: an anchor is repeated"]),
             (("intersections", 0, "point"), "(1, 2)",
              ["no stored evaluation of (1, 2)", "L0 does not contain (1, 2)",
               "L1 does not contain (1, 2)", "L4 does not contain (1, 2)"]),

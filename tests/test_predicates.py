@@ -715,6 +715,17 @@ class TestOutcomeMechanics:
         )
         assert not revalidate_witness(f, tampered)
 
+    def test_witness_values_must_be_what_the_row_gives(self):
+        f = lemma23_default()
+        witness = check_additivity(f, CFG).witness
+        assert revalidate_witness(f, witness)
+        # the two sides still differ, but f(a)+f(b) is not what f gives at a and b
+        lhs, (label, rhs) = witness.values
+        edited = Witness(check=witness.check, equation=witness.equation,
+                         inputs=witness.inputs,
+                         values=(lhs, (label, rhs + vec(1, 0))))
+        assert not revalidate_witness(f, edited)
+
 
 # -- the rows that decide on integer rows, against their Vector-based bodies ------------
 

@@ -293,6 +293,14 @@ class TestVectorTableBudget:
         assert serialize._TABLE.get() is None
 
 
+def test_a_fresh_report_stores_each_evaluation_once():
+    report = json.loads(_identity_report())
+    copies = {"anchor_images", "image_point", "equal", "holds"}
+    assert _drop(report["certificates"], copies) == set()
+    phi = report["classification"]["phi"]
+    assert "anchor" in phi and "anchors" not in phi
+
+
 # one stored text moved at each kind of position, and the failures --revalidate
 # gives for it (the same without the table); the other 38 "(0, 0)" stay. Images are
 # read from `points`, so a moved point or image also fails on the image lines
