@@ -300,7 +300,9 @@ def _recheck_report(report: dict) -> list[str]:
         handle = from_source(report["map"]["source"])
     except (KeyError, TypeError, CollineError, ValueError) as exc:
         return [f"map reconstruction failed: {exc}"]
-    failures: list[str] = []
+    failures = [f"map.{key} is {stored!r} but the rebuilt map has {key} = {value}"
+                for key, value in (("m", handle.m), ("n", handle.n))
+                if type(stored := report["map"].get(key)) is not int or stored != value]
     outcomes = [OUTCOME.decode(o) for o in report.get("outcomes", [])]
     cls = report.get("classification")  # a report with none makes no verdict claim
     stored = CLASSIFICATION.decode(cls) if cls else Classification("inconclusive")

@@ -433,7 +433,19 @@ def _compile(spec: MapSpec) -> Callable:
     ZeroDivisionError(output index)."""
     emitter = _Emitter(spec.m)
     values = [emitter.visit(expr) for emitter.output, expr in enumerate(spec.outputs)]
-    pairs = emitter.over(values) or [emitter.pair(v, False) for v in values]
+    return _function(emitter, emitter.over(values) or [emitter.pair(v, False) for v in values])
+
+
+def compile_rows(rows: list[list[int]], offsets: list[int], den: int) -> Callable:
+    """f(x, d): the row ([row·x + offset·d for each row], den·d), not reduced, of
+    the affine map whose integer rows and offsets are over den > 0."""
+    emitter = _Emitter(len(rows[0]))
+    return _function(emitter, [emitter.pair((row, offset, den), False, den)
+                               for row, offset in zip(rows, offsets)])
+
+
+def _function(emitter: _Emitter, pairs: list[tuple[str, str]]) -> Callable:
+    """The generated f(x, d): the emitter's lines, then the pairs as one row."""
     one = len({q for _, q in pairs}) == 1  # then the outputs share their denominator
     result = "({},), {}".format(", ".join(p for p, _ in pairs), pairs[0][1]) if one else (
         " ".join("({}, {}),".format(*pair) for pair in pairs))

@@ -5,7 +5,8 @@ witnesses and certificates can be re-validated from the report alone.
 
 Each record is declared once, as its JSON keys in report order with the
 codec of each key's value, and both the encoder and the decoder read that
-one declaration, so the two directions cannot drift apart. A codec is an
+one declaration, so the two directions cannot drift apart; a stored object
+with a key its record does not declare does not decode. A codec is an
 ``(encode, decode)`` pair: ``CERTIFICATE.encode(cert)`` writes a
 certificate, ``CERTIFICATE.decode(obj)`` reads it back.  ``json_text`` writes
 a report as ``json.dumps(report, indent=2)`` does, byte for byte.
@@ -99,15 +100,20 @@ Key = namedtuple("Key", "name codec get default", defaults=(PLAIN, None, _REQUIR
 
 
 def record(make: Callable, *keys: Key) -> Codec:
-    """A JSON object with ``keys`` in this order; ``make`` takes them by name."""
+    """A JSON object with ``keys`` in this order; ``make`` takes them by name.
+    A stored object with a key that is not declared does not decode."""
     getters = [k.get if callable(k.get) else attrgetter(k.get or k.name) for k in keys]
     encoders = [(k.name, k.codec.encode, get) for k, get in zip(keys, getters)]
     decoders = [(k.name, k.codec.decode, k.default) for k in keys]
+    names = {k.name: None for k in keys}  # ordered, for the message
 
     def encode(x):
         return {name: enc(get(x)) for name, enc, get in encoders}
 
     def decode(obj):
+        if not names.keys() >= obj.keys():
+            key = next(key for key in obj if key not in names)
+            raise ValueError(f"undeclared key {key!r} in a record of {', '.join(names)}")
         return make(**{name: dec(obj[name]) if default is _REQUIRED or name in obj else default
                        for name, dec, default in decoders})
 
@@ -129,10 +135,11 @@ def to_jsonable(value):
 
 
 def from_jsonable(obj):
-    kind = obj["type"]
+    body = dict(obj)
+    kind = body.pop("type")
     if kind not in _TAGS:
         raise ValueError(f"unknown tagged value type {kind!r}")
-    return _TAGS[kind].decode(obj)
+    return _TAGS[kind].decode(body)
 
 
 # looked up at call time, so a wrapper installed on the module functions sees every call
@@ -140,7 +147,7 @@ TAGGED = Codec(lambda v: to_jsonable(v), lambda j: from_jsonable(j))
 
 
 def _value(c: Codec) -> Codec:
-    return Codec(lambda v: {"value": c.encode(v)}, lambda j: c.decode(j["value"]))
+    return record(lambda value: value, Key("value", c, lambda v: v))
 
 
 _TYPES = (("scalar", Fraction), ("vector", Vector), ("line", Line), ("plane", Plane), ("text", str))

@@ -3,13 +3,15 @@ DSL-backed.
 
 Every handle evaluates exactly.  Handles that are affine by construction (or
 provably affine by DSL normalization) expose their (A, b) form through
-``affine_form``; sampling never produces such a form.
+``affine_form``; sampling never produces such a form.  A linear or affine
+handle evaluates through one function that ``dsl.compile_rows`` generates from
+its integer rows on the first ``at``, as a DSL map runs the function compiled
+from its spec.
 """
 
 from __future__ import annotations
 
 import math
-from operator import mul
 from typing import Optional
 
 from .dsl import Expr, MapSpec, eval_map, parse_map, render_expr, symbolic_affine_form
@@ -83,8 +85,10 @@ class AffineMap(MapHandle):
     __call__ = MapHandle.__call__  # bound per class, so each kind can be traced apart
 
     def at(self, nums, den):
-        rows = zip(self._rows, self._offsets)
-        return [sum(map(mul, row, nums)) + off * den for row, off in rows], self._den * den
+        # the first call generates the function of the integer rows, which then
+        # stays on the handle as its own ``at``
+        self.at = _dsl.compile_rows(self._rows, self._offsets, self._den)
+        return self.at(nums, den)
 
     def affine_form(self):
         return self.a, self.b
@@ -98,15 +102,13 @@ class AffineMap(MapHandle):
 
 
 class LinearMap(AffineMap):
-    """An affine map with a zero offset, whose evaluation skips the offset."""
+    """An affine map with a zero offset, so its generated function has no offset term."""
 
     def __init__(self, a: Matrix, name: str = "linear"):
         super().__init__(a, Vector.zero(len(a)), name=name)
 
     __call__ = MapHandle.__call__
-
-    def at(self, nums, den):
-        return [sum(map(mul, row, nums)) for row in self._rows], self._den * den
+    at = AffineMap.at
 
     def source(self):
         return {"kind": "linear", "matrix": [[str(c) for c in row] for row in self.a]}

@@ -560,6 +560,25 @@ class TestDeterminismAndRevalidation:
             f"colline: revalidation failed: classification {verdict} does not match"
             " the affine form of the rebuilt map\n")
 
+    @pytest.mark.parametrize("key, value", [
+        ("m", 3), ("n", 2), ("m", "2"), ("n", 3.0), ("m", None),
+    ], ids=["m-other", "n-other", "m-text", "n-float", "m-null"])
+    def test_revalidate_rejects_stored_dimensions_the_map_does_not_have(
+            self, mapfile, tmp_path, capsys, key, value):
+        dest = tmp_path / "dims.json"
+        path = mapfile("skew.map", "map skew : 2 -> 3 { y0 = x0; y1 = x1; y2 = x0 + x1 }\n")
+        assert run(["check", "ratio", path, "--probes", "20", "--out", str(dest)]) == 0
+        assert run(["--revalidate", str(dest)]) == 0
+        report = json.loads(dest.read_text())
+        want = report["map"][key]
+        report["map"][key] = value
+        dest.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert run(["--revalidate", str(dest)]) == 2
+        assert capsys.readouterr().err == (
+            f"colline: revalidation failed: map.{key} is {value!r} but the rebuilt map"
+            f" has {key} = {want}\n")
+
     @staticmethod
     def _jump2_report(tmp_path):
         dest = tmp_path / "jump2.json"

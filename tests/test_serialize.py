@@ -175,6 +175,34 @@ class TestStoredReports:
         assert run(["--revalidate", str(dest)]) == 2
         assert "stored data is malformed" in capsys.readouterr().err
 
+    # the four keys reports carried before images were read from `points`, and
+    # a key added to a record of each other kind
+    CERTIFY = ["certify", "additivity", os.path.join(ROOT, "demos", "identity.map")]
+    CLASSIFY = ["classify", "--no-symbolic", os.path.join(ROOT, "demos", "identity.map")]
+
+    @pytest.mark.parametrize("argv, path, key", [
+        (CERTIFY, ("certificates", 0, "lines", 0), "anchor_images"),
+        (CERTIFY, ("certificates", 0, "intersections", 0), "image_point"),
+        (CERTIFY, ("certificates", 0, "parallels", 0), "equal"),
+        (CERTIFY, ("certificates", 0), "holds"),
+        (CERTIFY, ("certificates", 0, "points", 0), "note"),
+        (CERTIFY, ("certificates", 0, "equations", 0, "lhs"), "note"),
+        (CLASSIFY, ("outcomes", 0), "note"),
+        (CLASSIFY, ("classification",), "holds"),
+        (CLASSIFY, ("classification", "phi"), "anchors"),
+    ], ids=["anchor-images", "image-point", "equal", "holds", "point", "tagged-value",
+            "outcome", "classification", "phi-anchors"])
+    def test_a_key_the_record_does_not_declare_is_malformed(self, tmp_path, capsys, argv,
+                                                            path, key):
+        dest, report = _report(tmp_path, argv)
+        assert run(["--revalidate", str(dest)]) == 0
+        functools.reduce(lambda node, step: node[step], path, report)[key] = ["(1, 0)"]
+        dest.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert run(["--revalidate", str(dest)]) == 2
+        assert (f"stored data is malformed (ValueError: undeclared key {key!r} in a record of "
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("verdict", ["PASS", "x", True, None])
     def test_outcome_verdict_other_than_pass_or_fail_is_malformed(self, verdict, tmp_path,
                                                                   capsys):

@@ -1,13 +1,15 @@
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from colline import dsl
 from colline.dsl import parse_map
 from colline.engine import shift_reduce
 from colline.errors import ConstructionError, DimensionMismatch, MapEvalError
-from colline.field import Vector, from_ints, identity_matrix
+from colline.field import MAX_DIM, Vector, from_ints, identity_matrix
 from colline.predicates import ProbeConfig, _Sampler
 from colline.zoo import (
     AffineMap,
@@ -231,6 +233,76 @@ class TestIntegerEntryPoint:
         assert len(row) == f.n and all(type(a) is int for a in row)
         assert type(row_den) is int and row_den > 0
         return from_ints(row, row_den)
+
+
+HUGE = 7 * 10**4400 + 3  # past the 4,300-digit limit of int-to-decimal text
+
+
+def _entries(den):
+    """Matrix entries: small fractions of both signs, zeros and huge ones."""
+    return (st.builds(Fraction, st.integers(-9, 9), den) | st.just(0)
+            | st.sampled_from([HUGE, -HUGE, Fraction(1, HUGE), Fraction(-2, HUGE)]))
+
+
+@st.composite
+def _affine_handles(draw):
+    m, n = draw(st.integers(1, MAX_DIM)), draw(st.integers(1, MAX_DIM))
+    entries = _entries(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(entries, min_size=m, max_size=m), min_size=n, max_size=n))
+    for i in draw(st.sets(st.integers(0, n - 1))):  # zero rows, at times every row
+        rows[i] = [0] * m
+    if draw(st.booleans()):
+        return make_linear(rows)
+    return make_affine(rows, Vector(draw(st.lists(entries, min_size=n, max_size=n))))
+
+
+class TestGeneratedKernel:
+    """An affine handle's ``at`` runs the function generated from its integer
+    rows, built on the first call: its row is the one the dot-product loop it
+    replaced gave, with the same integers over the same unreduced denominator."""
+
+    @staticmethod
+    def loop(f, nums, den):
+        return ([sum(map(mul, row, nums)) + off * den for row, off in zip(f._rows, f._offsets)],
+                f._den * den)
+
+    @given(f=_affine_handles(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_at_is_the_dot_product_row(self, f, data):
+        for _ in range(3):
+            nums = data.draw(st.lists(st.integers(-10**20, 10**20), min_size=f.m, max_size=f.m))
+            den = data.draw(st.integers(1, 10**20))
+            row, row_den = f.at(nums, den)
+            assert (list(row), row_den) == self.loop(f, nums, den)
+            assert all(type(a) is int for a in row) and type(row_den) is int
+
+    @pytest.mark.parametrize("make", [
+        lambda: make_linear([[0, 0], [0, 0]]),
+        lambda: make_affine([[0], [0]], vec(0, Fraction(-1, 3))),
+        lambda: make_linear([[HUGE, Fraction(-1, HUGE)], [0, -1]]),
+        lambda: make_affine([[-HUGE]], Vector.of(Fraction(HUGE, 7))),
+    ], ids=["zero-matrix", "zero-rows", "huge-linear", "huge-affine"])
+    def test_edge_matrices(self, make):
+        f = make()
+        for nums, den in (([0] * f.m, 1), ([-3] * f.m, 2), ([HUGE] * f.m, HUGE + 1)):
+            row, row_den = f.at(nums, den)
+            assert (list(row), row_den) == self.loop(f, nums, den)
+
+    @pytest.mark.parametrize("make", [
+        lambda: make_linear([[1, 2], [3, 4]]),
+        lambda: make_affine([[1, 2], [3, 4]], vec(5, 6)),
+    ], ids=["linear", "affine"])
+    def test_building_a_handle_compiles_nothing_until_its_first_at(self, make, monkeypatch):
+        built = []
+        monkeypatch.setattr(dsl, "compile_rows",
+                            lambda *args, build=dsl.compile_rows: built.append(args) or build(*args))
+        f = make()
+        f.affine_form(), f.source(), repr(f)
+        assert built == []
+        first = f(vec(1, 1))
+        assert len(built) == 1
+        assert f.at([2, 2], 2) == ((2 * first.nums[0], 2 * first.nums[1]), 2)
+        assert f(vec(1, 1)) == first and len(built) == 1
 
 
 class _NoAt(MapHandle):
