@@ -66,6 +66,16 @@ _CHECKS = {
 
 _CERT_KINDS = ("homogeneity", "additivity")
 
+# the keys a report declares: at its top level (and ``samples`` in ``zoo``'s), in
+# ``map``, and in ``config`` for every command and then for each one (``_config_echo``)
+_REPORT_KEYS = {"tool", "version", "map", "config", "outcomes", "certificates",
+                "classification", "wall_time_ms"}
+_MAP_KEYS = {"name", "m", "n", "source"}
+_CONFIG_KEYS = {"command", "probes", "seed", "range", "params_per_line", "format", "inputs",
+                "builtin"}
+_COMMAND_KEYS = {"check": {"check"}, "certify": {"certify", "a", "b", "r"},
+                 "classify": {"symbolic"}}
+
 
 class _ArgumentParser(argparse.ArgumentParser):
     """argparse with usage errors on exit code 1; exit code 2 is kept for a
@@ -301,8 +311,17 @@ def _recheck_report(report: dict) -> list[str]:
     except (KeyError, TypeError, CollineError, ValueError) as exc:
         return [f"map reconstruction failed: {exc}"]
     failures = [f"map.{key} is {stored!r} but the rebuilt map has {key} = {value}"
-                for key, value in (("m", handle.m), ("n", handle.n))
-                if type(stored := report["map"].get(key)) is not int or stored != value]
+                for key, value in (("name", handle.name), ("m", handle.m), ("n", handle.n))
+                if type(stored := report["map"].get(key)) is not type(value) or stored != value]
+    config = report.get("config", {})
+    zoo = {"samples"} if config.get("command") == "zoo" else set()
+    failures.extend(
+        f"undeclared key {key!r} in {where}"
+        for where, stored, keys in (
+            ("the report", report, _REPORT_KEYS | zoo), ("map", report["map"], _MAP_KEYS),
+            ("map.source", report["map"]["source"], handle.source()),
+            ("config", config, _CONFIG_KEYS | _COMMAND_KEYS.get(config.get("command"), set())))
+        for key in stored if key not in keys)
     outcomes = [OUTCOME.decode(o) for o in report.get("outcomes", [])]
     cls = report.get("classification")  # a report with none makes no verdict claim
     stored = CLASSIFICATION.decode(cls) if cls else Classification("inconclusive")
@@ -321,7 +340,9 @@ def _recheck_report(report: dict) -> list[str]:
             failures.append(f"classification {stored.verdict} has no certificate")
     reduced = None if stored.affine_base is None else shift_reduce(handle, stored.affine_base)
     for outcome in outcomes:
-        if outcome.witness is None:
+        if outcome.witness is None:  # a Fail's witness names its row; a Pass is named here
+            if outcome.check.removeprefix("reduced:") not in CHECKS:
+                failures.append(f"outcome {outcome.check}: no such check")
             continue
         target = reduced if outcome.check.startswith("reduced:") else handle
         if target is None:

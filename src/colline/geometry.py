@@ -111,12 +111,16 @@ def divides_in_ratio(a: Vector, b: Vector, r, s) -> Vector:
     tn, td = rp * sq, rp * sq + sp * rq
     if td == 0:
         raise PreconditionError("divides_in_ratio with r + s = 0")
-    # a + t·(b − a) over the denominator a.den·b.den·td
-    ma, mb = b.den, a.den
-    return from_ints(
-        [x * ma * (td - tn) + y * mb * tn for x, y in zip(a.nums, b.nums)],
-        a.den * ma * td,
-    )
+    return from_ints(*dividing_row((a.nums, a.den), (b.nums, b.den), tn, td))
+
+
+def dividing_row(a: Row, b: Row, tn: int, td: int) -> tuple[list[int], int]:
+    """(row, den), not reduced, with a + (tn/td)·(b − a) = row/den, td ≠ 0; den
+    has td's sign."""
+    (an, ad), (bn, bd) = a, b
+    # ((td − tn)·a + tn·b) / td over the denominator ad·bd·td
+    ma, mb = bd * (td - tn), ad * tn
+    return [x * ma + y * mb for x, y in zip(an, bn)], ad * bd * td
 
 
 def in_interval(a: Vector, b: Vector, c: Vector) -> bool:

@@ -12,7 +12,9 @@ fixtures readable.  ``classify`` draws each line probe once for both line
 rows (``check_lines``).  The sampler draws points, lines and line parameters
 as unreduced integer rows and (p, q) pairs, and the rows that draw them
 decide on those and on the rows ``MapHandle.at`` returns.  The Vector, Line
-or Fraction a witness stores is built once, when a probe fails.
+or Fraction a witness stores is built once, when a probe fails.  The ratio
+row draws its scalars as (p, q) pairs and judges integer rows, but evaluates
+its map on Vectors.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from .errors import (
 )
 from .field import (Row, Vector, _dependent_rows, _diff_rows, _line_rank, _ratio, add_rows,
                     affine_rank, from_ints, same_point)
-from .geometry import Line, Plane, divides_in_ratio, in_interval_rows, line_point_row, line_through
+from .geometry import (Line, Plane, dividing_row, in_interval_rows, line_point_row,
+                       line_through)
 from .zoo import MapHandle
 
 
@@ -114,6 +117,11 @@ class _ParamPairs(tuple):
     __slots__ = ()
 
 
+class _ScalarPair(tuple):
+    """A drawn scalar as its (p, q) pair, q > 0, unreduced."""
+    __slots__ = ()
+
+
 #: The parameters every sampled line starts with, before its drawn ones.
 _FIXED_PARAMS = ((0, 1), (1, 1), (-1, 1))
 
@@ -127,8 +135,9 @@ class _Sampler:
     ``getrandbits`` calls: ``randint(a, b)`` is a + r, where r is the first
     ``getrandbits(k)`` below n = b − a + 1 and k = n.bit_length().
 
-    Points, lines and line parameters are drawn as unreduced rows and (p, q)
-    pairs (``_canonical_inputs`` builds a witness's values); scalars are Fractions.
+    Points, lines, line parameters and the ratio row's scalars are drawn as
+    unreduced rows and (p, q) pairs (``_canonical_inputs`` builds a witness's
+    values); ``scalar`` draws a Fraction.
     """
 
     def __init__(self, cfg: ProbeConfig):
@@ -211,6 +220,7 @@ _CANONICAL = {
     _PointRow: lambda row: from_ints(*row),
     _LineRows: lambda rows: Line(*(from_ints(*row) for row in rows)),
     _ParamPairs: lambda pairs: tuple(Fraction(p, q) for p, q in pairs),
+    _ScalarPair: lambda pair: Fraction(*pair),
 }
 
 
@@ -550,16 +560,22 @@ def check_lines(f: MapHandle, cfg: ProbeConfig) -> tuple[CheckOutcome, CheckOutc
 
 def _violation_ratio(f: MapHandle, inp: dict):
     a, b, r, s = inp["a"], inp["b"], inp["r"], inp["s"]
-    if a == b or r + s == 0:
+    rp, rq = r if type(r) is _ScalarPair else _ratio(r)
+    sp, sq = s if type(s) is _ScalarPair else _ratio(s)
+    # t = r/(r+s) = tn/td after multiplying both by rq·sq; td = 0 iff r + s = 0
+    tn, td = rp * sq, rp * sq + sp * rq
+    if a == b or not td:
         return _SKIP
+    if td < 0:  # a row's denominator is positive
+        tn, td = -tn, -td
     fa, fb = f(a), f(b)
     if fa == fb:
         return _SKIP
-    c = divides_in_ratio(a, b, r, s)
+    c = from_ints(*dividing_row((a.nums, a.den), (b.nums, b.den), tn, td))
     fc = f(c)
-    want = divides_in_ratio(fa, fb, r, s)
-    if fc != want:
-        return {"c": c, "f(c)": fc, "point dividing f(a),f(b)": want}
+    want = dividing_row((fa.nums, fa.den), (fb.nums, fb.den), tn, td)
+    if not same_point((fc.nums, fc.den), want):
+        return {"c": c, "f(c)": fc, "point dividing f(a),f(b)": from_ints(*want)}
     return None
 
 
@@ -861,7 +877,7 @@ CHECKS: dict[str, Check] = {row.name: row for row in (
           _violation_ratio,
           _drawn(lambda f, cfg, s: {"a": from_ints(*s.vector(f.m)),
                                     "b": from_ints(*s.vector(f.m)),
-                                    "r": s.scalar(), "s": s.scalar()})),
+                                    "r": _ScalarPair(s._pair()), "s": _ScalarPair(s._pair())})),
     Check("betweenness-cor43",
           "g(c) stays strictly between g(a) and g(b), unless all three collapse",
           _violation_betweenness_cor43, _drawn(_draw_cor43)),

@@ -579,6 +579,54 @@ class TestDeterminismAndRevalidation:
             f"colline: revalidation failed: map.{key} is {value!r} but the rebuilt map"
             f" has {key} = {want}\n")
 
+    @pytest.mark.parametrize("edit, failure", [
+        (lambda r: r.update(extra=1), "undeclared key 'extra' in the report"),
+        (lambda r: r.update(samples=[]), "undeclared key 'samples' in the report"),
+        (lambda r: r["map"].update(extra=1), "undeclared key 'extra' in map"),
+        (lambda r: r["map"]["source"].update(extra=1), "undeclared key 'extra' in map.source"),
+        (lambda r: r["config"].update(extra=1), "undeclared key 'extra' in config"),
+        (lambda r: r["config"].update(symbolic=True), "undeclared key 'symbolic' in config"),
+        (lambda r: r["map"].update(name="other"),
+         "map.name is 'other' but the rebuilt map has name = id"),
+        (lambda r: r["outcomes"][0].update(check="ratio-preservationx"),
+         "outcome ratio-preservationx: no such check"),
+        (lambda r: r["outcomes"][0].update(check="reduced:ratio-preservationx"),
+         "outcome reduced:ratio-preservationx: no such check"),
+    ], ids=["top-level", "samples-of-check", "map", "map-source", "config", "config-of-classify", "map-name",
+            "check-name", "reduced-check-name"])
+    def test_revalidate_rejects_an_undeclared_key_a_renamed_map_or_an_unknown_check(
+            self, tmp_path, capsys, edit, failure):
+        dest = tmp_path / "ratio.json"
+        assert run(["check", "ratio", DEMO_IDENTITY, "--probes", "10", "--out", str(dest)]) == 0
+        assert run(["--revalidate", str(dest)]) == 0
+        report = json.loads(dest.read_text())
+        assert [o["verdict"] for o in report["outcomes"]] == ["pass"]
+        edit(report)
+        dest.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert run(["--revalidate", str(dest)]) == 2
+        assert capsys.readouterr().err == f"colline: revalidation failed: {failure}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["zoo", "--builtin", "lemma23:m=2,n=2,e0=0,d0=(0,1)"],
+        ["certify", "homogeneity", DEMO_IDENTITY, "--r", "1/2"],
+        ["classify", "--builtin", f"affine:{SHEAR},b=(1, 2)", "--no-symbolic"],
+    ], ids=["zoo-samples", "certify", "classify-builtin"])
+    def test_every_key_of_a_fresh_report_is_declared(self, tmp_path, argv):
+        dest = tmp_path / "fresh.json"
+        assert run([*argv, "--probes", "20", "--out", str(dest)]) == 0
+        assert run(["--revalidate", str(dest)]) == 0
+
+    def test_a_failed_certificate_build_still_names_its_outcome(self, tmp_path, capsys):
+        # certify records certificate:<kind>, which names no row: its witness fails as before
+        dest = tmp_path / "cert.json"
+        assert run(["certify", "additivity", DEMO_TRANSLATE, "--probes", "60", "--seed", "3",
+                    "--out", str(dest)]) == 0
+        capsys.readouterr()
+        assert run(["--revalidate", str(dest)]) == 2
+        assert capsys.readouterr().err == (
+            "colline: revalidation failed: witness for certificate:additivity no longer violates\n")
+
     @staticmethod
     def _jump2_report(tmp_path):
         dest = tmp_path / "jump2.json"

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from colline.dsl import MapSpec, parse_map, render_map
 from colline.errors import DimensionMismatch, MapEvalError, ProbeEvaluationError
 from colline.field import Vector, affine_rank, from_ints, from_pairs, identity_matrix
-from colline.geometry import Line, Plane, in_interval, line_through, lines_parallel
+from colline.geometry import (Line, Plane, divides_in_ratio, in_interval, line_through,
+                              lines_parallel)
 from colline.predicates import (
     _SKIP,
     CHECKS,
@@ -23,6 +24,7 @@ from colline.predicates import (
     _canonical_inputs,
     _drawn,
     _Sampler,
+    _ScalarPair,
     _shrink,
     _violation_line_image,
     _violation_line_injectivity,
@@ -363,12 +365,16 @@ def _fractions(pairs):
     return tuple(Fraction(p, q) for p, q in pairs)
 
 
+def _scalar(pair):
+    return Fraction(*pair)
+
+
 class TestSamplerStream:
     CALLS = [("scalar",), ("nonzero_scalar",), ("vector", 1), ("vector", 3),
              ("nonzero_vector", 2), ("line", 2), ("params", 7), ("unit_interval",)]
     # the canonical value of each draw that comes out as rows or (p, q) pairs
     CANONICAL = {"vector": _point, "nonzero_vector": _point, "line": _line_of_rows,
-                 "params": _fractions, "unit_interval": lambda pair: Fraction(*pair)}
+                 "params": _fractions, "unit_interval": _scalar}
 
     # R = 1 still spends getrandbits(1) draws on the denominator; k > 32 spans words
     @pytest.mark.parametrize("coordinate_range", [1, 2, 3, 12, 2**31, 2**40 + 3])
@@ -432,6 +438,37 @@ class TestRatioPreservation:
         assert values is not None
         assert values["f(c)"] == vec(0, 0)
         assert values["point dividing f(a),f(b)"] == vec(0, Fraction(1, 2))
+
+    JUMP2 = "map jump2 : 2 -> 2 { y0 = if x0 <= 1 then x0 else x0 + 5; y1 = x1 }"
+
+    def test_jump2_witness_where_r_plus_s_is_negative(self):
+        # the stored witness of `check ratio demos/jump2.map`: t = r/(r+s) = (-1/2)/(-1/3)
+        # over td < 0, drawn as (p, q) pairs or stored as Fractions
+        f = _DenominatorLog(dsl(self.JUMP2))
+        a, b = vec(0, 0), vec(Fraction(3, 2), 0)
+        want = {"c": vec(Fraction(9, 4), 0), "f(c)": vec(Fraction(29, 4), 0),
+                "point dividing f(a),f(b)": vec(Fraction(39, 4), 0)}
+        for r, s in [(Fraction(-1, 2), Fraction(1, 6)), (_ScalarPair((-2, 4)), _ScalarPair((2, 12))),
+                     (_ScalarPair((-6, 12)), Fraction(1, 6))]:
+            inputs = {"a": a, "b": b, "r": r, "s": s}
+            assert _fields(_violation_ratio(f, inputs)) == _fields(want), (r, s)
+        assert _fields(_ref_ratio(f, _canonical_probe(inputs))) == _fields(want)
+        assert f.dens and min(f.dens) > 0  # every point reaches the map over den > 0
+        # s = 1/2 makes r + s = 0: the probe does not apply in either form
+        for s in (Fraction(1, 2), _ScalarPair((3, 6))):
+            assert _violation_ratio(f, {"a": a, "b": b, "r": Fraction(-1, 2), "s": s}) is _SKIP
+
+
+class _DenominatorLog(MapHandle):
+    """A map that records the denominator of every point it is evaluated at."""
+
+    def __init__(self, inner: MapHandle):
+        super().__init__(inner.m, inner.n, inner.name)
+        self.inner, self.dens = inner, []
+
+    def at(self, nums, den):
+        self.dens.append(den)
+        return self.inner.at(nums, den)
 
 
 class TestIndependenceWitness:
@@ -826,6 +863,21 @@ def _ref_betweenness_prop44(f, inp):
     return {"f(a)": fa, "f(c)": fc}
 
 
+def _ref_ratio(f, inp):
+    a, b, r, s = inp["a"], inp["b"], inp["r"], inp["s"]
+    if a == b or r + s == 0:
+        return _SKIP
+    fa, fb = f(a), f(b)
+    if fa == fb:
+        return _SKIP
+    c = divides_in_ratio(a, b, r, s)
+    fc = f(c)
+    want = divides_in_ratio(fa, fb, r, s)
+    if fc != want:
+        return {"c": c, "f(c)": fc, "point dividing f(a),f(b)": want}
+    return None
+
+
 def _fields(result):
     """A violation's result with every Vector and Line as its stored integers."""
     if not isinstance(result, dict):
@@ -836,11 +888,13 @@ def _fields(result):
 
 def _canonical_probe(inputs):
     """A drawn probe as the values a witness stores: every row built with from_ints,
-    the line with Line and the params with Fraction; a Fraction as it is."""
+    the line with Line, the params and a ratio's drawn r and s (p, q) pairs with
+    Fraction; a Fraction or a Vector as it is."""
     def canonical(name, value):
-        if isinstance(value, Fraction):
+        if isinstance(value, (Fraction, Vector)):
             return value
-        return {"line": _line_of_rows, "params": _fractions}.get(name, _point)(value)
+        return {"line": _line_of_rows, "params": _fractions, "r": _scalar,
+                "s": _scalar}.get(name, _point)(value)
 
     return {name: canonical(name, value) for name, value in inputs.items()}
 
@@ -871,6 +925,7 @@ class TestRowViolations:
         "line-image": _ref_line_image,
         "line-injectivity": _ref_line_injectivity,
         "parallelism-preservation": _ref_parallelism,
+        "ratio-preservation": _ref_ratio,
         "betweenness-cor43": _ref_betweenness_cor43,
         "betweenness-prop44": _ref_betweenness_prop44,
     }

@@ -5,12 +5,14 @@ vector text, or appends a letter to any other string. Every edited report
 must fail ``--revalidate`` (exit 2), unless the edited leaf is on the
 allowlist below, whose entries leave the stated fact the same or state
 nothing that the map decides. The scan covers the certificates and the φ
-table of the identity ``classify --no-symbolic`` report and the outcome of
-``check additivity`` on jump2, both at 20 probes and seed 0.
+table of the identity ``classify --no-symbolic`` report, the outcome of
+``check additivity`` on jump2, and the whole ``check ratio`` report of
+identity, all at 20 probes and seed 0. A key added to any object of the
+identity reports must fail too.
 
     PYTHONPATH=src python tests/test_report_scan.py
 
-prints the accepted edits of both reports.
+prints the accepted edits of the three reports.
 """
 
 from __future__ import annotations
@@ -51,6 +53,11 @@ def _jump2_check() -> dict:
                                     os.path.join(ROOT, "demos", "jump2.map"))))
 
 
+def _identity_ratio_check() -> dict:
+    return json.loads(_report_text(("check", "ratio",
+                                    os.path.join(ROOT, "demos", "identity.map"))))
+
+
 def _at(node, path):
     return functools.reduce(lambda node, key: node[key], path, node)
 
@@ -64,6 +71,17 @@ def _leaves(node, path=()):
             yield from _leaves(child, path + (i,))
     else:
         yield path, node
+
+
+def _objects(node, path=()):
+    """The path of every object in a report, the report itself first."""
+    if isinstance(node, dict):
+        yield path
+        for key, child in node.items():
+            yield from _objects(child, path + (key,))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _objects(child, path + (i,))
 
 
 def _edited(value):
@@ -137,6 +155,10 @@ ALLOWED = [
     (lambda report, path, new: path[-2:] == ("phi", "anchor")
      and report["classification"]["verdict"] == "empirically_linear",
      "the anchor of a linear map's phi table: phi(r) = r at every anchor with f(a) != 0"),
+    (lambda report, path, new: path[0] in ("tool", "version"),
+     "the tool and version name the writer; the facts it wrote are checked"),
+    (lambda report, path, new: path[0] == "config",
+     "the config states how the probes were drawn, which only a re-run shows"),
 ]
 
 
@@ -147,6 +169,7 @@ def _unexplained(report: dict, accepted: list) -> list:
 
 CERTIFICATE_SCOPES = [("certificates",), ("classification", "phi")]
 OUTCOME_SCOPES = [("outcomes", 0)]
+REPORT_SCOPES = [()]
 
 
 def test_every_accepted_certificate_or_phi_edit_is_allowlisted():
@@ -165,9 +188,31 @@ def test_every_accepted_witness_edit_is_allowlisted():
     assert sorted(path[-1] for path, _, _ in accepted) == ["equation", "probes", "skipped"]
 
 
+def test_every_accepted_edit_of_a_whole_check_report_is_allowlisted():
+    # the map's name and dimensions, the outcome's check name and verdict all re-check
+    report = _identity_ratio_check()
+    assert [o["verdict"] for o in report["outcomes"]] == ["pass"]
+    accepted = _accepted(report, REPORT_SCOPES)
+    assert _unexplained(report, accepted) == []
+    assert sorted(".".join(map(str, path)) for path, _, _ in accepted) == [
+        "config.check", "config.format", "config.inputs.0", "config.params_per_line",
+        "config.probes", "config.range", "config.seed", "outcomes.0.probes",
+        "outcomes.0.skipped", "tool", "version"]
+
+
+def test_a_key_added_to_any_object_of_a_report_fails():
+    for report in (_identity_ratio_check(), _identity_report()):
+        for path in _objects(report):
+            edited = copy.deepcopy(report)
+            _at(edited, path)["extra"] = 1
+            assert _rejected(edited), path
+
+
 if __name__ == "__main__":
     for name, report, scopes in (("identity", _identity_report(), CERTIFICATE_SCOPES),
-                                 ("jump2", _jump2_check(), OUTCOME_SCOPES)):
+                                 ("jump2", _jump2_check(), OUTCOME_SCOPES),
+                                 ("identity check ratio", _identity_ratio_check(),
+                                  REPORT_SCOPES)):
         accepted = _accepted(report, scopes)
         edits = sum(_edited(old) is not None for scope in scopes
                     for _, old in _leaves(_at(report, scope)))
