@@ -198,6 +198,12 @@ def _config_echo(args, cfg: ProbeConfig) -> dict:
     return echo
 
 
+def _zoo_samples(handle: MapHandle) -> list:
+    """The encoded (x, f(x)) samples of a ``zoo`` report: each basis vector, then 0."""
+    xs = [Vector.basis(handle.m, i) for i in range(handle.m)] + [Vector.zero(handle.m)]
+    return sequence(pair(VECTOR, VECTOR)).encode((x, handle(x)) for x in xs)
+
+
 def _report_for_map(handle: MapHandle, args, cfg: ProbeConfig) -> dict:
     start = time.perf_counter()
     outcomes: list[CheckOutcome] = []
@@ -229,8 +235,7 @@ def _report_for_map(handle: MapHandle, args, cfg: ProbeConfig) -> dict:
                 CheckOutcome(f"certificate:{args.kind}", False, 1, exc.witness)
             ]
     elif args.command == "zoo":
-        xs = [Vector.basis(handle.m, i) for i in range(handle.m)] + [Vector.zero(handle.m)]
-        extra["samples"] = sequence(pair(VECTOR, VECTOR)).encode((x, handle(x)) for x in xs)
+        extra["samples"] = _zoo_samples(handle)
 
     wall_ms = (time.perf_counter() - start) * 1000.0
     return {
@@ -322,6 +327,8 @@ def _recheck_report(report: dict) -> list[str]:
             ("map.source", report["map"]["source"], handle.source()),
             ("config", config, _CONFIG_KEYS | _COMMAND_KEYS.get(config.get("command"), set())))
         for key in stored if key not in keys)
+    if zoo and report.get("samples") != _zoo_samples(handle):  # written by the same helper
+        failures.append("samples are not the evaluations of the rebuilt map")
     outcomes = [OUTCOME.decode(o) for o in report.get("outcomes", [])]
     cls = report.get("classification")  # a report with none makes no verdict claim
     stored = CLASSIFICATION.decode(cls) if cls else Classification("inconclusive")
@@ -340,15 +347,13 @@ def _recheck_report(report: dict) -> list[str]:
             failures.append(f"classification {stored.verdict} has no certificate")
     reduced = None if stored.affine_base is None else shift_reduce(handle, stored.affine_base)
     for outcome in outcomes:
-        if outcome.witness is None:  # a Fail's witness names its row; a Pass is named here
+        target = reduced if outcome.check.startswith("reduced:") else handle
+        if target is None:  # only a report with an affine_base ran a reduced pass
+            failures.append(f"{outcome.check}: no reduced map recorded")
+        elif outcome.witness is None:  # a Fail's witness names its row; a Pass is named here
             if outcome.check.removeprefix("reduced:") not in CHECKS:
                 failures.append(f"outcome {outcome.check}: no such check")
-            continue
-        target = reduced if outcome.check.startswith("reduced:") else handle
-        if target is None:
-            failures.append(f"{outcome.check}: no reduced map recorded")
-            continue
-        if not revalidate_witness(target, outcome.witness):
+        elif not revalidate_witness(target, outcome.witness):
             failures.append(f"witness for {outcome.check} no longer violates")
     cert_target = reduced if stored.certificate_scope == "reduced" else handle
     if stored.phi is not None:  # read off the map its certificates are for

@@ -13,6 +13,7 @@ each entry of the table is re-run on the map.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -220,9 +221,12 @@ class ParallelFact:
 
 @dataclass(frozen=True)
 class Equation:
+    """The images of the ``lhs`` points sum to ``scale`` times the sum of the
+    images of the ``rhs`` points; an empty side is 0."""
     label: str
-    lhs: object  # Vector or Fraction
-    rhs: object
+    lhs: tuple[Vector, ...]
+    rhs: tuple[Vector, ...]
+    scale: Fraction
 
 
 @dataclass(frozen=True)
@@ -238,12 +242,14 @@ class Certificate:
 
     def validate(self, f: MapHandle) -> list[str]:
         """Re-check every stored fact and re-run every stored evaluation on f;
-        an empty list means the certificate holds. Each anchor's and each
-        intersection point's image is read from ``points``, its one store: a
-        point with no entry there fails, and is still checked on its lines."""
+        an empty list means the certificate holds. Each image an anchor, an
+        intersection point or an equation needs is read from ``points``, its one
+        store: a point with no entry there fails, and is still checked on its
+        lines."""
         by_name = {cl.name: cl for cl in self.lines}
         image_of = {inp: img for _, inp, img in self.points}
         used = [a for cl in self.lines for a in cl.anchors] + [x.point for x in self.intersections]
+        used += [p for eq in self.equations for p in eq.lhs + eq.rhs]
         failures = [f"no stored evaluation of {p}" for p in dict.fromkeys(used)
                     if p not in image_of]
         for cl in self.lines:
@@ -285,8 +291,15 @@ class Certificate:
                 if c1.image is not None and c2.image is not None:
                     if not lines_parallel(c1.image, c2.image):
                         failures.append(f"images of {n1} and {n2} are not parallel")
-        for eq in self.equations:
-            if eq.lhs != eq.rhs:
+        for eq in self.equations:  # lhs images − scale·rhs images, summed as one integer row
+            p, q = -eq.scale.numerator, eq.scale.denominator
+            try:
+                terms = [(img.nums, img.den) for img in map(image_of.__getitem__, eq.lhs)]
+                terms += [([p * a for a in img.nums], q * img.den)
+                          for img in map(image_of.__getitem__, eq.rhs)]
+            except KeyError:  # failed above, as a point with no stored evaluation
+                continue
+            if terms and any(functools.reduce(add_rows, terms)[0]):
                 failures.append(f"equation fails: {eq.label}")
         for label, inp, img in self.points:
             if not same_point(f.at(*f.row(inp)), (img.nums, img.den)):
@@ -370,8 +383,10 @@ class _CertBuilder:
     def parallel_fact(self, name1: str, name2: str) -> None:
         self._parallel_pairs.append((name1, name2))
 
-    def equation(self, label: str, lhs, rhs) -> None:
-        self._equations.setdefault(label, Equation(label, lhs, rhs))
+    def equation(self, label: str, lhs: tuple, rhs: tuple, scale=Fraction(1)) -> None:
+        for p in lhs + rhs:  # every point an equation names is stored in `points`
+            self.eval(p)
+        self._equations.setdefault(label, Equation(label, lhs, rhs, scale))
 
     def _merge_parallel_groups(self) -> list[ParallelFact]:
         parent: dict[str, str] = {}
@@ -430,10 +445,9 @@ def _pgram(builder: _CertBuilder, u: Vector, v: Vector) -> None:
     """Four-line constellation certifying f(u+v) = f(u) + f(v) for a pair
     with independent images: the two sides through 0 and the two translated
     sides through u+v, with both parallelisms carried to the images."""
-    f = builder.f
     zero = Vector.zero(u.dim)
     w = u + v
-    fu, fv, fw = builder.eval(u), builder.eval(v), builder.eval(w)
+    fu, fv, _ = builder.eval(u), builder.eval(v), builder.eval(w)  # points: u, v, u+v first
     if u.is_zero() or v.is_zero():
         raise builder.violation("parallelogram needs nonzero summands")
     if not linearly_independent(fu, fv):
@@ -455,13 +469,9 @@ def _pgram(builder: _CertBuilder, u: Vector, v: Vector) -> None:
     builder.point_fact([p2, p3], w)
     builder.parallel_fact(p0, p3)
     builder.parallel_fact(p1, p2)
-    fzero = builder.eval(zero)
-    builder.equation("f(0) = 0", fzero, Vector.zero(f.n))
+    builder.equation("f(0) = 0", (zero,), ())
     builder.equation(
-        f"f({builder.label(w)}) = f({builder.label(u)}) + f({builder.label(v)})",
-        fw,
-        fu + fv,
-    )
+        f"f({builder.label(w)}) = f({builder.label(u)}) + f({builder.label(v)})", (w,), (u, v))
 
 
 def homogeneity_certificate(f: MapHandle, a: Vector, b: Vector, r) -> Certificate:
@@ -498,7 +508,9 @@ def homogeneity_certificate(f: MapHandle, a: Vector, b: Vector, r) -> Certificat
     builder.point_fact([l0, l3], ra)
     builder.point_fact([l1, l3], rb)
     builder.parallel_fact(l2, l3)
-    builder.equation("phi0(a, r) = phi0(b, r)", extract_phi(f, a, r), extract_phi(f, b, r))
+    s = extract_phi(f, a, r)  # f(r·a) = s·f(a), and b must share the scale factor s
+    builder.equation("f(r*a) = s*f(a)", (ra,), (a,), s)
+    builder.equation("f(r*b) = s*f(b)", (rb,), (b,), s)
     return builder.seal()
 
 
@@ -544,9 +556,8 @@ def additivity_certificate(
     if a.is_zero() or b.is_zero():
         builder = base_builder("additivity-case2")
         builder.note = "degenerate: one summand is zero, so the identity is zero-fixedness"
-        fzero = builder.eval(Vector.zero(f.m))
-        builder.equation("f(0) = 0", fzero, Vector.zero(f.n))
-        builder.equation(conclusion, builder.eval(w), fa + fb)
+        builder.equation("f(0) = 0", (Vector.zero(f.m),), ())
+        builder.equation(conclusion, (w,), (a, b))
         return builder.seal()
 
     if linearly_independent(fa, fb):
@@ -560,10 +571,10 @@ def additivity_certificate(
             builder.note = (
                 "a and b span one line through 0 whose image collapses to the origin"
             )
-            builder.equation("f(a) = 0", fa, Vector.zero(f.n))
-            builder.equation("f(b) = 0", fb, Vector.zero(f.n))
-            builder.equation("f(0) = 0", builder.eval(Vector.zero(f.m)), Vector.zero(f.n))
-            builder.equation(conclusion, builder.eval(w), fa + fb)
+            builder.equation("f(a) = 0", (a,), ())
+            builder.equation("f(b) = 0", (b,), ())
+            builder.equation("f(0) = 0", (Vector.zero(f.m),), ())
+            builder.equation(conclusion, (w,), (a, b))
             return builder.seal()
         helper = _pick_helper(f, fa, ind)
         builder = base_builder("additivity-case2")
@@ -579,11 +590,9 @@ def additivity_certificate(
             "one summand is sent to the origin while the other is not;"
             " the translated line must keep the nonzero value"
         )
-        builder.equation(f"f({builder.label(z)}) = 0", builder.eval(z), Vector.zero(f.n))
-        builder.equation(
-            f"f(a+b) = f({builder.label(nz)})", builder.eval(w), builder.eval(nz)
-        )
-        builder.equation(conclusion, builder.eval(w), fa + fb)
+        builder.equation(f"f({builder.label(z)}) = 0", (z,), ())
+        builder.equation(f"f(a+b) = f({builder.label(nz)})", (w,), (nz,))
+        builder.equation(conclusion, (w,), (a, b))
         return builder.seal()
 
     helper = _pick_helper(f, fa, ind)
@@ -592,7 +601,6 @@ def additivity_certificate(
 
 
 def _chained_certificate(builder: _CertBuilder, a: Vector, b: Vector, helper: Vector) -> Certificate:
-    f = builder.f
     w = a + b
     builder.label(helper, "ai")
     builder.label(helper + a, "ai+a")
@@ -601,9 +609,7 @@ def _chained_certificate(builder: _CertBuilder, a: Vector, b: Vector, helper: Ve
     _pgram(builder, helper + a, b)
     if not w.is_zero():
         _pgram(builder, helper, w)
-    builder.equation(
-        "f(a+b) = f(a) + f(b)", builder.eval(w), builder.eval(a) + builder.eval(b)
-    )
+    builder.equation("f(a+b) = f(a) + f(b)", (w,), (a, b))
     return builder.seal()
 
 
@@ -611,8 +617,7 @@ def _collapsing_plane_certificate(builder: _CertBuilder, a: Vector, b: Vector) -
     """Both summands vanish under f: the transversal through p0 = 2a and
     p1 = 2b, whose midpoint is a+b, meets the two collapsed rays at points
     with equal images, so f(a+b) vanishes too."""
-    f = builder.f
-    zero = Vector.zero(f.m)
+    zero = Vector.zero(a.dim)
     w = a + b
     p0, p1 = 2 * a, 2 * b
     builder.note = "both images vanish; the plane through 0, a, b collapses"
@@ -625,15 +630,9 @@ def _collapsing_plane_certificate(builder: _CertBuilder, a: Vector, b: Vector) -
     builder.point_fact([la, lt], p0)
     builder.point_fact([lb, lt], p1)
     builder.point_fact([lt], w)
-    zero_out = Vector.zero(f.n)
-    builder.equation("f(a) = 0", builder.eval(a), zero_out)
-    builder.equation("f(b) = 0", builder.eval(b), zero_out)
-    builder.equation("f(p0) = 0", builder.eval(p0), zero_out)
-    builder.equation("f(p1) = 0", builder.eval(p1), zero_out)
-    builder.equation("f(0) = 0", builder.eval(zero), zero_out)
-    builder.equation(
-        "f(a+b) = f(a) + f(b)", builder.eval(w), builder.eval(a) + builder.eval(b)
-    )
+    for p, name in ((a, "a"), (b, "b"), (p0, "p0"), (p1, "p1"), (zero, "0")):
+        builder.equation(f"f({name}) = 0", (p,), ())
+    builder.equation("f(a+b) = f(a) + f(b)", (w,), (a, b))
     return builder.seal()
 
 

@@ -220,8 +220,9 @@ CERTIFICATE = record(
         Key("input", VECTOR, itemgetter(1)),
         Key("image", VECTOR, itemgetter(2)),
     ))),
-    Key("equations", sequence(record(
-        Equation, Key("label"), Key("lhs", TAGGED), Key("rhs", TAGGED),
+    Key("equations", sequence(record(  # each side names points whose images it sums
+        Equation, Key("label"), Key("lhs", sequence(VECTOR)), Key("rhs", sequence(VECTOR)),
+        Key("scale", SCALAR),
     ))),
     Key("conclusion"), Key("note", default=""),
 )

@@ -339,6 +339,24 @@ class TestZooCommand:
         assert code == 0
         assert ["(1, 0)", "(0, 2)"] in report["samples"]
 
+    @pytest.mark.parametrize("edit", [
+        lambda r: r["samples"][0].__setitem__(1, "(9, 9)"),
+        lambda r: r["samples"][0].__setitem__(0, "(2, 0)"),
+        lambda r: r.pop("samples"),
+    ], ids=["image", "input", "deleted"])
+    def test_samples_recheck(self, tmp_path, capsys, edit):
+        dest = tmp_path / "zoo.json"
+        assert run(["zoo", "--builtin", "lemma23:m=2,n=2,e0=0,d0=(0,1)", "--out", str(dest)]) == 0
+        assert run(["--revalidate", str(dest)]) == 0
+        report = json.loads(dest.read_text())
+        assert report["samples"][0] == ["(1, 0)", "(0, 2)"]
+        edit(report)
+        dest.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert run(["--revalidate", str(dest)]) == 2
+        assert capsys.readouterr().err == (
+            "colline: revalidation failed: samples are not the evaluations of the rebuilt map\n")
+
 
 class TestDeterminismAndRevalidation:
     def _strip_wall_time(self, payload):
@@ -591,7 +609,7 @@ class TestDeterminismAndRevalidation:
         (lambda r: r["outcomes"][0].update(check="ratio-preservationx"),
          "outcome ratio-preservationx: no such check"),
         (lambda r: r["outcomes"][0].update(check="reduced:ratio-preservationx"),
-         "outcome reduced:ratio-preservationx: no such check"),
+         "reduced:ratio-preservationx: no reduced map recorded"),
     ], ids=["top-level", "samples-of-check", "map", "map-source", "config", "config-of-classify", "map-name",
             "check-name", "reduced-check-name"])
     def test_revalidate_rejects_an_undeclared_key_a_renamed_map_or_an_unknown_check(
@@ -680,6 +698,32 @@ class TestDeterminismAndRevalidation:
         assert capsys.readouterr().err == (
             "colline: revalidation failed: classification non_linear does not follow from"
             " its outcomes\n")
+
+    # a reduced: outcome is read on the reduced map, which only a report with an affine_base
+    # has; in one that has it, the row's name must still be a check's
+    @pytest.mark.parametrize("argv, edit, failure", [
+        (["check", "ratio", DEMO_IDENTITY],
+         lambda r: r["outcomes"][0].update(check="reduced:ratio-preservation"),
+         "reduced:ratio-preservation: no reduced map recorded"),
+        (["classify", "--no-symbolic", DEMO_IDENTITY],
+         lambda r: r["outcomes"].append({**r["outcomes"][0], "check": "reduced:zero-fixed"}),
+         "reduced:zero-fixed: no reduced map recorded"),
+        (["classify", "--no-symbolic", DEMO_TRANSLATE],
+         lambda r: r["outcomes"].append({"check": "reduced:ratio-preservationx",
+                                         "verdict": "pass", "probes": 1}),
+         "outcome reduced:ratio-preservationx: no such check"),
+    ], ids=["check-renamed", "classify-appended", "unknown-reduced-check"])
+    def test_revalidate_rejects_a_reduced_outcome_without_a_reduced_map(
+            self, tmp_path, capsys, argv, edit, failure):
+        dest = tmp_path / "r.json"
+        assert run([*argv, "--probes", "20", "--out", str(dest)]) == 0
+        assert run(["--revalidate", str(dest)]) == 0
+        report = json.loads(dest.read_text())
+        edit(report)
+        dest.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert run(["--revalidate", str(dest)]) == 2
+        assert capsys.readouterr().err == f"colline: revalidation failed: {failure}\n"
 
     @pytest.mark.parametrize("demo, edit, verdict", [
         ("jump2.map", dict(verdict="inconclusive", witness=None), "inconclusive"),
@@ -900,7 +944,45 @@ class TestCertificatesRecheck:
         assert report["certificates"]
         if DEMO_TRANSLATE in argv:
             assert report["classification"]["certificate_scope"] == "reduced"
+        for cert in report["certificates"]:  # every image an equation sums is in `points`
+            stored = {point["input"] for point in cert["points"]}
+            assert {p for eq in cert["equations"] for p in eq["lhs"] + eq["rhs"]} <= stored
         assert run(["--revalidate", str(dest)]) == 0, capsys.readouterr().err
+
+    # an equation names points and a scale; each edit states a false fact or an
+    # evaluation the certificate does not store
+    @pytest.mark.parametrize("kind, edit, failure", [
+        ("additivity", lambda eqs: eqs[0].update(lhs=["(1, 0)"]),
+         "certificate additivity-case1: equation fails: f(0) = 0"),
+        ("homogeneity", lambda eqs: eqs[0].update(scale="3"),
+         "certificate homogeneity: equation fails: f(r*a) = s*f(a)"),
+        ("additivity", lambda eqs: eqs[1]["rhs"].__setitem__(0, "(5, 5)"),
+         "certificate additivity-case1: no stored evaluation of (5, 5)"),
+    ], ids=["f(0)-at-(1, 0)", "scale-2-to-3", "unstored-point"])
+    def test_an_edited_equation_exits_2(self, tmp_path, capsys, kind, edit, failure):
+        dest = tmp_path / "cert.json"
+        assert run(["certify", kind, DEMO_IDENTITY, "--out", str(dest)]) == 0
+        report = json.loads(dest.read_text())
+        equations = report["certificates"][0]["equations"]
+        assert equations[0]["label"] in ("f(0) = 0", "f(r*a) = s*f(a)")
+        assert equations[0]["scale"] == ("2" if kind == "homogeneity" else "1")
+        edit(equations)
+        dest.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert run(["--revalidate", str(dest)]) == 2
+        assert capsys.readouterr().err == f"colline: revalidation failed: {failure}\n"
+
+    def test_an_equation_written_before_it_named_points_is_malformed(self, tmp_path, capsys):
+        dest = tmp_path / "cert.json"
+        assert run(["certify", "additivity", DEMO_IDENTITY, "--out", str(dest)]) == 0
+        report = json.loads(dest.read_text())
+        report["certificates"][0]["equations"][0] = {
+            "label": "f(0) = 0", "lhs": {"type": "vector", "value": "(0, 0)"},
+            "rhs": {"type": "vector", "value": "(0, 0)"}}
+        dest.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert run(["--revalidate", str(dest)]) == 2
+        assert "stored data is malformed" in capsys.readouterr().err
 
     def test_a_certificate_for_the_wrong_map_exits_2_at_revalidate(self, tmp_path, capsys,
                                                                   monkeypatch):

@@ -196,15 +196,14 @@ class TestHomogeneityCertificate:
         f = make_linear(identity_matrix(2))
         cert = homogeneity_certificate(f, vec(1, 0), vec(0, 1), 2)
         assert cert.kind == "homogeneity"
-        (eq,) = [e for e in cert.equations if "phi0" in e.label]
-        assert eq.lhs == 2 and eq.rhs == 2
+        assert [(e.label, e.scale) for e in cert.equations] == [
+            ("f(r*a) = s*f(a)", 2), ("f(r*b) = s*f(b)", 2)]
         assert cert.validate(f) == []
 
     def test_shear_conclusion(self):
         f = make_linear([[1, 1], [0, 1]])
         cert = homogeneity_certificate(f, vec(1, 0), vec(0, 1), 3)
-        (eq,) = [e for e in cert.equations if "phi0" in e.label]
-        assert eq.lhs == 3 and eq.rhs == 3
+        assert [e.scale for e in cert.equations] == [3, 3]
         assert cert.validate(f) == []
 
     def test_unit_scale_merges_chord_lines(self):
@@ -340,7 +339,7 @@ class TestAdditivityCertificate:
 
     # one edited fact of an encoded certificate of f = (2x + y, 3y) at a time: the
     # exact failures it causes; a stored image is read wherever a fact uses it, so
-    # an edited one fails on each image line through it as well as on f
+    # an edited one fails on each image line and each equation through it as well as on f
     TAMPERED = {
         "additivity-case1": [
             (("lines", 1, "anchors", 0), "(7, 3)",
@@ -360,7 +359,7 @@ class TestAdditivityCertificate:
              ["L2: anchor image (3, 4) off the image line",
               "L3: anchor image (3, 4) off the image line",
               "image of L2 does not contain (3, 4)", "image of L3 does not contain (3, 4)",
-              "stored evaluation of a+b is stale"]),
+              "equation fails: f(a+b) = f(a) + f(b)", "stored evaluation of a+b is stale"]),
         ],
         "additivity-case2": [
             (("lines", 1, "anchors", 2), "(2, 1)",
@@ -382,7 +381,8 @@ class TestAdditivityCertificate:
              ["L1: anchor image (6, 1) off the image line",
               "L6: anchor image (6, 1) off the image line",
               "image of L1 does not contain (6, 1)", "image of L6 does not contain (6, 1)",
-              "stored evaluation of a+b is stale"]),
+              "equation fails: f(ai+a+b) = f(ai) + f(a+b)",
+              "equation fails: f(a+b) = f(a) + f(b)", "stored evaluation of a+b is stale"]),
         ],
     }
 

@@ -6,13 +6,13 @@ must fail ``--revalidate`` (exit 2), unless the edited leaf is on the
 allowlist below, whose entries leave the stated fact the same or state
 nothing that the map decides. The scan covers the certificates and the φ
 table of the identity ``classify --no-symbolic`` report, the outcome of
-``check additivity`` on jump2, and the whole ``check ratio`` report of
-identity, all at 20 probes and seed 0. A key added to any object of the
-identity reports must fail too.
+``check additivity`` on jump2, the whole ``check ratio`` report of identity,
+all at 20 probes and seed 0, and the whole ``zoo`` report of a ``lemma23``
+builtin. A key added to any object of the identity reports must fail too.
 
     PYTHONPATH=src python tests/test_report_scan.py
 
-prints the accepted edits of the three reports.
+prints the accepted edits of the four reports.
 """
 
 from __future__ import annotations
@@ -56,6 +56,10 @@ def _jump2_check() -> dict:
 def _identity_ratio_check() -> dict:
     return json.loads(_report_text(("check", "ratio",
                                     os.path.join(ROOT, "demos", "identity.map"))))
+
+
+def _lemma23_zoo() -> dict:
+    return json.loads(_report_text(("zoo", "--builtin", "lemma23:m=2,n=2,e0=0,d0=(0,1)")))
 
 
 def _at(node, path):
@@ -200,6 +204,15 @@ def test_every_accepted_edit_of_a_whole_check_report_is_allowlisted():
         "outcomes.0.skipped", "tool", "version"]
 
 
+def test_every_accepted_edit_of_a_whole_zoo_report_is_allowlisted():
+    # each sample's input and image re-checks on the rebuilt map
+    report = _lemma23_zoo()
+    assert len(report["samples"]) == 3
+    accepted = _accepted(report, REPORT_SCOPES)
+    assert _unexplained(report, accepted) == []
+    assert {path[0] for path, _, _ in accepted} == {"config", "tool", "version"}
+
+
 def test_a_key_added_to_any_object_of_a_report_fails():
     for report in (_identity_ratio_check(), _identity_report()):
         for path in _objects(report):
@@ -212,7 +225,8 @@ if __name__ == "__main__":
     for name, report, scopes in (("identity", _identity_report(), CERTIFICATE_SCOPES),
                                  ("jump2", _jump2_check(), OUTCOME_SCOPES),
                                  ("identity check ratio", _identity_ratio_check(),
-                                  REPORT_SCOPES)):
+                                  REPORT_SCOPES),
+                                 ("lemma23 zoo", _lemma23_zoo(), REPORT_SCOPES)):
         accepted = _accepted(report, scopes)
         edits = sum(_edited(old) is not None for scope in scopes
                     for _, old in _leaves(_at(report, scope)))

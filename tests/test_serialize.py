@@ -179,6 +179,7 @@ class TestStoredReports:
     # a key added to a record of each other kind
     CERTIFY = ["certify", "additivity", os.path.join(ROOT, "demos", "identity.map")]
     CLASSIFY = ["classify", "--no-symbolic", os.path.join(ROOT, "demos", "identity.map")]
+    CHECK = ["check", "additivity", os.path.join(ROOT, "demos", "jump2.map")]
 
     @pytest.mark.parametrize("argv, path, key", [
         (CERTIFY, ("certificates", 0, "lines", 0), "anchor_images"),
@@ -186,7 +187,7 @@ class TestStoredReports:
         (CERTIFY, ("certificates", 0, "parallels", 0), "equal"),
         (CERTIFY, ("certificates", 0), "holds"),
         (CERTIFY, ("certificates", 0, "points", 0), "note"),
-        (CERTIFY, ("certificates", 0, "equations", 0, "lhs"), "note"),
+        (CHECK, ("outcomes", 0, "witness", "values", "f(a+b)"), "note"),
         (CLASSIFY, ("outcomes", 0), "note"),
         (CLASSIFY, ("classification",), "holds"),
         (CLASSIFY, ("classification", "phi"), "anchors"),
@@ -244,7 +245,7 @@ class TestJsonText:
 
 # -- the per-report vector table -------------------------------------------------
 
-# 257 vector texts, 17 distinct: "(0, 0)" is stored 39 times
+# 262 vector texts, 17 distinct: "(0, 0)" is stored 33 times
 IDENTITY_ARGV = ["classify", "--no-symbolic", os.path.join(ROOT, "demos", "identity.map"),
                  "--probes", "20", "--seed", "0"]
 
@@ -304,7 +305,7 @@ class TestVectorTableBudget:
         assert text_calls["parse_vector"] == []
         text_calls["format_vector"].clear()
         _decode_records(report)  # outside a table every text is parsed
-        assert len(text_calls["parse_vector"]) == 257
+        assert len(text_calls["parse_vector"]) == 262
         assert len(set(text_calls["parse_vector"])) == 17
 
     def test_revalidating_parses_each_distinct_text_once(self, tmp_path, text_calls):
@@ -330,8 +331,9 @@ def test_a_fresh_report_stores_each_evaluation_once():
 
 
 # one stored text moved at each kind of position, and the failures --revalidate
-# gives for it (the same without the table); the other 38 "(0, 0)" stay. Images are
-# read from `points`, so a moved point or image also fails on the image lines
+# gives for it (the same without the table); the other stored copies stay. Images are
+# read from `points`, so a moved point or image also fails on the image lines and on
+# the equations that name it
 CERT0 = ("certificates", 0)
 TAMPERED = {
     "line-origin": (CERT0 + ("lines", 0, "origin"), "(1, 0)", [
@@ -348,22 +350,25 @@ TAMPERED = {
         "certificate additivity-case1: L0 does not contain (0, 1)",
         "certificate additivity-case1: image of L0 does not contain (0, 1)",
     ]),
+    # the moved input (0, 1) is b's too, and its stored image (0, 0) now reads for b
     "points-input": (CERT0 + ("points", 3, "input"), "(0, 0)", [
         "certificate additivity-case1: no stored evaluation of (0, 0)",
         "certificate additivity-case1: L3: anchor image (0, 0) off the image line",
         "certificate additivity-case1: image of L3 does not contain (0, 0)",
+        "certificate additivity-case1: equation fails: f(a+b) = f(a) + f(b)",
         "certificate additivity-case1: stored evaluation of 0 is stale",
     ]),
     "points-image": (CERT0 + ("points", 3, "image"), "(0, 0)", [
         "certificate additivity-case1: L0: anchor image (0, 1) off the image line",
         "certificate additivity-case1: image of L0 does not contain (0, 1)",
+        "certificate additivity-case1: equation fails: f(0) = 0",
         "certificate additivity-case1: stored evaluation of 0 is stale",
     ]),
-    "equation-lhs": (CERT0 + ("equations", 0, "lhs", "value"), "(0, 0)", [
+    "equation-lhs": (CERT0 + ("equations", 0, "lhs", 0), "(0, 0)", [
         "certificate additivity-case1: equation fails: f(0) = 0",
     ]),
-    "equation-rhs": (("certificates", 1, "equations", 0, "rhs", "value"), "(0, 0)", [
-        "certificate additivity-case2: equation fails: f(0) = 0",
+    "equation-rhs": (("certificates", 1, "equations", 1, "rhs", 1), "(1, 0)", [
+        "certificate additivity-case2: equation fails: f(ai+a) = f(ai) + f(a)",
     ]),
 }
 POINT = TAMPERED["intersection-point"]
