@@ -15,16 +15,18 @@ A rational literal ``p/q`` and the division ``p / q`` denote the same exact
 value, so the parser uniformly treats ``/`` as division.  Conditionals carry
 only ``<=`` guards.
 
-Evaluation is compiled once per spec: the first ``eval_map`` generates one
-Python function over integer (numerator, denominator) pairs and keeps it on
-the spec.  Each affine subtree is folded into one integer dot product by the
-same pass that gives ``symbolic_affine_form`` its (A, b); affine outputs and
-branch arms share one constant multiple of the input's denominator, so such
-outputs come back as one unreduced row with no lcm taken at run time.
+Evaluation is compiled once per spec: the first evaluation emits code over
+integer (numerator, denominator) pairs, kept on the spec, that runs at a point
+or, in a twin function, at each point o + t·d of a line.  Each affine subtree
+is folded into one integer dot product by the same pass that gives
+``symbolic_affine_form`` its (A, b); affine outputs and branch arms share one
+constant multiple of the input's denominator, so such outputs come back as one
+unreduced row with no lcm taken at run time.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -81,8 +83,8 @@ class MapSpec:
     m: int
     n: int
     outputs: tuple[Expr, ...]
-    #: the generated evaluator, compiled on the first eval_map
-    compiled: Optional[Callable] = field(default=None, init=False, compare=False, repr=False)
+    #: the generated code, emitted on the first evaluation
+    compiled: Optional["_Code"] = field(default=None, init=False, compare=False, repr=False)
 
 
 # -- lexer --------------------------------------------------------------------
@@ -427,44 +429,63 @@ class _Emitter:
         return p, q
 
 
-def _compile(spec: MapSpec) -> Callable:
-    """f(x, d): the row (nums, den), den > 0 and not reduced, of the outputs at
-    the point x/d; a zero divisor on the path taken raises
-    ZeroDivisionError(output index)."""
-    emitter = _Emitter(spec.m)
-    values = [emitter.visit(expr) for emitter.output, expr in enumerate(spec.outputs)]
-    return _function(emitter, emitter.over(values) or [emitter.pair(v, False) for v in values])
+class _Code:
+    """A map's generated functions in one namespace: ``point``, f(x, d), compiled
+    at once with the hoisted functions, gives the row (nums, den), den > 0 and not
+    reduced, of the outputs at x/d; its twin ``line``, f(o, u, params), compiled on
+    its first use, gives the rows of ``point`` at o + (p/q)·u for each (p, q), q > 0.
+    A zero divisor on the path taken raises ZeroDivisionError(output index)."""
+
+    def __init__(self, emitter: _Emitter, pairs: list[tuple[str, str]]):
+        self.emitter, self.namespace = emitter, {"from_pairs": from_pairs}
+        self.one = len({q for _, q in pairs}) == 1  # then the outputs share their denominator
+        self.result = "({},), {}".format(", ".join(p for p, _ in pairs), pairs[0][1]) if self.one \
+            else " ".join("({}, {}),".format(*pair) for pair in pairs)  # pairs for from_pairs
+        run = self._exec("f", f"def f(x, d):\n {emitter.params[:-1]}= x", " return " + self.result)
+        self.point = run if self.one else lambda x, d: ((v := from_pairs(run(x, d))).nums, v.den)
+
+    def _exec(self, name: str, head: str, tail: str, indent: str = "") -> Callable:
+        lines = self.emitter.funcs + [head] + [indent + t for t in self.emitter.lines] + [tail]
+        exec(compile("\n".join(lines), "<colline map>", "exec"), self.namespace)
+        self.emitter.funcs = []  # the hoisted functions are in the namespace now
+        return self.namespace[name]
+
+    @functools.cached_property
+    def line(self) -> Callable:
+        # line_point_row inlined: the point is (o·ud·q + u·od·p) / (od·ud·q)
+        xs = self.emitter.params[:-1]
+        point = ", ".join(f"o{i} * mo + u{i} * md" for i in range(self.emitter.m))
+        row = f"({self.result})" if self.one else f"(v := from_pairs(({self.result}))).nums, v.den"
+        head = (f"def line(o, u, params):\n ({xs.replace('x', 'o')}), od = o\n"
+                f" ({xs.replace('x', 'u')}), ud = u\n rows = []\n for p, q in params:\n"
+                f"  mo, md = ud * q, od * p\n  {xs}d = {point}, od * mo")
+        return self._exec("line", head, f"  rows.append(({row}))\n return rows", " ")
 
 
-def compile_rows(rows: list[list[int]], offsets: list[int], den: int) -> Callable:
-    """f(x, d): the row ([row·x + offset·d for each row], den·d), not reduced, of
-    the affine map whose integer rows and offsets are over den > 0."""
+def generated(spec: MapSpec) -> _Code:
+    """The spec's generated code, emitted on its first use and kept on the spec."""
+    if spec.compiled is None:
+        emitter = _Emitter(spec.m)
+        values = [emitter.visit(expr) for emitter.output, expr in enumerate(spec.outputs)]
+        pairs = emitter.over(values) or [emitter.pair(v, False) for v in values]
+        object.__setattr__(spec, "compiled", _Code(emitter, pairs))
+    return spec.compiled
+
+
+def compile_rows(rows: list[list[int]], offsets: list[int], den: int) -> _Code:
+    """The code of x ↦ ([row·x + offset·d for each row], den·d), not reduced, at
+    x/d: the affine map whose integer rows and offsets are over den > 0."""
     emitter = _Emitter(len(rows[0]))
-    return _function(emitter, [emitter.pair((row, offset, den), False, den)
-                               for row, offset in zip(rows, offsets)])
-
-
-def _function(emitter: _Emitter, pairs: list[tuple[str, str]]) -> Callable:
-    """The generated f(x, d): the emitter's lines, then the pairs as one row."""
-    one = len({q for _, q in pairs}) == 1  # then the outputs share their denominator
-    result = "({},), {}".format(", ".join(p for p, _ in pairs), pairs[0][1]) if one else (
-        " ".join("({}, {}),".format(*pair) for pair in pairs))
-    head = f"def f(x, d):\n {emitter.params[:-1]}= x"
-    source = "\n".join(emitter.funcs + [head] + emitter.lines + [" return " + result])
-    namespace: dict = {}
-    exec(compile(source, "<colline map>", "exec"), namespace)
-    run = namespace["f"]
-    return run if one else lambda x, d: ((v := from_pairs(run(x, d))).nums, v.den)
+    return _Code(emitter, [emitter.pair((row, offset, den), False, den)
+                           for row, offset in zip(rows, offsets)])
 
 
 def eval_map(spec: MapSpec, x: Vector) -> Vector:
     """Exact evaluation; division by zero names the output index and input."""
     if len(x.nums) != spec.m:
         raise DimensionMismatch(f"map {spec.name} takes dim {spec.m}, got {x.dim}")
-    if spec.compiled is None:
-        object.__setattr__(spec, "compiled", _compile(spec))
     try:
-        return from_ints(*spec.compiled(x.nums, x.den))
+        return from_ints(*generated(spec).point(x.nums, x.den))
     except ZeroDivisionError as exc:  # raised by the generated code only
         i = exc.args[0]
         message = f"map {spec.name}: division by zero in output y{i} at input {x}"

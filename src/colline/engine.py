@@ -340,9 +340,7 @@ class _CertBuilder:
         return self._labels.get(p, format_vector(p))
 
     def violation(self, message: str) -> ViolationError:
-        witness = CHECKS["certificate"].witness(
-            self.construction_inputs, {"failing fact": message}, message
-        )
+        witness = CHECKS["certificate"].witness(self.construction_inputs, {"failing fact": message})
         return ViolationError(message, witness)
 
     def add_line(self, p: Vector, q: Vector, with_image: bool = True) -> str:
@@ -700,12 +698,20 @@ def scalar_dichotomy(h: MapHandle, cfg: ProbeConfig) -> DichotomyResult:
 class _ShiftReduced(MapHandle):
     def __init__(self, g: MapHandle, a_star: Vector):
         super().__init__(m=g.m, n=g.n, name=f"reduced({g.name})")
-        self.g, self.a_star, self.ga = g, a_star, g(a_star)  # an a* of the wrong dim raises here
+        ga = g(a_star)  # an a* of the wrong dim raises here
+        self.g, self.a_star, self.ga = g, a_star, (ga.nums, ga.den)
+
+    def _shifted(self, nums, den):  # the row of x + a*, over den·a*.den
+        a = self.a_star
+        return [p * a.den + q * den for p, q in zip(nums, a.nums)], den * a.den
 
     def at(self, nums, den):
-        a, ga = self.a_star, self.ga  # x + a* over den·a*.den
-        image = self.g.at([p * a.den + q * den for p, q in zip(nums, a.nums)], den * a.den)
-        return add_rows(image, (ga.nums, ga.den), -1)
+        return add_rows(self.g.at(*self._shifted(nums, den)), self.ga, -1)
+
+    def line_at(self, origin, direction, params):
+        # the line through the shifted origin has the shifted points, row for row
+        return [add_rows(image, self.ga, -1)
+                for image in self.g.line_at(self._shifted(*origin), direction, params)]
 
 
 def shift_reduce(g: MapHandle, a_star: Vector) -> MapHandle:

@@ -35,8 +35,7 @@ from .errors import (
 )
 from .field import (Row, Vector, _dependent_rows, _diff_rows, _line_rank, _ratio, add_rows,
                     affine_rank, from_ints, same_point)
-from .geometry import (Line, Plane, dividing_row, in_interval_rows, line_point_row,
-                       line_through)
+from .geometry import Line, Plane, dividing_row, in_interval_rows, line_through
 from .zoo import MapHandle
 
 
@@ -316,10 +315,13 @@ class Check:
     violation: Callable[[MapHandle, dict], object]
     stream: Optional[Callable[[MapHandle, ProbeConfig], Iterable[Optional[dict]]]] = None
 
-    def witness(self, inputs: dict, values: dict, equation: Optional[str] = None) -> Witness:
-        return Witness(
-            self.name, equation or self.equation, tuple(inputs.items()), tuple(values.items())
-        )
+    def witness(self, inputs: dict, values: dict) -> Witness:
+        """The witness of a violation; it states the row's equation, but a
+        certificate its failing fact and a plane-image collision its sentence."""
+        equation = values["failing fact"] if self.name == "certificate" else self.equation
+        if self.name == "plane-image" and "q" in inputs:  # two points with one image
+            equation = "a map spreading a plane onto a plane is one-to-one on it"
+        return Witness(self.name, equation, tuple(inputs.items()), tuple(values.items()))
 
     def shrunk_witness(self, f: MapHandle, inputs: dict) -> Witness:
         inputs = _shrink(self.violation, f, _canonical_inputs(inputs))
@@ -383,7 +385,8 @@ def _unit_then_sampled_pairs(sampler: _Sampler, count: int):
 
 
 def revalidate_witness(f: MapHandle, witness: Witness) -> bool:
-    """True iff the stored witness still reproduces its violation, values and all.
+    """True iff the stored witness still reproduces its violation, values and
+    the equation it states all.
 
     Malformed or mismatched witness data (e.g. a tampered report) simply
     fails to revalidate instead of raising.
@@ -395,7 +398,8 @@ def revalidate_witness(f: MapHandle, witness: Witness) -> bool:
         result = row.violation(f, dict(witness.inputs))
     except (CollineError, KeyError, ValueError, TypeError):
         return False
-    return isinstance(result, dict) and result == dict(witness.values)
+    return (isinstance(result, dict) and result == dict(witness.values)
+            and row.witness(dict(witness.inputs), result).equation == witness.equation)
 
 
 # -- homogeneity / additivity / zero ------------------------------------------
@@ -447,12 +451,6 @@ def _draw_line(f: MapHandle, cfg: ProbeConfig, s: _Sampler) -> dict:
     return {"line": s.line(f.m), "params": s.params(cfg.params_per_line)}
 
 
-def _line_images(f: MapHandle, origin: Row, direction: Row, params) -> list[Row]:
-    """The image rows of the line's points at the (p, q) params, handed to ``f.at`` as rows."""
-    at = f.at
-    return [at(*line_point_row(origin, direction, p, q)) for p, q in params]
-
-
 def _line_probe(f: MapHandle, inp: dict) -> tuple[Row, Row, list]:
     """The (origin, direction) rows, in f's domain, and (p, q) params of a drawn
     or a stored line probe."""
@@ -468,7 +466,7 @@ def _judged_line(f: MapHandle, inp: dict) -> tuple:
     """(param pairs, image rows, their _diff_rows, affine rank capped at 2): all
     a line judge reads; each judge only compares the rank with 1."""
     origin, direction, params = _line_probe(f, inp)
-    imgs = _line_images(f, origin, direction, params)
+    imgs = f.line_at(origin, direction, params)
     diffs = _diff_rows(imgs)
     return params, imgs, diffs, _line_rank(diffs)
 
@@ -816,11 +814,7 @@ def classify_plane_image(f: MapHandle, plane: Plane, cfg: ProbeConfig) -> PlaneI
             if img in img_index and img_index[img] != p:
                 inputs = {"plane": plane, "p": img_index[img], "q": p,
                           **{f"w{i}": w for i, w in enumerate(anchors)}}
-                witness = row.witness(
-                    inputs,
-                    row.violation(f, inputs),
-                    "a map spreading a plane onto a plane is one-to-one on it",
-                )
+                witness = row.witness(inputs, row.violation(f, inputs))
                 outcome = CheckOutcome(row.name, False, len(points), witness)
                 return PlaneImage("plane", False, outcome)
             img_index[img] = p
@@ -839,8 +833,8 @@ def _span_line(imgs, diffs) -> Line:
 
 def _violation_parallelism(f: MapHandle, inp: dict):
     origin, direction, params = _line_probe(f, inp)
-    imgs0 = _line_images(f, origin, direction, params)
-    imgs1 = _line_images(f, add_rows(origin, f.row(inp["offset"])), direction, params)
+    imgs0 = f.line_at(origin, direction, params)
+    imgs1 = f.line_at(add_rows(origin, f.row(inp["offset"])), direction, params)
     rows0, rows1 = _diff_rows(imgs0), _diff_rows(imgs1)
     if _line_rank(rows0) != 1 or _line_rank(rows1) != 1:
         return _SKIP

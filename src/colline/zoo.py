@@ -4,13 +4,14 @@ DSL-backed.
 Every handle evaluates exactly.  Handles that are affine by construction (or
 provably affine by DSL normalization) expose their (A, b) form through
 ``affine_form``; sampling never produces such a form.  A linear or affine
-handle evaluates through one function that ``dsl.compile_rows`` generates from
-its integer rows on the first ``at``, as a DSL map runs the function compiled
-from its spec.
+handle evaluates through the code that ``dsl.compile_rows`` generates from its
+integer rows on the first ``at`` or ``line_at``, as a DSL map runs the code
+generated from its spec.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Optional
 
@@ -27,6 +28,7 @@ from .field import (
     parse_scalar,
     parse_vector,
 )
+from .geometry import line_point_row
 
 from . import dsl as _dsl
 
@@ -53,8 +55,14 @@ class MapHandle:
     def at(self, nums, den: int) -> Row:
         """The image of the point nums/den as a row: both are ``Row``s, m and n
         integers over a positive denominator, neither necessarily in lowest terms.
-        The one evaluation method every handle implements; a call builds the Vector."""
+        The one method a handle must implement; a call and ``line_at`` run it."""
         raise NotImplementedError
+
+    def line_at(self, origin: Row, direction: Row, params) -> list[Row]:
+        """The rows ``at`` gives at origin + (p/q)·direction for each (p, q) in
+        params, q > 0; a handle with generated code runs the whole line in it."""
+        at = self.at
+        return [at(*line_point_row(origin, direction, p, q)) for p, q in params]
 
     def affine_form(self) -> Optional[tuple[Matrix, Vector]]:
         """(A, b) with self(x) = A·x + b when structurally known, else None."""
@@ -85,10 +93,18 @@ class AffineMap(MapHandle):
     __call__ = MapHandle.__call__  # bound per class, so each kind can be traced apart
 
     def at(self, nums, den):
-        # the first call generates the function of the integer rows, which then
-        # stays on the handle as its own ``at``
-        self.at = _dsl.compile_rows(self._rows, self._offsets, self._den)
+        # the first call generates the code of the integer rows, whose function
+        # then stays on the handle as its own ``at``; ``line_at`` alike
+        self.at = self._code.point
         return self.at(nums, den)
+
+    def line_at(self, origin, direction, params):
+        self.line_at = self._code.line
+        return self.line_at(origin, direction, params)
+
+    @functools.cached_property
+    def _code(self):
+        return _dsl.compile_rows(self._rows, self._offsets, self._den)
 
     def affine_form(self):
         return self.a, self.b
@@ -174,14 +190,20 @@ class DslMap(MapHandle):
     __call__ = MapHandle.__call__
 
     def at(self, nums, den):
-        if (run := self.spec.compiled) is not None:
+        if (code := self.spec.compiled) is not None:
             try:
-                return run(nums, den)
+                return code.point(nums, den)
             except ZeroDivisionError:  # raised by the generated code only
                 pass
         # eval_map compiles the spec, or raises MapEvalError naming the point
         v = eval_map(self.spec, from_ints(nums, den))
         return v.nums, v.den
+
+    def line_at(self, origin, direction, params):
+        try:
+            return _dsl.generated(self.spec).line(origin, direction, params)
+        except ZeroDivisionError:  # point by point, the error names the point as ``at`` does
+            return MapHandle.line_at(self, origin, direction, params)
 
     def affine_form(self):
         return symbolic_affine_form(self.spec)

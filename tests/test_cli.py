@@ -7,12 +7,13 @@ import signal
 import subprocess
 import sys
 import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colline import cli, engine
+from colline import cli, dsl, engine
 from colline.cli import run
 from colline.dsl import MapSpec, parse_map, parse_map_file, render_map
 from colline.engine import REASON_NOT_INDEPENDENT, Certificate, classify_map, decide
@@ -302,6 +303,36 @@ class TestCheckCommand:
         (outcome,) = report["outcomes"]
         assert outcome["verdict"] == "fail"
         assert outcome["witness"]["inputs"]
+
+
+class TestLineFunctionCompiledOnDemand:
+    """A DSL map's line function is compiled on its first ``line_at`` only: rows
+    that evaluate no line, and re-checking their reports, never build it."""
+
+    @staticmethod
+    def line_compiles(argv, capsys):
+        """(exit code, number of line functions compiled) of one run."""
+        with mock.patch.object(dsl, "compile", wraps=compile, create=True) as spy:
+            code = run(argv)
+        capsys.readouterr()
+        return code, sum(call.args[0].startswith("def line(") for call in spy.call_args_list)
+
+    @pytest.mark.parametrize("check, name", [("zero", "translate.map"),
+                                             ("additivity", "jump2.map")])
+    def test_a_point_check_and_its_revalidation_compile_none(self, check, name, tmp_path,
+                                                             capsys):
+        out = str(tmp_path / "r.json")
+        assert self.line_compiles(["check", check, os.path.join(DEMOS, name), "--out", out],
+                                  capsys) == (0, 0)
+        with open(out) as fh:
+            assert '"verdict": "fail"' in fh.read()  # so re-checking evaluates the map
+        assert self.line_compiles(["--revalidate", out], capsys) == (0, 0)
+
+    @pytest.mark.parametrize("name", ["identity.map", "translate.map", "jump2.map"])
+    def test_classify_compiles_one_per_spec(self, name, capsys):
+        # translate's reduced pass runs the same spec through shift_reduce
+        argv = ["classify", "--no-symbolic", os.path.join(DEMOS, name)]
+        assert self.line_compiles(argv, capsys) == (0, 1)
 
 
 class TestCertifyCommand:

@@ -11,6 +11,7 @@ from colline.errors import (
     DimensionMismatch, MapEvalError, PreconditionError, ProbeEvaluationError, ViolationError,
 )
 from colline.field import Vector, collinearity_scalar, from_ints, identity_matrix
+from colline.geometry import Plane
 from colline.predicates import (
     CHECKS,
     CheckOutcome,
@@ -25,6 +26,7 @@ from colline.predicates import (
     check_parallelism_preservation,
     check_ratio_preservation,
     check_zero_fixed,
+    classify_plane_image,
     find_independence_witness,
     revalidate_witness,
     run_check,
@@ -306,6 +308,26 @@ class TestAdditivityCertificate:
         assert str(err.value) == "equation fails: f(a+b) = f(b)"
         assert err.value.witness.check == "certificate"
         assert revalidate_witness(f, err.value.witness)
+
+    def test_a_witness_equation_must_be_the_one_its_row_states(self):
+        # a row's own equation, a certificate's failing fact, a plane collision's sentence
+        lemma23 = make_lemma23(2, 2, None, 0, vec(0, 1))
+        g = dsl("map g : 2 -> 2 { y0 = x1 + x0 * x1; y1 = 0 }")
+        with pytest.raises(ViolationError) as err:
+            additivity_certificate(g, vec(1, 0), vec(0, 1))
+        fold = dsl("map fold : 2 -> 2 { y0 = x0 * x0; y1 = x1 }")
+        plane = Plane(vec(0, 0), vec(1, 0), vec(0, 1))
+        witnesses = [(lemma23, check_additivity(lemma23, CFG).witness),
+                     (g, err.value.witness),
+                     (fold, classify_plane_image(fold, plane, CFG).outcome.witness)]
+        assert [w.equation for _, w in witnesses] == [
+            CHECKS["additivity"].equation, "equation fails: f(a+b) = f(b)",
+            "a map spreading a plane onto a plane is one-to-one on it"]
+        for f, witness in witnesses:
+            assert revalidate_witness(f, witness)
+            for equation in {witness.equation + "x", CHECKS[witness.check].equation} - {
+                    witness.equation}:
+                assert not revalidate_witness(f, dataclasses.replace(witness, equation=equation))
 
     def test_trivial_zero_summand(self):
         f = make_linear(identity_matrix(2))

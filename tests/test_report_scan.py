@@ -154,8 +154,6 @@ ALLOWED = [
      "a certificate's kind, conclusion and note describe its facts and are not checked"),
     (lambda report, path, new: path[0] == "outcomes" and path[-1] in ("probes", "skipped"),
      "probe and skip counts state how much was sampled, which only a re-run shows"),
-    (lambda report, path, new: path[-2:] == ("witness", "equation"),
-     "a witness equation names its row's equation; the row is judged, not its text"),
     (lambda report, path, new: path[-2:] == ("phi", "anchor")
      and report["classification"]["verdict"] == "empirically_linear",
      "the anchor of a linear map's phi table: phi(r) = r at every anchor with f(a) != 0"),
@@ -189,7 +187,7 @@ def test_every_accepted_witness_edit_is_allowlisted():
     assert [o["verdict"] for o in report["outcomes"]] == ["fail"]
     accepted = _accepted(report, OUTCOME_SCOPES)
     assert _unexplained(report, accepted) == []
-    assert sorted(path[-1] for path, _, _ in accepted) == ["equation", "probes", "skipped"]
+    assert sorted(path[-1] for path, _, _ in accepted) == ["probes", "skipped"]
 
 
 def test_every_accepted_edit_of_a_whole_check_report_is_allowlisted():

@@ -1,15 +1,17 @@
 from fractions import Fraction
 from operator import mul
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from colline import dsl
-from colline.dsl import parse_map
+from colline.dsl import MAX_DEPTH, MapSpec, parse_map
 from colline.engine import shift_reduce
 from colline.errors import ConstructionError, DimensionMismatch, MapEvalError
-from colline.field import MAX_DIM, Vector, from_ints, identity_matrix
+from colline.field import MAX_DIM, Vector, from_ints, identity_matrix, same_point
+from colline.geometry import line_point_row
 from colline.predicates import ProbeConfig, _Sampler
 from colline.zoo import (
     AffineMap,
@@ -26,6 +28,7 @@ from colline.zoo import (
     make_linear,
     parse_builtin,
 )
+from test_dsl import DEEP_PREFIX, _expr_strategy
 
 
 def vec(*values):
@@ -233,6 +236,101 @@ class TestIntegerEntryPoint:
         assert len(row) == f.n and all(type(a) is int for a in row)
         assert type(row_den) is int and row_den > 0
         return from_ints(row, row_den)
+
+
+def _line_loop(f, origin, direction, params):
+    """The reference: ``at`` at each point of the line, one call per point."""
+    return [f.at(*line_point_row(origin, direction, p, q)) for p, q in params]
+
+
+@st.composite
+def _lines(draw, m):
+    """(origin, direction, params): two rows of dimension m and up to 6 (p, q)."""
+    row = st.tuples(st.lists(st.integers(-12, 12), min_size=m, max_size=m), st.integers(1, 12))
+    params = st.lists(st.tuples(st.integers(-12, 12), st.integers(1, 6)), min_size=1, max_size=6)
+    return draw(row), draw(row), draw(params)
+
+
+# conditionals nested past the depth at which the generated code hoists them
+_NESTED = (DEEP_PREFIX + "if x0 <= 1 then " * (MAX_DEPTH - 2) + "x0"
+           + " else 2 * x0" * (MAX_DEPTH - 2) + " }")
+
+
+class TestLineAt:
+    """``f.line_at(o, d, params)`` gives, point for point, what ``at`` gives at
+    o + (p/q)·d; a handle with generated code runs the whole line in its line
+    function, and a zero divisor fails there as the point-by-point loop does."""
+
+    NESTED = make_dsl(parse_map(_NESTED))
+    SPLIT = make_dsl(parse_map("map split : 2 -> 2 { y0 = x0 * x1; y1 = x0 / 3 }"))
+    MAPS = {
+        **TestIntegerEntryPoint.MAPS,
+        "nested": NESTED,
+        "split": SPLIT,
+        "shift_reduce affine": shift_reduce(TestIntegerEntryPoint.AFFINE, vec(-1, 4)),
+        "shift_reduce split": shift_reduce(SPLIT, vec(Fraction(1, 2), 3)),
+    }
+
+    @staticmethod
+    def assert_same_rows(f, origin, direction, params):
+        want = TestIntegerEntryPoint.outcome(_line_loop, f, origin, direction, params)
+        got = TestIntegerEntryPoint.outcome(f.line_at, origin, direction, params)
+        if isinstance(want, tuple):  # the loop's MapEvalError: message, output index, point
+            assert got == want
+            return
+        assert len(got) == len(want) == len(params)
+        for (row, den), want_row in zip(got, want):
+            assert len(row) == f.n and all(type(a) is int for a in row)
+            assert type(den) is int and den > 0 and same_point((row, den), want_row)
+
+    @pytest.mark.parametrize("kind", sorted(MAPS))
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_line_at_gives_the_rows_of_at(self, kind, data):
+        f = self.MAPS[kind]
+        self.assert_same_rows(f, *data.draw(_lines(f.m)))
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_random_maps_give_the_rows_of_at(self, data):
+        m = data.draw(st.integers(1, 3))
+        outputs = data.draw(st.lists(_expr_strategy(m), min_size=1, max_size=3))
+        f = make_dsl(MapSpec("r", m, len(outputs), tuple(outputs)))
+        self.assert_same_rows(f, *data.draw(_lines(m)))
+
+    def test_the_kinds_with_generated_code_run_their_line_function(self):
+        for kind in ("linear", "affine", "dsl", "nested", "split"):
+            f = self.MAPS[kind]  # x0 misses 1, warp's zero divisor, on this line
+            line = ([5, 7][:f.m], 3), ([1, -2][:f.m], 4), [(0, 1), (1, 2), (-3, 1)]
+            with mock.patch.object(MapHandle, "line_at") as loop:
+                assert f.line_at(*line) == _line_loop(f, *line)
+            assert not loop.called, kind
+        assert not self.SPLIT.spec.compiled.one  # its outputs are over different denominators
+
+    def test_the_line_function_shares_the_hoisted_functions(self):
+        f = make_dsl(parse_map(_NESTED))  # a fresh spec, so both compiles are seen
+        with mock.patch.object(dsl, "compile", wraps=compile, create=True) as spy:
+            f(vec(3))
+            f.line_at(([0], 1), ([1], 1), [(1, 1), (2, 1)])
+        (point, _, _), (line, _, _) = [call.args for call in spy.call_args_list]
+        assert point.count("def ") > 2 and "def line" not in point
+        assert line.count("def ") == 1 and line.startswith("def line(o, u, params):")
+        hoisted = [name for name in f.spec.compiled.namespace if name[0] == "f" and name != "f"]
+        assert hoisted and any(f"{name}(x0, d)" in line for name in hoisted)
+
+    def test_a_zero_divisor_at_the_third_point_fails_as_the_loop_does(self):
+        f = make_dsl(parse_map("map inv : 2 -> 2 { y0 = 1/x0; y1 = x1 }"))
+        line = ([2, 0], 1), ([-1, 1], 1), [(0, 1), (1, 1), (2, 1), (3, 1)]
+        with pytest.raises(ZeroDivisionError):  # the line function meets x0 = 0
+            dsl.generated(f.spec).line(*line)
+        with pytest.raises(MapEvalError) as loop:
+            _line_loop(f, *line)
+        with pytest.raises(MapEvalError) as twin:
+            f.line_at(*line)
+        assert str(twin.value) == str(loop.value) == (
+            "map inv: division by zero in output y0 at input (0, 2)")
+        assert (twin.value.output_index, twin.value.at) == (loop.value.output_index,
+                                                            loop.value.at) == (0, vec(0, 2))
 
 
 HUGE = 7 * 10**4400 + 3  # past the 4,300-digit limit of int-to-decimal text
