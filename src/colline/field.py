@@ -11,6 +11,14 @@ Math. Comp. 1968); ``coords`` reads the coordinates back as Fractions.  Two
 rows are dependent by one cross-multiplication, ``_dependent_rows``, behind
 independence, collinearity, a point on a line and parallel lines; a line
 judge reads the rank of its rows capped at 2, ``_line_rank``, in one pass.
+
+The loops over a row's coordinates in these primitives run as straight-line
+kernels written out for the row's length n (``_KERNELS``, keyed by n alone):
+each length's kernels are compiled when a row of that length is first met,
+never at import, so a re-import of the module starts with none.  On Python
+3.11 a comprehension or generator runs in a frame of its own, which is most
+of the cost of a loop over at most ``MAX_DIM`` coordinates; Python 3.12
+inlines comprehensions (PEP 709), so there the kernels gain less.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import DimensionMismatch, PreconditionError
 
@@ -72,9 +80,10 @@ _gcd = math.gcd
 
 class Vector:
     """Immutable fixed-dimension coordinate tuple over the rational field,
-    stored as integer numerators ``nums`` over one denominator ``den``."""
+    stored as integer numerators ``nums`` over one denominator ``den``; its
+    hash is computed on the first lookup and kept."""
 
-    __slots__ = ("nums", "den")
+    __slots__ = ("nums", "den", "_hash")
 
     def __init__(self, coords: Iterable[Fraction]):
         v = from_pairs([_ratio(c) for c in coords])
@@ -110,10 +119,6 @@ class Vector:
 
     def _combine(self, other: "Vector", sign: int) -> "Vector":
         """self + sign·other over the lcm of the two denominators."""
-        if len(self.nums) != len(other.nums):
-            raise DimensionMismatch(
-                f"dimension mismatch: {len(self.nums)} vs {len(other.nums)}"
-            )
         return from_ints(*add_rows((self.nums, self.den), (other.nums, other.den), sign))
 
     def __add__(self, other: "Vector") -> "Vector":
@@ -138,7 +143,11 @@ class Vector:
         return isinstance(other, Vector) and self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
-        return hash((self.nums, self.den))
+        try:
+            return self._hash
+        except AttributeError:
+            _set(self, "_hash", h := hash((self.nums, self.den)))
+            return h
 
     def __repr__(self) -> str:
         return f"Vector{self.coords!r}"
@@ -157,7 +166,7 @@ def from_ints(nums: Sequence[int], den: int) -> Vector:
         if den < 0:
             g = -g
         if g != 1:
-            nums = [a // g for a in nums]
+            nums = _KERNELS[n].quo(nums, g)
             den //= g
     v = _new(Vector)
     _set(v, "nums", tuple(nums))
@@ -176,7 +185,7 @@ def add_rows(r0: Row, r1: Row, sign: int = 1) -> tuple[list[int], int]:
     (n0, d0), (n1, d1) = r0, r1
     g = _gcd(d0, d1)
     m0, m1 = d1 // g, sign * (d0 // g)
-    return [a * m0 + b * m1 for a, b in zip(n0, n1)], d0 * m0
+    return _KERNELS[len(n0)].comb(n0, n1, m0, m1), d0 * m0
 
 
 def format_vector(v: Vector) -> str:
@@ -195,6 +204,115 @@ def parse_vector(text: str) -> Vector:
     if not (t.startswith("(") and t.endswith(")")):
         raise ValueError(f"not a vector: {text!r} (expected (s1, ..., sn))")
     return from_pairs([_scalar_pair(part) for part in t[1:-1].split(",")])
+
+
+# -- straight-line row kernels --------------------------------------------------
+#
+# Each loop over a row's coordinates is written out for the row's length n:
+# a coordinate is a local name, so no zip, generator or comprehension frame
+# runs per call.  The entry points below (and in geometry) keep their
+# signatures and pick the kernels of their first row's length.
+
+
+class _RowKernels(NamedTuple):
+    """The kernels for rows of one length n.  A row of another length among
+    the later arguments raises DimensionMismatch (``same`` is False)."""
+
+    comb: Callable  # (x, y, a, b) -> the row x·a + y·b
+    quo: Callable  # (x, g) -> the tuple x // g
+    same: Callable  # (x, y, a, b) -> whether x·a == y·b
+    diff_rows: Callable  # (points) -> _diff_rows(points)
+    dependent: Callable  # (v, w) -> _dependent_rows(v, w)
+    line_rank: Callable  # (w, rows) -> _line_rank of w, then of the rest of iterator rows
+    in_interval: Callable  # (a, b, c) -> geometry.in_interval_rows(a, b, c)
+
+
+def _check_lengths(n: int, *rows: Sequence[int]) -> None:
+    """Raise DimensionMismatch at the first row whose length is not n."""
+    for r in rows:
+        if len(r) != n:
+            raise DimensionMismatch(f"dimension mismatch: {n} vs {len(r)}") from None
+
+
+def _kernel_source(n: int) -> str:
+    """The source of the ``_RowKernels`` functions for rows of length n
+    (``print(_kernel_source(2))`` shows them)."""
+
+    def row(name: str) -> str:  # the names name0, name1, ... as a tuple
+        return ", ".join(f"{name}{i}" for i in range(n)) + ","
+
+    def each(text: str, sep: str = ", ") -> str:  # text for each coordinate {0}
+        return sep.join(text.format(i) for i in range(n))
+
+    def apart(v: str, w: str, j: int) -> str:  # row v off the line of row w, w_j its first nonzero
+        terms = [f"{v}{k}" for k in range(j)]
+        terms += [f"{v}{k} * {w}{j} != {v}{j} * {w}{k}" for k in range(j + 1, n)]
+        return " or ".join(terms) or "False"
+
+    def by_pivot(w: str, arm, pad: str, zero: str = "") -> list[str]:
+        # arm(j) under the first nonzero w_j, then the line for w = 0
+        lines = []
+        for j in range(n):
+            lines += [f"{pad}{'elif' if j else 'if'} {w}{j}:", *arm(j, pad + " ")]
+        return lines + ([f"{pad}else:", f"{pad} {zero}"] if zero else [])
+
+    def mismatch(pad: str, rows: str) -> list[str]:
+        # a row of another length fails its unpacking and raises DimensionMismatch
+        return [f"{pad}except ValueError:", f"{pad} _check_lengths({n}, {rows})", f"{pad} raise"]
+
+    def unpack(pad: str, targets: list[str], rows: str) -> list[str]:
+        return [f"{pad}try:", *[f"{pad} {t}" for t in targets], *mismatch(pad, rows)]
+
+    x, y, v, w = row("x"), row("y"), row("v"), row("w")
+    lines = [
+        "def comb(x, y, a, b):", f" {x} = x",
+        *unpack(" ", [f"{y} = y"], "y"),
+        f" return [{each('x{0} * a + y{0} * b')}]",
+        "def quo(x, g):", f" {x} = x", f" return {each('x{0} // g')},",
+        "def same(x, y, a, b):", f" {x} = x", " try:", f"  {y} = y",
+        " except ValueError:", "  return False",
+        f" return {each('x{0} * a == y{0} * b', ' and ')}",
+        "def diff_rows(points):", f" ({y}), d0 = points[0]", " rows = []",
+        " for x, d in points[1:]:",
+        *unpack("  ", [f"{x} = x"], "x"),
+        "  g = gcd(d, d0)", "  a, b = d0 // g, d // g",
+        f"  rows.append([{each('x{0} * a - y{0} * b')}])", " return rows",
+        "def dependent(v, w):",
+        *unpack(" ", [f"{v} = v"], "v"),
+        f" {w} = w",
+        *by_pivot("w", lambda j, pad: [f"{pad}return not ({apart('v', 'w', j)})"], " ", "return True"),
+        "def line_rank(w, rows):", " v = w", " try:", f"  {w} = w",
+        f"  while not ({each('w{0}', ' or ')}):",
+        "   for v in rows:", "    break", "   else:", "    return 0", f"   {w} = v",
+        *by_pivot("w", lambda j, pad: [f"{pad}for v in rows:", f"{pad} {v} = v",
+                                       f"{pad} if {apart('v', 'w', j)}:", f"{pad}  return 2",
+                                       f"{pad}return 1"], "  "),
+        *mismatch(" ", "v"),
+        "def in_interval(a, b, c):", f" ({row('a')}), ad = a",
+        *unpack(" ", [f"({row('b')}), bd = b", f"({row('c')}), cd = c"], "b[0], c[0]"),
+        *[f" u{i} = c{i} * ad - a{i} * cd" for i in range(n)],
+        *[f" v{i} = b{i} * ad - a{i} * bd" for i in range(n)],
+        *by_pivot("v", lambda j, pad: [f"{pad}if {apart('u', 'v', j)}:", f"{pad} return False",
+                                       f"{pad}p, q = u{j} * bd, v{j} * cd"], " ", "return False"),
+        " return 0 < p < q if q > 0 else q < p < 0",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+class _KernelTable(dict):
+    """Row length -> its ``_RowKernels``, compiled when a row of that length
+    is first met (never at import)."""
+
+    def __missing__(self, n: int) -> _RowKernels:
+        if not 1 <= n <= MAX_DIM:
+            raise DimensionMismatch(f"row length {n} outside 1..{MAX_DIM}")
+        namespace = {"gcd": _gcd, "_check_lengths": _check_lengths}
+        exec(compile(_kernel_source(n), f"<colline rows of length {n}>", "exec"), namespace)
+        self[n] = kernels = _RowKernels(*[namespace[name] for name in _RowKernels._fields])
+        return kernels
+
+
+_KERNELS = _KernelTable()
 
 
 # -- integer rank and collinearity ----------------------------------------------
@@ -237,14 +355,7 @@ def _int_rank(rows: list[Sequence[int]]) -> int:
 def _dependent_rows(v: Sequence[int], w: Sequence[int]) -> bool:
     """Whether two integer rows of one length are dependent: w = 0, or
     v_k·w_j == v_j·w_k for every k, with w_j the first nonzero entry of w."""
-    for j, wj in enumerate(w):
-        if wj:
-            vj = v[j]
-            for vk, wk in zip(v, w):
-                if vk * wj != vj * wk:
-                    return False
-            return True
-    return True
+    return _KERNELS[len(w)].dependent(v, w)
 
 
 def _line_rank(rows: Iterable[Sequence[int]]) -> int:
@@ -253,17 +364,7 @@ def _line_rank(rows: Iterable[Sequence[int]]) -> int:
     returned at the first later row v with v_k·w_j != v_j·w_k."""
     it = iter(rows)
     for w in it:
-        for j, wj in enumerate(w):
-            if wj:
-                break
-        else:
-            continue
-        for v in it:
-            vj = v[j]
-            for vk, wk in zip(v, w):
-                if vk * wj != vj * wk:
-                    return 2
-        return 1
+        return _KERNELS[len(w)].line_rank(w, it)
     return 0
 
 
@@ -278,17 +379,7 @@ def _diff_rows(points: Sequence[Row]) -> list[list[int]]:
     """Integer rows of p_i − p_0 (i ≥ 1), each scaled by a positive factor."""
     if not points:
         raise PreconditionError("affine_rank of empty point set")
-    n0, d0 = points[0]
-    dim = len(n0)
-    rows = []
-    for ni, di in points[1:]:
-        if len(ni) != dim:
-            raise DimensionMismatch(f"dimension mismatch: {dim} vs {len(ni)}")
-        # p_i − p_0 scaled by di·d0/gcd: a nonzero factor, same rank
-        g = _gcd(di, d0)
-        mi, m0 = d0 // g, di // g
-        rows.append([a * mi - b * m0 for a, b in zip(ni, n0)])
-    return rows
+    return _KERNELS[len(points[0][0])].diff_rows(points)
 
 
 def affine_rank(points: Sequence[Vector]) -> int:
@@ -299,7 +390,7 @@ def affine_rank(points: Sequence[Vector]) -> int:
 def same_point(r0: Row, r1: Row) -> bool:
     """Whether two rows are one point, decided by cross-multiplication."""
     (n0, d0), (n1, d1) = r0, r1
-    return [a * d1 for a in n0] == [b * d0 for b in n1]
+    return _KERNELS[len(n0)].same(n0, n1, d1, d0)
 
 
 def collinearity_scalar(v: Vector, w: Vector) -> Optional[Fraction]:

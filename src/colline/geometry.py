@@ -18,6 +18,7 @@ from .field import (
     format_vector,
     from_ints,
     linearly_independent,
+    _KERNELS,
     _dependent_rows,
     _int_rank,
     _ratio,
@@ -50,10 +51,7 @@ class Line:
     def contains(self, p: Vector) -> bool:
         """Exact membership: p − origin must be a multiple of direction."""
         o = self.origin
-        if len(p.nums) != len(o.nums):
-            raise DimensionMismatch(f"dimension mismatch: {p.dim} vs {o.dim}")
-        pd, od = p.den, o.den
-        diff = [a * od - b * pd for a, b in zip(p.nums, o.nums)]  # (p − origin)·pd·od
+        diff = _KERNELS[len(p.nums)].comb(p.nums, o.nums, o.den, -p.den)  # (p − origin)·pd·od
         return _dependent_rows(diff, self.direction.nums)
 
     def canonical(self) -> tuple[Vector, Vector]:
@@ -88,7 +86,7 @@ def line_point_row(origin: Row, direction: Row, p: int, q: int) -> tuple[list[in
     (on, od), (dn, dd) = origin, direction
     # o + (p/q)·d over the denominator od·dd·q
     mo, md = dd * q, od * p
-    return [a * mo + b * md for a, b in zip(on, dn)], od * mo
+    return _KERNELS[len(on)].comb(on, dn, mo, md), od * mo
 
 
 def format_line(line: Line) -> str:
@@ -120,7 +118,7 @@ def dividing_row(a: Row, b: Row, tn: int, td: int) -> tuple[list[int], int]:
     (an, ad), (bn, bd) = a, b
     # ((td − tn)·a + tn·b) / td over the denominator ad·bd·td
     ma, mb = bd * (td - tn), ad * tn
-    return [x * ma + y * mb for x, y in zip(an, bn)], ad * bd * td
+    return _KERNELS[len(an)].comb(an, bn, ma, mb), ad * bd * td
 
 
 def in_interval(a: Vector, b: Vector, c: Vector) -> bool:
@@ -129,23 +127,11 @@ def in_interval(a: Vector, b: Vector, c: Vector) -> bool:
 
 
 def in_interval_rows(a: Row, b: Row, c: Row) -> bool:
-    """``in_interval`` for three rows (nums, den)."""
-    (an, ad), (bn, bd), (cn, cd) = a, b, c
-    if not len(an) == len(bn) == len(cn):
-        raise DimensionMismatch(f"dimension mismatch: {len(an)}, {len(bn)}, {len(cn)}")
-    # u = (c − a)·cd·ad and v = (b − a)·bd·ad as integer rows
-    u = [x * ad - y * cd for x, y in zip(cn, an)]
-    v = [x * ad - y * bd for x, y in zip(bn, an)]
-    j = next((i for i, x in enumerate(v) if x), None)
-    if j is None:  # a = b
-        return False
-    uj, vj = u[j], v[j]
-    if any(x * vj != uj * y for x, y in zip(u, v)):
-        return False
-    # c − a = t·(b − a) with t = uj·bd / (vj·cd)
-    p, q = uj * bd, vj * cd
-    p, q = (p, q) if q > 0 else (-p, -q)
-    return 0 < p < q
+    """``in_interval`` for three rows (nums, den): with u = (c − a)·cd·ad and
+    v = (b − a)·bd·ad integer rows, c is inside iff u is a multiple of v ≠ 0
+    and c − a = t·(b − a) for t = u_j·bd / (v_j·cd) in (0, 1), v_j the first
+    nonzero entry of v."""
+    return _KERNELS[len(a[0])].in_interval(a, b, c)
 
 
 def lines_parallel(l0: Line, l1: Line) -> bool:

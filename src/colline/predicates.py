@@ -603,11 +603,8 @@ def _draw_cor43(f: MapHandle, cfg: ProbeConfig, s: _Sampler) -> Optional[dict]:
     a, b = s.vector(f.m), s.vector(f.m)
     if same_point(a, b):
         return None
-    (tp, tq), (an, ad), (bn, bd) = s.unit_interval(), a, b
-    # c = a + t·(b − a) = ((tq − tp)·a + tp·b) / tq, over ad·bd·tq
-    ma, mb = (tq - tp) * bd, tp * ad
-    c = [x * ma + y * mb for x, y in zip(an, bn)]
-    return {"a": a, "b": b, "c": _PointRow((c, ad * bd * tq))}
+    tp, tq = s.unit_interval()
+    return {"a": a, "b": b, "c": _PointRow(dividing_row(a, b, tp, tq))}  # a + t·(b − a)
 
 
 def _violation_betweenness_cor43(f: MapHandle, inp: dict):

@@ -1,4 +1,6 @@
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -11,12 +13,15 @@ from colline.field import (
     MAX_DIM,
     Vector,
     _dependent_rows,
+    _diff_rows,
     _int_rank,
     _line_rank,
+    add_rows,
     affine_rank,
     collinearity_scalar,
     format_scalar,
     format_vector,
+    from_ints,
     identity_matrix,
     linearly_independent,
     matrix,
@@ -24,8 +29,12 @@ from colline.field import (
     parse_matrix,
     parse_scalar,
     parse_vector,
+    same_point,
 )
+from colline.geometry import dividing_row, in_interval_rows, line_point_row
 from colline.zoo import make_linear
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 # Independent oracle: rank of a small matrix via brute-force minor expansion.
 # Deliberately avoids elimination so the production path is cross-checked.
@@ -351,6 +360,206 @@ class TestLineRank:
     @example([[10**120, 1], [10**120, 1], [10**120 + 1, 1]])
     def test_matches_int_rank_capped_at_2(self, rows):
         assert _line_rank(rows) == min(_int_rank(rows), 2)
+
+
+# The generic loops the row kernels replaced, kept as oracles.
+
+
+def _loop_add_rows(r0, r1, sign=1):
+    (n0, d0), (n1, d1) = r0, r1
+    g = math.gcd(d0, d1)
+    m0, m1 = d1 // g, sign * (d0 // g)
+    return [a * m0 + b * m1 for a, b in zip(n0, n1)], d0 * m0
+
+
+def _loop_same_point(r0, r1):
+    (n0, d0), (n1, d1) = r0, r1
+    return [a * d1 for a in n0] == [b * d0 for b in n1]
+
+
+def _loop_diff_rows(points):
+    n0, d0 = points[0]
+    rows = []
+    for ni, di in points[1:]:
+        g = math.gcd(di, d0)
+        mi, m0 = d0 // g, di // g
+        rows.append([a * mi - b * m0 for a, b in zip(ni, n0)])
+    return rows
+
+
+def _loop_dependent_rows(v, w):
+    for j, wj in enumerate(w):
+        if wj:
+            vj = v[j]
+            for vk, wk in zip(v, w):
+                if vk * wj != vj * wk:
+                    return False
+            return True
+    return True
+
+
+def _loop_line_rank(rows):
+    it = iter(rows)
+    for w in it:
+        for j, wj in enumerate(w):
+            if wj:
+                break
+        else:
+            continue
+        for v in it:
+            vj = v[j]
+            for vk, wk in zip(v, w):
+                if vk * wj != vj * wk:
+                    return 2
+        return 1
+    return 0
+
+
+def _loop_dividing_row(a, b, tn, td):
+    (an, ad), (bn, bd) = a, b
+    ma, mb = bd * (td - tn), ad * tn
+    return [x * ma + y * mb for x, y in zip(an, bn)], ad * bd * td
+
+
+def _loop_line_point_row(origin, direction, p, q):
+    (on, od), (dn, dd) = origin, direction
+    mo, md = dd * q, od * p
+    return [a * mo + b * md for a, b in zip(on, dn)], od * mo
+
+
+def _loop_in_interval_rows(a, b, c):
+    (an, ad), (bn, bd), (cn, cd) = a, b, c
+    u = [x * ad - y * cd for x, y in zip(cn, an)]
+    v = [x * ad - y * bd for x, y in zip(bn, an)]
+    j = next((i for i, x in enumerate(v) if x), None)
+    if j is None:
+        return False
+    uj, vj = u[j], v[j]
+    if any(x * vj != uj * y for x, y in zip(u, v)):
+        return False
+    p, q = uj * bd, vj * cd
+    p, q = (p, q) if q > 0 else (-p, -q)
+    return 0 < p < q
+
+
+def _loop_from_ints(nums, den):
+    g = math.gcd(*nums, den)
+    g = -g if den < 0 else g
+    return tuple(a // g for a in nums), den // g
+
+
+# entries near 10**300, small ones and zero; denominators small or near 10**300
+_near_huge = st.integers(10**300 - 10**6, 10**300 + 10**6)
+_huge_entries = st.one_of(st.integers(-3, 3), _near_huge, _near_huge.map(lambda x: -x))
+_huge_dens = st.one_of(st.integers(1, 6), _near_huge)
+
+
+def _rows_of(n):
+    return st.one_of(st.lists(_huge_entries, min_size=n, max_size=n), st.just([0] * n))
+
+
+@st.composite
+def _ranked_rows(draw, n):
+    """0..6 rows of length n whose rank is 0, 1 or 2 by construction: zero rows,
+    multiples of one base row, and, for rank 2, one free row among them."""
+    rank = draw(st.integers(0, 2))
+    base = draw(_rows_of(n))
+    rows = [[draw(_huge_entries) * x for x in base] if rank else [0] * n
+            for _ in range(draw(st.integers(0, 6)))]
+    if rank == 2:
+        rows.insert(draw(st.integers(0, len(rows))), draw(_rows_of(n)))
+    return rows
+
+
+class TestRowKernels:
+    """Each straight-line row kernel, through its entry point, against the
+    generic loop it replaced, at every row length."""
+
+    @pytest.mark.parametrize("n", range(1, MAX_DIM + 1))
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_point_rows_match_the_loops(self, n, data):
+        point = st.tuples(_rows_of(n), _huge_dens)
+        a, b, c = data.draw(point), data.draw(point), data.draw(point)
+        sign = data.draw(st.sampled_from([1, -1]))
+        tn, td = data.draw(_huge_entries), data.draw(_huge_entries.filter(bool))
+        p, q = data.draw(_huge_entries), data.draw(_huge_dens)
+        assert add_rows(a, b, sign) == _loop_add_rows(a, b, sign)
+        assert line_point_row(a, b, p, q) == _loop_line_point_row(a, b, p, q)
+        for tn_, td_ in ((tn, td), (-tn, -td), (td - tn, -td)):  # td < 0 included
+            assert dividing_row(a, b, tn_, td_) == _loop_dividing_row(a, b, tn_, td_)
+        k = data.draw(_huge_dens)
+        for x, y in ((a, b), (a, a), (a, ([k * v for v in a[0]], k * a[1]))):
+            assert same_point(x, y) == _loop_same_point(x, y)
+        on_line = dividing_row(a, b, tn, abs(td))  # c on the line through a and b
+        for z in (c, on_line, a, b):
+            assert in_interval_rows(a, b, z) == _loop_in_interval_rows(a, b, z)
+        points = [a, b, c, a, on_line][:data.draw(st.integers(1, 5))]
+        assert _diff_rows(points) == _loop_diff_rows(points)
+        nums, den = add_rows(a, b, sign)
+        if den != 1:  # reduced by a common factor through the ``quo`` kernel
+            v = from_ints(nums, den)
+            assert (v.nums, v.den) == _loop_from_ints(nums, den)
+
+    @pytest.mark.parametrize("n", range(1, MAX_DIM + 1))
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_rank_rows_match_the_loops(self, n, data):
+        rows = data.draw(_ranked_rows(n))
+        assert _line_rank(rows) == _loop_line_rank(rows)
+        assert _line_rank(iter(rows)) == _loop_line_rank(rows)
+        for v in rows:
+            for w in rows:
+                assert _dependent_rows(v, w) == _loop_dependent_rows(v, w)
+
+    def test_empty_inputs(self):
+        assert _line_rank([]) == 0
+        assert _line_rank(iter([])) == 0
+        with pytest.raises(PreconditionError):
+            _diff_rows([])
+
+    def test_kernels_compile_on_first_use_not_at_import(self):
+        probe = ("import colline.cli, colline.field as f; assert not f._KERNELS, f._KERNELS; "
+                 "f.add_rows(([1, 2, 3], 1), ([4, 5, 6], 2)); assert list(f._KERNELS) == [3]")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+
+class TestUnequalRows:
+    """Rows of unequal length raise DimensionMismatch instead of being cut to
+    the shorter by zip; ``same_point`` answers False."""
+
+    def test_add_rows(self):
+        with pytest.raises(DimensionMismatch, match="^dimension mismatch: 2 vs 1$"):
+            add_rows(([1, 2], 1), ([1], 1))
+
+    def test_dividing_row(self):
+        with pytest.raises(DimensionMismatch, match="^dimension mismatch: 2 vs 1$"):
+            dividing_row(([1, 2], 1), ([3], 1), 1, 2)
+
+    def test_same_point(self):
+        assert not same_point(([1, 2], 1), ([1], 1))
+        assert not same_point(([1], 1), ([1, 2], 1))
+
+    @pytest.mark.parametrize("n", range(1, MAX_DIM + 1))
+    def test_every_row_primitive(self, n):
+        k = n % MAX_DIM + 1  # another length
+        a, b = ([1] * n, 1), ([2] * k, 3)
+        for call in (lambda: add_rows(a, b), lambda: dividing_row(a, b, 1, 2),
+                     lambda: line_point_row(a, b, 1, 2), lambda: in_interval_rows(a, a, b),
+                     lambda: in_interval_rows(a, b, a), lambda: _diff_rows([a, a, b]),
+                     lambda: _dependent_rows(b[0], a[0]), lambda: _line_rank([a[0], b[0]]),
+                     lambda: _line_rank([[0] * n, b[0]])):
+            with pytest.raises(DimensionMismatch, match=f"^dimension mismatch: {n} vs {k}$"):
+                call()
+        assert not same_point(a, b)
+
+    @pytest.mark.parametrize("n", [0, MAX_DIM + 1])
+    def test_rows_outside_the_dimension_range(self, n):
+        with pytest.raises(DimensionMismatch, match=f"row length {n} outside 1..{MAX_DIM}"):
+            add_rows(([1] * n, 1), ([1] * n, 1))
 
 
 class TestAffineRank:
