@@ -12,13 +12,15 @@ rows are dependent by one cross-multiplication, ``_dependent_rows``, behind
 independence, collinearity, a point on a line and parallel lines; a line
 judge reads the rank of its rows capped at 2, ``_line_rank``, in one pass.
 
-The loops over a row's coordinates in these primitives run as straight-line
-kernels written out for the row's length n (``_KERNELS``, keyed by n alone):
-each length's kernels are compiled when a row of that length is first met,
-never at import, so a re-import of the module starts with none.  On Python
-3.11 a comprehension or generator runs in a frame of its own, which is most
-of the cost of a loop over at most ``MAX_DIM`` coordinates; Python 3.12
-inlines comprehensions (PEP 709), so there the kernels gain less.
+The loops over a row's coordinates in these primitives, and in the probe
+sampler's draw of a point (``predicates._Sampler.vector``), run as
+straight-line kernels written out for the row's length n (``_KERNELS``,
+keyed by n alone): each length's kernels are compiled when a row of that
+length is first met, never at import, so a re-import of the module starts
+with none.  On Python 3.11 a comprehension or generator runs in a frame of
+its own, which is most of the cost of a loop over at most ``MAX_DIM``
+coordinates; Python 3.12 inlines comprehensions (PEP 709), so there the
+kernels gain less.
 """
 
 from __future__ import annotations
@@ -128,11 +130,11 @@ class Vector:
         return self._combine(other, -1)
 
     def __neg__(self) -> "Vector":
-        return from_ints([-a for a in self.nums], self.den)
+        return from_ints(_KERNELS[len(self.nums)].scale(self.nums, -1), self.den)
 
     def __mul__(self, s) -> "Vector":
         p, q = _ratio(s)
-        return from_ints([a * p for a in self.nums], self.den * q)
+        return from_ints(_KERNELS[len(self.nums)].scale(self.nums, p), self.den * q)
 
     __rmul__ = __mul__
 
@@ -176,8 +178,11 @@ def from_ints(nums: Sequence[int], den: int) -> Vector:
 
 def from_pairs(pairs: Sequence[tuple[int, int]]) -> Vector:
     """The vector (p0/q0, p1/q1, ...) from integer pairs with q > 0."""
-    den = math.lcm(*[q for _, q in pairs])
-    return from_ints([p * (den // q) for p, q in pairs], den)
+    try:
+        over = _KERNELS[len(pairs)].over
+    except DimensionMismatch:  # from_ints' message, not the kernel table's
+        raise DimensionMismatch(f"vector dimension {len(pairs)} outside 1..{MAX_DIM}") from None
+    return from_ints(*over(pairs))
 
 
 def add_rows(r0: Row, r1: Row, sign: int = 1) -> tuple[list[int], int]:
@@ -211,7 +216,8 @@ def parse_vector(text: str) -> Vector:
 # Each loop over a row's coordinates is written out for the row's length n:
 # a coordinate is a local name, so no zip, generator or comprehension frame
 # runs per call.  The entry points below (and in geometry) keep their
-# signatures and pick the kernels of their first row's length.
+# signatures and pick the kernels of their first row's length; the vector
+# scalings and the sampler's ``draw`` call their kernel directly.
 
 
 class _RowKernels(NamedTuple):
@@ -225,6 +231,9 @@ class _RowKernels(NamedTuple):
     dependent: Callable  # (v, w) -> _dependent_rows(v, w)
     line_rank: Callable  # (w, rows) -> _line_rank of w, then of the rest of iterator rows
     in_interval: Callable  # (a, b, c) -> geometry.in_interval_rows(a, b, c)
+    scale: Callable  # (x, a) -> the row x·a
+    over: Callable  # (pairs) -> from_pairs' row of (p, q) pairs, over the lcm of the q's
+    draw: Callable  # (bits, kp, np_, kq, nq, r) -> predicates._Sampler.vector's row
 
 
 def _check_lengths(n: int, *rows: Sequence[int]) -> None:
@@ -295,6 +304,15 @@ def _kernel_source(n: int) -> str:
         *by_pivot("v", lambda j, pad: [f"{pad}if {apart('u', 'v', j)}:", f"{pad} return False",
                                        f"{pad}p, q = u{j} * bd, v{j} * cd"], " ", "return False"),
         " return 0 < p < q if q > 0 else q < p < 0",
+        "def scale(x, a):", f" {x} = x", f" return [{each('x{0} * a')}]",
+        "def over(pairs):", f" {each('(x{0}, y{0})')}, = pairs", f" d = lcm({y})",
+        f" return [{each('x{0} * (d // y{0})')}], d",
+        # randint(-r, r) then randint(1, r) per coordinate: k-bit draws until one is below n
+        "def draw(bits, kp, np_, kq, nq, r):",
+        *[line for i in range(n) for line in (
+            f" x{i} = bits(kp)", f" while x{i} >= np_:", f"  x{i} = bits(kp)",
+            f" y{i} = bits(kq) + 1", f" while y{i} > nq:", f"  y{i} = bits(kq) + 1")],
+        f" d = lcm({y})", f" return [{each('(x{0} - r) * (d // y{0})')}], d",
     ]
     return "\n".join(lines) + "\n"
 
@@ -306,7 +324,7 @@ class _KernelTable(dict):
     def __missing__(self, n: int) -> _RowKernels:
         if not 1 <= n <= MAX_DIM:
             raise DimensionMismatch(f"row length {n} outside 1..{MAX_DIM}")
-        namespace = {"gcd": _gcd, "_check_lengths": _check_lengths}
+        namespace = {"gcd": _gcd, "lcm": math.lcm, "_check_lengths": _check_lengths}
         exec(compile(_kernel_source(n), f"<colline rows of length {n}>", "exec"), namespace)
         self[n] = kernels = _RowKernels(*[namespace[name] for name in _RowKernels._fields])
         return kernels

@@ -23,7 +23,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Callable, Iterable, Optional
 
 from .errors import (
@@ -33,8 +33,8 @@ from .errors import (
     MapEvalError,
     ProbeEvaluationError,
 )
-from .field import (Row, Vector, _dependent_rows, _diff_rows, _line_rank, _ratio, add_rows,
-                    affine_rank, from_ints, same_point)
+from .field import (_KERNELS, Row, Vector, _dependent_rows, _diff_rows, _line_rank, _ratio,
+                    add_rows, affine_rank, from_ints, same_point)
 from .geometry import Line, Plane, dividing_row, in_interval_rows, line_through
 from .zoo import MapHandle
 
@@ -132,7 +132,9 @@ class _Sampler:
     gives on the same seed, call for call; a scalar is ``randint(-R, R)``
     over ``randint(1, R)``.  The draws skip ``randint`` but make its
     ``getrandbits`` calls: ``randint(a, b)`` is a + r, where r is the first
-    ``getrandbits(k)`` below n = b − a + 1 and k = n.bit_length().
+    ``getrandbits(k)`` below n = b − a + 1 and k = n.bit_length().  Those
+    draws are inlined in ``_pair`` and, for a point of each dimension, in
+    the ``draw`` kernel that ``field._kernel_source`` writes out.
 
     Points, lines, line parameters and the ratio row's scalars are drawn as
     unreduced rows and (p, q) pairs (``_canonical_inputs`` builds a witness's
@@ -142,23 +144,21 @@ class _Sampler:
     def __init__(self, cfg: ProbeConfig):
         self.rng = random.Random(cfg.seed)
         self.range = r = cfg.coordinate_range
-        self._bits = self.rng.getrandbits
-        # (k, n) of the numerator range [-R, R] and the denominator range [1, R]
-        self._num = ((2 * r + 1).bit_length(), 2 * r + 1)
-        self._den = (r.bit_length(), r)
+        self._bits = bits = self.rng.getrandbits
+        # a draw kernel's arguments: getrandbits, (k, n) of the numerator range
+        # [-R, R], (k, n) of the denominator range [1, R], R
+        self._draw = (bits, (2 * r + 1).bit_length(), 2 * r + 1, r.bit_length(), r, r)
 
     def _pair(self) -> tuple[int, int]:
         """(p, q) as ``randint(-R, R), randint(1, R)`` would draw them."""
-        bits = self._bits
-        k, n = self._num
-        p = bits(k)
-        while p >= n:
-            p = bits(k)
-        k, n = self._den
-        q = bits(k)
-        while q >= n:
-            q = bits(k)
-        return p - self.range, q + 1
+        bits, kp, np_, kq, nq, r = self._draw
+        p = bits(kp)
+        while p >= np_:
+            p = bits(kp)
+        q = bits(kq) + 1
+        while q > nq:
+            q = bits(kq) + 1
+        return p - r, q
 
     def scalar(self) -> Fraction:
         return Fraction(*self._pair())
@@ -170,22 +170,7 @@ class _Sampler:
                 return s
 
     def vector(self, dim: int) -> _PointRow:
-        # dim ``_pair`` draws, inlined: the same getrandbits calls in the same order
-        bits, r = self._bits, self.range
-        kp, np_ = self._num
-        kq, nq = self._den
-        ps, qs = [], []
-        for _ in range(dim):
-            p = bits(kp)
-            while p >= np_:
-                p = bits(kp)
-            q = bits(kq)
-            while q >= nq:
-                q = bits(kq)
-            ps.append(p - r)
-            qs.append(q + 1)
-        den = lcm(*qs)
-        return _PointRow(([p * (den // q) for p, q in zip(ps, qs)], den))
+        return _PointRow(_KERNELS[dim].draw(*self._draw))
 
     def nonzero_vector(self, dim: int) -> _PointRow:
         while True:
@@ -197,8 +182,10 @@ class _Sampler:
         return _LineRows((self.vector(dim), self.nonzero_vector(dim)))
 
     def params(self, k: int) -> _ParamPairs:
-        pair = self._pair
-        return _ParamPairs(_FIXED_PARAMS + tuple(pair() for _ in range(k - 3)))
+        pair, drawn = self._pair, list(_FIXED_PARAMS)
+        for _ in range(k - 3):
+            drawn.append(pair())
+        return _ParamPairs(drawn)
 
     def _below(self, n: int) -> int:
         """The r of ``randint(a, a + n - 1)``: the first draw below n."""
@@ -408,9 +395,9 @@ def revalidate_witness(f: MapHandle, witness: Witness) -> bool:
 def _violation_homogeneity(f: MapHandle, inp: dict):
     p, q = _ratio(inp["c"])
     an, ad = f.row(inp["a"])
-    lhs = f.at([p * x for x in an], q * ad)
+    lhs = f.at(_KERNELS[len(an)].scale(an, p), q * ad)
     fn, fd = f.at(an, ad)
-    rhs = [p * x for x in fn], q * fd
+    rhs = _KERNELS[len(fn)].scale(fn, p), q * fd
     if not same_point(lhs, rhs):
         return {"f(c*a)": from_ints(*lhs), "c*f(a)": from_ints(*rhs)}
     return None
@@ -620,7 +607,7 @@ def _violation_betweenness_cor43(f: MapHandle, inp: dict):
 def _draw_prop44(f: MapHandle, cfg: ProbeConfig, s: _Sampler) -> dict:
     a = s.nonzero_vector(f.m)
     p, q = s.unit_interval()
-    return {"a": a, "c": _PointRow(([p * x for x in a[0]], q * a[1]))}
+    return {"a": a, "c": _PointRow((_KERNELS[f.m].scale(a[0], p), q * a[1]))}
 
 
 def _violation_betweenness_prop44(f: MapHandle, inp: dict):

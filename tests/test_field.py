@@ -15,13 +15,16 @@ from colline.field import (
     _dependent_rows,
     _diff_rows,
     _int_rank,
+    _kernel_source,
     _line_rank,
+    _RowKernels,
     add_rows,
     affine_rank,
     collinearity_scalar,
     format_scalar,
     format_vector,
     from_ints,
+    from_pairs,
     identity_matrix,
     linearly_independent,
     matrix,
@@ -448,6 +451,11 @@ def _loop_from_ints(nums, den):
     return tuple(a // g for a in nums), den // g
 
 
+def _loop_from_pairs(pairs):
+    den = math.lcm(*[q for _, q in pairs])
+    return _loop_from_ints([p * (den // q) for p, q in pairs], den)
+
+
 # entries near 10**300, small ones and zero; denominators small or near 10**300
 _near_huge = st.integers(10**300 - 10**6, 10**300 + 10**6)
 _huge_entries = st.one_of(st.integers(-3, 3), _near_huge, _near_huge.map(lambda x: -x))
@@ -500,6 +508,12 @@ class TestRowKernels:
         if den != 1:  # reduced by a common factor through the ``quo`` kernel
             v = from_ints(nums, den)
             assert (v.nums, v.den) == _loop_from_ints(nums, den)
+        pairs = list(zip(a[0], data.draw(st.lists(_huge_dens, min_size=n, max_size=n))))
+        v = from_pairs(pairs)
+        assert (v.nums, v.den) == _loop_from_pairs(pairs)
+        for w, want in ((-v, _loop_from_ints([-x for x in v.nums], v.den)),
+                        (v * Fraction(p, q), _loop_from_ints([x * p for x in v.nums], v.den * q))):
+            assert (w.nums, w.den) == want
 
     @pytest.mark.parametrize("n", range(1, MAX_DIM + 1))
     @given(data=st.data())
@@ -517,6 +531,13 @@ class TestRowKernels:
         assert _line_rank(iter([])) == 0
         with pytest.raises(PreconditionError):
             _diff_rows([])
+
+    @pytest.mark.parametrize("n", range(1, MAX_DIM + 1))
+    def test_each_length_defines_every_kernel(self, n):
+        namespace = {}
+        exec(compile(_kernel_source(n), f"<rows of length {n}>", "exec"), namespace)
+        for name in _RowKernels._fields:
+            assert callable(namespace.get(name)), name
 
     def test_kernels_compile_on_first_use_not_at_import(self):
         probe = ("import colline.cli, colline.field as f; assert not f._KERNELS, f._KERNELS; "
@@ -560,6 +581,8 @@ class TestUnequalRows:
     def test_rows_outside_the_dimension_range(self, n):
         with pytest.raises(DimensionMismatch, match=f"row length {n} outside 1..{MAX_DIM}"):
             add_rows(([1] * n, 1), ([1] * n, 1))
+        with pytest.raises(DimensionMismatch, match=f"^vector dimension {n} outside 1..{MAX_DIM}$"):
+            from_pairs([(1, 2)] * n)
 
 
 class TestAffineRank:

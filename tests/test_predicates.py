@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from colline.dsl import MapSpec, parse_map, render_map
 from colline.errors import DimensionMismatch, MapEvalError, ProbeEvaluationError
-from colline.field import Vector, affine_rank, from_ints, from_pairs, identity_matrix
+from colline.field import MAX_DIM, Vector, affine_rank, from_ints, from_pairs, identity_matrix
 from colline.geometry import (Line, Plane, divides_in_ratio, in_interval, line_through,
                               lines_parallel)
 from colline.predicates import (
@@ -370,8 +370,10 @@ def _scalar(pair):
 
 
 class TestSamplerStream:
-    CALLS = [("scalar",), ("nonzero_scalar",), ("vector", 1), ("vector", 3),
-             ("nonzero_vector", 2), ("line", 2), ("params", 7), ("unit_interval",)]
+    # vector at every row length; params with no drawn pair, a few and many
+    CALLS = [("scalar",), ("nonzero_scalar",), *[("vector", n) for n in range(1, MAX_DIM + 1)],
+             ("nonzero_vector", 2), ("line", 2), ("params", 3), ("params", 7), ("params", 12),
+             ("unit_interval",)]
     # the canonical value of each draw that comes out as rows or (p, q) pairs
     CANONICAL = {"vector": _point, "nonzero_vector": _point, "line": _line_of_rows,
                  "params": _fractions, "unit_interval": _scalar}
@@ -388,6 +390,14 @@ class TestSamplerStream:
                 want = getattr(reference, name)(*args)
                 assert got == want and _storage(got) == _storage(want), (name, args)
         assert sampler.rng.getstate() == reference.rng.getstate()
+
+    @pytest.mark.parametrize("dim", [0, MAX_DIM + 1])
+    def test_a_dimension_outside_the_range_draws_nothing(self, dim):
+        sampler = _Sampler(ProbeConfig(seed=1))
+        state = sampler.rng.getstate()
+        with pytest.raises(DimensionMismatch, match=f"^row length {dim} outside 1..{MAX_DIM}$"):
+            sampler.vector(dim)
+        assert sampler.rng.getstate() == state
 
 
 def _filtered_ratio_draw(f, cfg, s):
